@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model as m
-from .autodiff import Param, Tensor
+from .autodiff import Tensor
 from .errors import KExceedsEdgesError
 from .metrics import stratified_metrics
 from .smiles import Molecule
@@ -198,33 +198,14 @@ def depth_probe(seed: int, max_depth: int = 8, trials: int = 100,
             current = smooth @ current
             plain[t, depth] = mean_pairwise_cosine(current)
 
-        layers = _random_probe_layers(rng, dim, max_depth)
+        layers = [m.init_layer(rng, depth, dim, 2 * dim)
+                  for depth in range(max_depth)]
         adj_t = Tensor(adj)
         out = Tensor(features)
         for depth in range(max_depth):
             out = m.gformer_layer(out, adj_t, layers[depth])
             gformer[t, depth] = mean_pairwise_cosine(out.value)
     return DepthProbeReport(np.arange(1, max_depth + 1), plain, gformer)
-
-
-def _random_probe_layers(rng: np.random.Generator, dim: int,
-                         count: int) -> list[m.GFormerLayerParams]:
-    def weight(rows: int, cols: int) -> Param:
-        return Param(rng.normal(0.0, 1.0 / np.sqrt(rows), (rows, cols)), "probe")
-
-    layers = []
-    for _ in range(count):
-        layers.append(m.GFormerLayerParams(
-            ln1_gain=Param(np.ones((1, dim)), "probe"),
-            ln1_bias=Param(np.zeros((1, dim)), "probe"),
-            w1=weight(dim, 2 * dim),
-            b1=Param(np.zeros((1, 2 * dim)), "probe"),
-            w2=weight(2 * dim, dim),
-            b2=Param(np.zeros((1, dim)), "probe"),
-            ln2_gain=Param(np.ones((1, dim)), "probe"),
-            ln2_bias=Param(np.zeros((1, dim)), "probe"),
-        ))
-    return layers
 
 
 # ---------------------------------------------------------------------- #

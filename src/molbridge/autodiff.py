@@ -132,21 +132,8 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return self * (1.0 / float(other))
-        raise TypeError("tensor/tensor division is not supported")
-
     def __matmul__(self, other):
         return matmul(self, other)
-
-    @property
-    def T(self) -> "Tensor":
-        def backward():
-            self.grad += out.grad.T
-
-        out = Tensor._result(self.value.T.copy(), (self,), backward)
-        return out
 
     # -- autodiff ------------------------------------------------------- #
 
@@ -183,14 +170,6 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward()
-
-    # convenience reductions
-
-    def sum_rows(self) -> "Tensor":
-        return sum_rows(self)
-
-    def sum(self) -> "Tensor":
-        return sum_all(self)
 
 
 class Param(Tensor):
@@ -306,22 +285,6 @@ def sigmoid(x: Tensor) -> Tensor:
     return out
 
 
-def softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise softmax with max subtraction; rows sum to 1."""
-    if not np.all(np.isfinite(x.value)):
-        raise NonFiniteInputError("softmax_rows received non-finite input")
-    shifted = x.value - x.value.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    y = exp / exp.sum(axis=1, keepdims=True)
-
-    def backward():
-        g = out.grad
-        x.grad += y * (g - (g * y).sum(axis=1, keepdims=True))
-
-    out = Tensor._result(y, (x,), backward)
-    return out
-
-
 def log_softmax_rows(x: Tensor) -> Tensor:
     """Row-wise log-softmax (numerically fused; exp never overflows)."""
     if not np.all(np.isfinite(x.value)):
@@ -403,23 +366,6 @@ def select(x: Tensor, row: int, col: int) -> Tensor:
         x.grad[row, col] += out.grad[0, 0]
 
     out = Tensor._result(x.value[row:row + 1, col:col + 1].copy(), (x,), backward)
-    return out
-
-
-def concat_rows(parts: Sequence[Tensor]) -> Tensor:
-    """Vertical stack; all parts must share a column count."""
-    cols = parts[0].cols
-    for p in parts[1:]:
-        if p.cols != cols:
-            raise ShapeMismatchError("concat_rows needs equal column counts")
-    offsets = np.cumsum([0] + [p.rows for p in parts])
-
-    def backward():
-        for p, start in zip(parts, offsets):
-            p.grad += out.grad[start:start + p.rows]
-
-    out = Tensor._result(np.vstack([p.value for p in parts]),
-                         tuple(parts), backward)
     return out
 
 

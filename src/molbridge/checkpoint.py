@@ -3,7 +3,7 @@
 Layout, byte-exact:
 
     offset 0   8 bytes   magic b"MOLBRIDG"
-    offset 8   4 bytes   format version, uint32 little-endian (currently 1)
+    offset 8   4 bytes   format version, uint32 little-endian (currently 2)
     offset 12  4 bytes   header length in bytes, uint32 little-endian
     offset 16  header    UTF-8 JSON, keys sorted, no trailing newline
     then       payload   all parameter values as float64 little-endian,
@@ -14,6 +14,13 @@ The header object holds:
     "extra":        free-form run metadata (JSON-serializable)
     "params":       list of {"name", "rows", "cols", "offset"} where
                     offset counts float64 elements from payload start
+
+The header is strict JSON (no NaN or Infinity), the payload is exactly
+the declared values packed back to back, and every value is finite;
+anything else is rejected with CheckpointError. The attention
+projections are stored as "attn.q" and "attn.k", each dim x dim, with
+column block h (dim/heads columns) holding head h. Version 1 files held
+them per head and are rejected with VersionMismatchError.
 
 Identical params and config produce identical bytes, so checkpoints can
 be compared with a plain file hash.
@@ -31,7 +38,7 @@ from .errors import CheckpointError, VersionMismatchError
 from .model import ModelConfig, ModelParams, init_params
 
 MAGIC = b"MOLBRIDG"
-VERSION = 1
+VERSION = 2
 
 
 def save_checkpoint(path, params: ModelParams, extra: dict | None = None) -> None:
@@ -57,8 +64,8 @@ def save_checkpoint(path, params: ModelParams, extra: dict | None = None) -> Non
         "extra": extra or {},
         "params": entries,
     }
-    header_bytes = json.dumps(header, sort_keys=True,
-                              separators=(",", ":")).encode("utf-8")
+    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":"),
+                              allow_nan=False).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
@@ -66,6 +73,10 @@ def save_checkpoint(path, params: ModelParams, extra: dict | None = None) -> Non
         fh.write(header_bytes)
         for chunk in chunks:
             fh.write(chunk)
+
+
+def _reject_constant(token: str):
+    raise ValueError(f"non-finite number {token}")
 
 
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
@@ -80,28 +91,58 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
     if len(raw) < 16 + header_len:
         raise CheckpointError(f"{path}: truncated header")
     try:
-        header = json.loads(raw[16:16 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        header = json.loads(raw[16:16 + header_len].decode("utf-8"),
+                            parse_constant=_reject_constant)
+    except (UnicodeDecodeError, ValueError) as exc:
         raise CheckpointError(f"{path}: unreadable header: {exc}") from exc
+    if not isinstance(header, dict) or \
+            set(header) != {"model_config", "extra", "params"}:
+        raise CheckpointError(
+            f"{path}: header needs exactly model_config, extra and params")
 
-    config = ModelConfig(**header["model_config"])
-    params = init_params(config)
+    fields = header["model_config"]
+    if not isinstance(fields, dict) or \
+            not all(type(v) is int for v in fields.values()):
+        raise CheckpointError(f"{path}: model_config values must be integers")
+    try:
+        params = init_params(ModelConfig(**fields))
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise CheckpointError(f"{path}: bad model_config: {exc}") from exc
     by_name = dict(params.named())
-    if set(by_name) != {e["name"] for e in header["params"]}:
+
+    entries = header["params"]
+    if not isinstance(entries, list) or not all(
+            isinstance(e, dict) and set(e) == {"name", "rows", "cols", "offset"}
+            and all(type(e[k]) is int for k in ("rows", "cols", "offset"))
+            for e in entries):
+        raise CheckpointError(
+            f"{path}: params must list name, rows, cols and integer offsets")
+    if sorted(str(e["name"]) for e in entries) != sorted(by_name):
         raise CheckpointError(f"{path}: parameter names do not match config")
 
     payload = raw[16 + header_len:]
-    for entry in header["params"]:
+    declared = 8 * sum(e["rows"] * e["cols"] for e in entries)
+    if len(payload) != declared:
+        raise CheckpointError(
+            f"{path}: payload is {len(payload)} bytes, header declares "
+            f"{declared}")
+    offset = 0
+    for entry in entries:
         p = by_name[entry["name"]]
         rows, cols = entry["rows"], entry["cols"]
         if p.shape != (rows, cols):
             raise CheckpointError(
                 f"{path}: {entry['name']} has shape {rows}x{cols}, "
                 f"expected {p.shape[0]}x{p.shape[1]}")
-        start = entry["offset"] * 8
-        end = start + rows * cols * 8
-        if end > len(payload):
-            raise CheckpointError(f"{path}: truncated payload")
+        if entry["offset"] != offset:
+            raise CheckpointError(
+                f"{path}: {entry['name']} at offset {entry['offset']}, "
+                f"expected {offset}")
+        end = offset + rows * cols
         p.value[...] = np.frombuffer(
-            payload[start:end], dtype="<f8").reshape(rows, cols)
+            payload[8 * offset:8 * end], dtype="<f8").reshape(rows, cols)
+        if not np.all(np.isfinite(p.value)):
+            raise CheckpointError(
+                f"{path}: {entry['name']} has non-finite values")
+        offset = end
     return params, header["extra"]

@@ -233,7 +233,8 @@ def cmd_train(args) -> int:
     save_checkpoint(ckpt_path, params, extra={
         "best_epoch": record.best_epoch,
         "selection": config.selection,
-        "best_value": record.best_value,
+        # -inf when there were no validation rows; JSON has no infinity
+        "best_value": record.best_value if record.best_epoch >= 0 else None,
     })
     record.write_csv(run_dir / "runrecord.csv")
     snapshot = {
@@ -256,12 +257,14 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     subset = None
     if args.labels is not None:
-        fields = [f for f in args.labels.split(",") if f.strip()]
-        if not fields:
-            print("error: --labels must name at least one class",
-                  file=sys.stderr)
+        try:
+            subset = [int(f) for f in args.labels.split(",") if f.strip()]
+        except ValueError:
+            subset = []
+        if not subset:
+            print("error: --labels must name at least one class as "
+                  "comma-separated integers", file=sys.stderr)
             return 2
-        subset = [int(f) for f in fields]
 
     params, _ = load_checkpoint(args.checkpoint)
     result = load_dataset(args.data)

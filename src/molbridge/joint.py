@@ -69,27 +69,48 @@ def project(features: Tensor, weight: Param, bias: Param) -> Tensor:
     return features @ weight + bias
 
 
-def cross_attention(h: Tensor, w_q: list[Param], w_k: list[Param],
-                    heads: int) -> Tensor:
+def cross_attention(h: Tensor, w_q: Param, w_k: Param, heads: int) -> Tensor:
     """Mean over heads of softmax(Q K^T / sqrt(dim/heads)) on node features.
 
-    Only the attention weights are used; there is no value projection,
-    so the result is directly a row-stochastic adjacency over all atoms.
+    w_q and w_k are dim x dim; column block h (head_dim = dim/heads
+    columns) holds head h's projection. Only the attention weights are
+    used; there is no value projection, so the result is directly a
+    row-stochastic adjacency over all atoms. One tape node: the backward
+    runs over (heads, n, head_dim) arrays.
     """
-    dim = h.cols
+    n, dim = h.shape
     if dim % heads != 0:
         raise HeadsNotDividingError(f"{heads} heads do not divide dim {dim}")
-    if len(w_q) != heads or len(w_k) != heads:
-        raise ShapeMismatchError("need one W_Q and one W_K per head")
+    if w_q.shape != (dim, dim) or w_k.shape != (dim, dim):
+        raise ShapeMismatchError(
+            f"W_Q and W_K must be {dim}x{dim}, got {w_q.shape} and {w_k.shape}")
     head_dim = dim // heads
     scale = 1.0 / math.sqrt(head_dim)
-    total: Tensor | None = None
-    for h_idx in range(heads):
-        q = h @ w_q[h_idx]
-        k = h @ w_k[h_idx]
-        scores = ad.softmax_rows((q @ k.T) * scale)
-        total = scores if total is None else total + scores
-    return total * (1.0 / heads)
+
+    def split(x: np.ndarray) -> np.ndarray:
+        return x.reshape(n, heads, head_dim).transpose(1, 0, 2)
+
+    def merge(x: np.ndarray) -> np.ndarray:
+        return x.transpose(1, 0, 2).reshape(n, dim)
+
+    q = split(h.value @ w_q.value)
+    k = split(h.value @ w_k.value)
+    scores = (q @ k.transpose(0, 2, 1)) * scale
+    exp = np.exp(scores - scores.max(axis=2, keepdims=True))
+    probs = exp / exp.sum(axis=2, keepdims=True)
+
+    def backward():
+        g = out.grad * (1.0 / heads)
+        d_scores = scale * (probs * (g - (g * probs).sum(axis=2, keepdims=True)))
+        d_q = merge(d_scores @ k)
+        d_k = merge(d_scores.transpose(0, 2, 1) @ q)
+        w_q.grad += h.value.T @ d_q
+        w_k.grad += h.value.T @ d_k
+        h.grad += d_q @ w_q.value.T + d_k @ w_k.value.T
+
+    out = Tensor._result(probs.sum(axis=0) * (1.0 / heads), (h, w_q, w_k),
+                         backward)
+    return out
 
 
 def integrate(a_prime: Tensor, a_r: Tensor, theta: Param) -> tuple[Tensor, Tensor]:
@@ -109,7 +130,7 @@ def integrate(a_prime: Tensor, a_r: Tensor, theta: Param) -> tuple[Tensor, Tenso
 
 
 def refine(joint: JointGraph, proj_w: Param, proj_b: Param,
-           w_q: list[Param], w_k: list[Param], heads: int,
+           w_q: Param, w_k: Param, heads: int,
            theta: Param) -> RefinedAdjacency:
     """Run projection, attention, and integration on one joint graph."""
     features = Tensor(joint.features)

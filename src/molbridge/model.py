@@ -68,8 +68,8 @@ class ModelParams:
     config: ModelConfig
     proj_w: Param
     proj_b: Param
-    w_q: list[Param]
-    w_k: list[Param]
+    w_q: Param              # dim x dim, column block h is head h
+    w_k: Param
     theta: Param
     gformer: list[GFormerLayerParams]
     head_w1: Param
@@ -78,7 +78,7 @@ class ModelParams:
     head_b2: Param
 
     def all(self) -> list[Param]:
-        out = [self.proj_w, self.proj_b, *self.w_q, *self.w_k, self.theta]
+        out = [self.proj_w, self.proj_b, self.w_q, self.w_k, self.theta]
         for layer in self.gformer:
             out.extend(layer.all())
         out.extend([self.head_w1, self.head_b1, self.head_w2, self.head_b2])
@@ -88,50 +88,65 @@ class ModelParams:
         return [(p.name, p) for p in self.all()]
 
 
+def _weight(rng: np.random.Generator, name: str, rows: int, cols: int) -> Param:
+    return Param(rng.normal(0.0, 1.0 / np.sqrt(rows), (rows, cols)), name)
+
+
+def _zeros(name: str, cols: int) -> Param:
+    return Param(np.zeros((1, cols)), name)
+
+
+def _ones(name: str, cols: int) -> Param:
+    return Param(np.ones((1, cols)), name)
+
+
+def init_layer(rng: np.random.Generator, index: int, dim: int,
+               d_hid: int) -> GFormerLayerParams:
+    """One GFormer layer: scaled-normal w1 then w2 drawn from rng, unit
+    gains, zero biases."""
+    pre = f"layer{index}"
+    return GFormerLayerParams(
+        ln1_gain=_ones(f"{pre}.ln1.gain", dim),
+        ln1_bias=_zeros(f"{pre}.ln1.bias", dim),
+        w1=_weight(rng, f"{pre}.ffn.w1", dim, d_hid),
+        b1=_zeros(f"{pre}.ffn.b1", d_hid),
+        w2=_weight(rng, f"{pre}.ffn.w2", d_hid, dim),
+        b2=_zeros(f"{pre}.ffn.b2", dim),
+        ln2_gain=_ones(f"{pre}.ln2.gain", dim),
+        ln2_bias=_zeros(f"{pre}.ln2.bias", dim),
+    )
+
+
 def init_params(config: ModelConfig) -> ModelParams:
     """Seeded initialization: scaled-normal weights, unit gains, zero biases.
 
     theta starts at 0 so the adjacency mix opens at alpha = 0.5.
     """
     rng = np.random.default_rng(config.seed)
+    dim, heads = config.dim, config.heads
 
-    def weight(name: str, rows: int, cols: int) -> Param:
-        return Param(rng.normal(0.0, 1.0 / np.sqrt(rows), (rows, cols)), name)
+    def attention(name: str) -> Param:
+        # column block h is head h's own dim x head_dim draw, in head
+        # order, so a head's seeded values do not depend on the layout
+        blocks = rng.normal(0.0, 1.0 / np.sqrt(dim), (heads, dim, dim // heads))
+        return Param(np.hstack(blocks), name)
 
-    def zeros(name: str, cols: int) -> Param:
-        return Param(np.zeros((1, cols)), name)
-
-    def ones(name: str, cols: int) -> Param:
-        return Param(np.ones((1, cols)), name)
-
-    dim, d_hid = config.dim, config.d_hid
-    head_dim = dim // config.heads
-    w_q = [weight(f"attn.q{h}", dim, head_dim) for h in range(config.heads)]
-    w_k = [weight(f"attn.k{h}", dim, head_dim) for h in range(config.heads)]
-    gformer = []
-    for l in range(config.layers):
-        gformer.append(GFormerLayerParams(
-            ln1_gain=ones(f"layer{l}.ln1.gain", dim),
-            ln1_bias=zeros(f"layer{l}.ln1.bias", dim),
-            w1=weight(f"layer{l}.ffn.w1", dim, d_hid),
-            b1=zeros(f"layer{l}.ffn.b1", d_hid),
-            w2=weight(f"layer{l}.ffn.w2", d_hid, dim),
-            b2=zeros(f"layer{l}.ffn.b2", dim),
-            ln2_gain=ones(f"layer{l}.ln2.gain", dim),
-            ln2_bias=zeros(f"layer{l}.ln2.bias", dim),
-        ))
+    w_q = attention("attn.q")
+    w_k = attention("attn.k")
+    gformer = [init_layer(rng, l, dim, config.d_hid)
+               for l in range(config.layers)]
     return ModelParams(
         config=config,
-        proj_w=weight("proj.weight", config.feature_dim, dim),
-        proj_b=zeros("proj.bias", dim),
+        proj_w=_weight(rng, "proj.weight", config.feature_dim, dim),
+        proj_b=_zeros("proj.bias", dim),
         w_q=w_q,
         w_k=w_k,
         theta=Param(np.zeros((1, 1)), "alpha.theta"),
         gformer=gformer,
-        head_w1=weight("head.w1", dim, dim),
-        head_b1=zeros("head.b1", dim),
-        head_w2=weight("head.w2", dim, config.classes),
-        head_b2=zeros("head.b2", config.classes),
+        head_w1=_weight(rng, "head.w1", dim, dim),
+        head_b1=_zeros("head.b1", dim),
+        head_w2=_weight(rng, "head.w2", dim, config.classes),
+        head_b2=_zeros("head.b2", config.classes),
     )
 
 
@@ -140,16 +155,15 @@ def init_params(config: ModelConfig) -> ModelParams:
 # ---------------------------------------------------------------------- #
 
 def gcn_propagate(features: Tensor, adjacency: Tensor) -> Tensor:
-    """Neighborhood aggregation (A + I) F, exactly that: no weights,
-    no degree normalization."""
+    """Neighborhood aggregation (A + I) F, computed as A F + F: no
+    weights, no degree normalization."""
     if adjacency.rows != adjacency.cols:
         raise ShapeMismatchError(f"adjacency must be square, got {adjacency.shape}")
     if adjacency.cols != features.rows:
         raise ShapeMismatchError(
             f"adjacency {adjacency.shape} does not match features "
             f"{features.shape}")
-    with_loops = adjacency + Tensor(np.eye(adjacency.rows))
-    return with_loops @ features
+    return adjacency @ features + features
 
 
 def gformer_layer(f_prev: Tensor, adjacency: Tensor,
@@ -205,19 +219,7 @@ def predict(g_i: FeaturedGraph, g_j: FeaturedGraph,
             params: ModelParams) -> np.ndarray:
     """Class probability vector of length C; sums to 1."""
     logits = forward_pair(g_i, g_j, params)
-    return ad.softmax_rows(logits).value[0].copy()
-
-
-def cross_entropy(pred: np.ndarray, label: int, n_classes: int) -> float:
-    """Plain negative log likelihood of a probability vector."""
-    if not 0 <= label < n_classes:
-        raise LabelOutOfRangeError(
-            f"label {label} outside [0, {n_classes})")
-    pred = np.asarray(pred, dtype=np.float64).reshape(-1)
-    if pred.size != n_classes:
-        raise ShapeMismatchError(
-            f"expected {n_classes} probabilities, got {pred.size}")
-    return float(-np.log(pred[label]))
+    return np.exp(ad.log_softmax_rows(logits).value[0])
 
 
 def cross_entropy_from_logits(logits: Tensor, label: int) -> Tensor:

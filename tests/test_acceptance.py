@@ -104,8 +104,9 @@ def test_criterion_2_forward_matches_numpy_oracle():
     head_dim = dim // heads
     attn = np.zeros((n, n))
     for idx in range(heads):
-        q = h @ values[f"attn.q{idx}"]
-        k = h @ values[f"attn.k{idx}"]
+        cols = slice(idx * head_dim, (idx + 1) * head_dim)
+        q = h @ values["attn.q"][:, cols]
+        k = h @ values["attn.k"][:, cols]
         scores = (q @ k.T) * (1.0 / np.sqrt(head_dim))
         shifted = scores - scores.max(axis=1, keepdims=True)
         e = np.exp(shifted)

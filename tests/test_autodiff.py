@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import molbridge.autodiff as ad
 from molbridge.autodiff import Param, Tensor
+from molbridge.joint import cross_attention
 from molbridge.errors import (
     NonFiniteInputError,
     NonScalarLossError,
@@ -53,31 +54,32 @@ class TestMatmul:
 
 class TestSoftmax:
     def test_symmetry(self):
-        out = ad.softmax_rows(Tensor([[0.0, 0.0]]))
-        assert out.value.tolist() == [[0.5, 0.5]]
+        out = ad.log_softmax_rows(Tensor([[0.0, 0.0]]))
+        assert out.value.tolist() == [[-math.log(2.0), -math.log(2.0)]]
 
     def test_shift_stability(self):
-        out = ad.softmax_rows(Tensor([[1000.0, 1000.0]]))
+        out = ad.log_softmax_rows(Tensor([[1000.0, 1000.0]]))
         assert np.all(np.isfinite(out.value))
-        assert out.value.tolist() == [[0.5, 0.5]]
+        assert out.value.tolist() == [[-math.log(2.0), -math.log(2.0)]]
 
     def test_closed_form(self):
-        out = ad.softmax_rows(Tensor([[0.0, math.log(3.0)]]))
-        assert np.allclose(out.value, [[0.25, 0.75]], atol=1e-15)
+        out = ad.log_softmax_rows(Tensor([[0.0, math.log(3.0)]]))
+        assert np.allclose(np.exp(out.value), [[0.25, 0.75]], atol=1e-15)
 
     @given(st.integers(0, 10**6))
     def test_rows_sum_to_one(self, seed):
         rng = np.random.default_rng(seed)
         x = rng.normal(0, 50, (4, 6))
-        out = ad.softmax_rows(Tensor(x))
-        assert np.all(np.abs(out.value.sum(axis=1) - 1.0) <= 1e-12)
-        assert np.all(out.value >= 0.0)
+        probs = np.exp(ad.log_softmax_rows(Tensor(x)).value)
+        assert np.all(np.abs(probs.sum(axis=1) - 1.0) <= 1e-12)
+        assert np.all(probs >= 0.0)
 
     def test_log_softmax_matches_log_of_softmax(self):
         rng = np.random.default_rng(0)
         x = rng.normal(0, 3, (3, 5))
         direct = ad.log_softmax_rows(Tensor(x)).value
-        via = np.log(ad.softmax_rows(Tensor(x)).value)
+        exp = np.exp(x - x.max(axis=1, keepdims=True))
+        via = np.log(exp / exp.sum(axis=1, keepdims=True))
         assert np.allclose(direct, via, atol=1e-12)
 
 
@@ -154,10 +156,11 @@ class TestGradCheck:
     def test_quadratic_form(self):
         rng = np.random.default_rng(5)
         w = Param(rng.normal(size=(3, 3)), "w")
-        x = Tensor(rng.normal(size=(3, 1)))
+        x_val = rng.normal(size=(3, 1))
+        x, x_row = Tensor(x_val), Tensor(x_val.T)
 
         def f():
-            return ad.sum_all(x.T @ (w @ x))
+            return ad.sum_all(x_row @ (w @ x))
 
         assert ad.grad_check(f, [w]) < 1e-8
 
@@ -178,14 +181,16 @@ class TestGradCheck:
         gain = Param(rng.normal(size=(1, 4)), "gain")
         bias = Param(rng.normal(size=(1, 4)), "bias")
         w = Param(rng.normal(size=(4, 2)), "w")
+        w_q = Param(rng.normal(size=(4, 4)), "w_q")
+        w_k = Param(rng.normal(size=(4, 4)), "w_k")
 
         def f():
             normed = ad.layer_norm(x, gain, bias)
-            attn = ad.softmax_rows(normed @ normed.T)
+            attn = cross_attention(normed, w_q, w_k, heads=2)
             mixed = attn @ ad.relu(normed @ w)
             return -ad.select(ad.log_softmax_rows(ad.sum_rows(mixed)), 0, 1)
 
-        assert ad.grad_check(f, [x, gain, bias, w]) < 1e-4
+        assert ad.grad_check(f, [x, gain, bias, w, w_q, w_k]) < 1e-4
 
     @settings(max_examples=20)
     @given(st.integers(0, 10**6))
@@ -200,17 +205,6 @@ class TestGradCheck:
             return ad.sum_all(mixed * mixed)
 
         assert ad.grad_check(f, [a, b, s]) < 1e-4
-
-    def test_concat_rows_gradient(self):
-        rng = np.random.default_rng(9)
-        a = Param(rng.normal(size=(2, 3)), "a")
-        b = Param(rng.normal(size=(1, 3)), "b")
-
-        def f():
-            stacked = ad.concat_rows([a, b])
-            return ad.sum_all(stacked * stacked)
-
-        assert ad.grad_check(f, [a, b]) < 1e-6
 
 
 class TestMisc:
@@ -231,7 +225,3 @@ class TestMisc:
         assert np.all(np.isfinite(out.value))
         assert out.value[0, 1] == 0.5
 
-    def test_transpose_grad(self):
-        p = Param(np.array([[1.0, 2.0]]), "p")
-        ad.sum_all(p.T * Tensor([[3.0], [5.0]])).backward()
-        assert p.grad.tolist() == [[3.0, 5.0]]

@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -85,3 +86,58 @@ class TestErrors:
         path.write_bytes(raw[:20])
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+
+def _edit_header(raw: bytes, edit) -> bytes:
+    (header_len,) = struct.unpack("<I", raw[12:16])
+    header = json.loads(raw[16:16 + header_len])
+    edit(header)
+    body = json.dumps(header, sort_keys=True).encode("utf-8")
+    return raw[:12] + struct.pack("<I", len(body)) + body + raw[16 + header_len:]
+
+
+def _nan_first_value(raw: bytes) -> bytes:
+    (header_len,) = struct.unpack("<I", raw[12:16])
+    start = 16 + header_len
+    return raw[:start] + struct.pack("<d", float("nan")) + raw[start + 8:]
+
+
+MALFORMED = {
+    "unknown_config_key": lambda raw: _edit_header(
+        raw, lambda h: h["model_config"].update(bogus=1)),
+    "non_integer_dim": lambda raw: _edit_header(
+        raw, lambda h: h["model_config"].update(dim=8.5)),
+    "zero_heads": lambda raw: _edit_header(
+        raw, lambda h: h["model_config"].update(heads=0)),
+    "missing_params": lambda raw: _edit_header(
+        raw, lambda h: h.pop("params")),
+    "negative_offset": lambda raw: _edit_header(
+        raw, lambda h: h["params"][1].update(offset=-3)),
+    "trailing_bytes": lambda raw: raw + bytes(8),
+    "nan_in_payload": _nan_first_value,
+    "infinity_in_header": lambda raw: _edit_header(
+        raw, lambda h: h["extra"].update(best_value=float("-inf"))),
+}
+
+
+class TestMalformed:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_rejected_with_checkpoint_error(self, tmp_path, case):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params_with_noise())
+        path.write_bytes(MALFORMED[case](path.read_bytes()))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    def test_version_1_is_version_mismatch(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params_with_noise())
+        raw = path.read_bytes()
+        path.write_bytes(raw[:8] + struct.pack("<I", 1) + raw[12:])
+        with pytest.raises(VersionMismatchError, match="version 1"):
+            load_checkpoint(path)
+
+    def test_save_refuses_non_finite_extra(self, tmp_path):
+        with pytest.raises(ValueError):
+            save_checkpoint(tmp_path / "model.ckpt", params_with_noise(),
+                            extra={"best_value": float("-inf")})

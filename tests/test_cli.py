@@ -1,4 +1,5 @@
 import json
+import struct
 import subprocess
 import sys
 
@@ -63,6 +64,21 @@ class TestTrainCommand:
         assert manifest["config"]["lr"] == 0.125
         assert manifest["config"]["epochs"] == 2
 
+    def test_no_validation_rows_writes_strict_json(self, tmp_path):
+        data = tmp_path / "two.csv"
+        write_dataset(make_two_class_dataset(2, seed=1), data)
+        out = tmp_path / "tiny"
+        assert main(["train", "--data", str(data), *TRAIN_FLAGS,
+                     "--epochs", "1", "--out", str(out)]) == 0
+        raw = (out / "best.ckpt").read_bytes()
+        (header_len,) = struct.unpack("<I", raw[12:16])
+
+        def reject(token):
+            raise ValueError(token)
+
+        header = json.loads(raw[16:16 + header_len], parse_constant=reject)
+        assert header["extra"]["best_value"] is None
+
     def test_missing_data_flag_is_usage_error(self):
         assert main(["train"]) == 2
 
@@ -96,6 +112,13 @@ class TestEvalCommand:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_non_integer_label_is_usage_error(self, run_dir, data_path,
+                                              capsys):
+        code = main(["eval", "--checkpoint", str(run_dir / "best.ckpt"),
+                     "--data", str(data_path), "--labels", "x,1"])
+        assert code == 2
+        assert "error" in capsys.readouterr().err
+
     def test_writes_metrics_file_when_out_given(self, run_dir, data_path,
                                                 tmp_path, capsys):
         out = tmp_path / "evalrun"
@@ -114,6 +137,14 @@ class TestEvalCommand:
 
 
 class TestPredictCommand:
+    def test_version_1_checkpoint_is_runtime_error(self, run_dir, tmp_path,
+                                                   capsys):
+        raw = (run_dir / "best.ckpt").read_bytes()
+        old = tmp_path / "v1.ckpt"
+        old.write_bytes(raw[:8] + struct.pack("<I", 1) + raw[12:])
+        assert main(["predict", "--checkpoint", str(old), "CCO", "CCN"]) == 1
+        assert "version 1" in capsys.readouterr().err
+
     def test_distribution_sums_to_one(self, run_dir, capsys):
         code = main(["predict", "--checkpoint",
                      str(run_dir / "best.ckpt"), "CCO", "CCN"])

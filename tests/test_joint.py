@@ -95,15 +95,15 @@ class TestProject:
 class TestCrossAttention:
     def test_identical_rows_uniform(self):
         h = Tensor(np.ones((5, 4)))
-        w_q = [Param(np.full((4, 4), 0.3), "q")]
-        w_k = [Param(np.full((4, 4), -0.2), "k")]
+        w_q = Param(np.full((4, 4), 0.3), "q")
+        w_k = Param(np.full((4, 4), -0.2), "k")
         a_r = cross_attention(h, w_q, w_k, heads=1)
         assert np.allclose(a_r.value, 0.2, atol=1e-12)
 
     def test_two_singletons(self):
         h = Tensor(np.array([[1.0, 0.0], [0.0, 2.0]]))
-        w_q = [Param(np.eye(2), "q")]
-        w_k = [Param(np.eye(2), "k")]
+        w_q = Param(np.eye(2), "q")
+        w_k = Param(np.eye(2), "k")
         a_r = cross_attention(h, w_q, w_k, heads=1)
         assert a_r.shape == (2, 2)
         assert np.allclose(a_r.value.sum(axis=1), 1.0, atol=1e-12)
@@ -118,26 +118,62 @@ class TestCrossAttention:
         logits = q @ k.T / math.sqrt(2.0)
         exp = np.exp(logits - logits.max(axis=1, keepdims=True))
         expected = exp / exp.sum(axis=1, keepdims=True)
-        a_r = cross_attention(Tensor(h_val), [Param(wq_val, "q")],
-                              [Param(wk_val, "k")], heads=1)
+        a_r = cross_attention(Tensor(h_val), Param(wq_val, "q"),
+                              Param(wk_val, "k"), heads=1)
         assert np.allclose(a_r.value, expected, atol=1e-12)
 
     def test_heads_must_divide(self):
         with pytest.raises(HeadsNotDividingError):
             cross_attention(Tensor(np.zeros((2, 6))),
-                            [Param(np.zeros((6, 2)), "q")] * 4,
-                            [Param(np.zeros((6, 2)), "k")] * 4, heads=4)
+                            Param(np.zeros((6, 6)), "q"),
+                            Param(np.zeros((6, 6)), "k"), heads=4)
 
     @given(st.integers(0, 10**6))
     def test_rows_stochastic(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 9))
         h = Tensor(rng.normal(0, 3, (n, 4)))
-        w_q = [Param(rng.normal(size=(4, 2)), "q") for _ in range(2)]
-        w_k = [Param(rng.normal(size=(4, 2)), "k") for _ in range(2)]
+        w_q = Param(rng.normal(size=(4, 4)), "q")
+        w_k = Param(rng.normal(size=(4, 4)), "k")
         a_r = cross_attention(h, w_q, w_k, heads=2)
         assert np.all(np.abs(a_r.value.sum(axis=1) - 1.0) <= 1e-9)
         assert np.all(a_r.value >= 0.0)
+
+    @given(st.integers(0, 10**6), st.sampled_from([1, 2, 4]))
+    def test_matches_per_head_restatement(self, seed, heads):
+        rng = np.random.default_rng(seed)
+        n, dim = int(rng.integers(2, 9)), 8
+        h = rng.normal(0, 2, (n, dim))
+        wq, wk = rng.normal(size=(dim, dim)), rng.normal(size=(dim, dim))
+        head_dim = dim // heads
+        expected = np.zeros((n, n))
+        for idx in range(heads):
+            cols = slice(idx * head_dim, (idx + 1) * head_dim)
+            logits = (h @ wq[:, cols]) @ (h @ wk[:, cols]).T / math.sqrt(head_dim)
+            exp = np.exp(logits - logits.max(axis=1, keepdims=True))
+            expected += exp / exp.sum(axis=1, keepdims=True)
+        expected /= heads
+        a_r = cross_attention(Tensor(h), Param(wq, "q"), Param(wk, "k"), heads)
+        assert np.allclose(a_r.value, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_gradients_against_finite_differences(self, heads):
+        rng = np.random.default_rng(heads)
+        h = Param(rng.normal(size=(5, 8)), "h")
+        w_q = Param(rng.normal(0, 0.5, (8, 8)), "q")
+        w_k = Param(rng.normal(0, 0.5, (8, 8)), "k")
+        probe = Tensor(rng.normal(size=(5, 5)))
+
+        def f():
+            return ad.sum_all(cross_attention(h, w_q, w_k, heads) * probe)
+
+        assert ad.grad_check(f, [h, w_q, w_k]) < 1e-6
+
+    def test_projection_shape_checked(self):
+        with pytest.raises(ShapeMismatchError):
+            cross_attention(Tensor(np.zeros((2, 4))),
+                            Param(np.zeros((4, 2)), "q"),
+                            Param(np.zeros((4, 4)), "k"), heads=2)
 
 
 class TestIntegrate:
@@ -199,8 +235,8 @@ class TestEquivariance:
         dim = 4
         w = Param(rng.normal(size=(FEATURE_DIM, dim)), "w")
         b = Param(rng.normal(size=(1, dim)), "b")
-        w_q = [Param(rng.normal(size=(dim, dim)), "q")]
-        w_k = [Param(rng.normal(size=(dim, dim)), "k")]
+        w_q = Param(rng.normal(size=(dim, dim)), "q")
+        w_k = Param(rng.normal(size=(dim, dim)), "k")
         theta = Param(np.array([[0.3]]), "t")
 
         def refined(ga, gb):

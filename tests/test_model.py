@@ -199,21 +199,23 @@ class TestPredict:
 
 class TestCrossEntropy:
     def test_certain_prediction(self):
-        assert mb.cross_entropy(np.array([0.0, 1.0]), 1, 2) == 0.0
+        loss = mb.cross_entropy_from_logits(Tensor([[-1000.0, 0.0]]), 1)
+        assert loss.item() == 0.0
 
     def test_uniform_four_way(self):
-        loss = mb.cross_entropy(np.full(4, 0.25), 2, 4)
+        loss = mb.cross_entropy_from_logits(Tensor(np.zeros((1, 4))), 2).item()
         assert abs(loss - math.log(4.0)) < 1e-12
         assert abs(loss - 1.3863) < 1e-4
 
     def test_quarter_three_quarter(self):
-        loss = mb.cross_entropy(np.array([0.25, 0.75]), 1, 2)
+        logits = Tensor([[0.0, math.log(3.0)]])
+        loss = mb.cross_entropy_from_logits(logits, 1).item()
         assert abs(loss - (-math.log(0.75))) < 1e-12
         assert abs(loss - 0.2877) < 1e-4
 
     def test_label_out_of_range(self):
         with pytest.raises(LabelOutOfRangeError):
-            mb.cross_entropy(np.array([0.5, 0.5]), 2, 2)
+            mb.cross_entropy_from_logits(Tensor([[0.0, 0.0]]), 2)
         with pytest.raises(LabelOutOfRangeError):
             mb.cross_entropy_from_logits(Tensor([[0.0, 0.0]]), -1)
 
@@ -221,8 +223,9 @@ class TestCrossEntropy:
         rng = np.random.default_rng(8)
         logits_val = rng.normal(0, 2, (1, 5))
         fused = mb.cross_entropy_from_logits(Tensor(logits_val), 3).item()
-        probs = ad.softmax_rows(Tensor(logits_val)).value[0]
-        assert abs(fused - mb.cross_entropy(probs, 3, 5)) < 1e-12
+        exp = np.exp(logits_val[0] - logits_val.max())
+        probs = exp / exp.sum()
+        assert abs(fused - (-math.log(probs[3]))) < 1e-12
 
 
 class TestConfig:
@@ -243,3 +246,18 @@ class TestConfig:
         params = tiny_params()
         names = [n for n, _ in params.named()]
         assert len(names) == len(set(names))
+
+    def test_default_config_param_names(self):
+        params = mb.init_params(mb.ModelConfig(classes=86))
+        shapes = dict((n, p.shape) for n, p in params.named())
+        assert len(shapes) == 33
+        assert shapes["attn.q"] == shapes["attn.k"] == (32, 32)
+
+    def test_attention_init_is_per_head_draws_side_by_side(self):
+        cfg = mb.ModelConfig(dim=8, heads=2, layers=1, classes=3, seed=7)
+        params = mb.init_params(cfg)
+        rng = np.random.default_rng(7)
+        for fused in (params.w_q, params.w_k):
+            blocks = [rng.normal(0.0, 1.0 / np.sqrt(8), (8, 4))
+                      for _ in range(2)]
+            assert np.array_equal(fused.value, np.concatenate(blocks, axis=1))
