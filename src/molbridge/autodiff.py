@@ -2,8 +2,11 @@
 
 Every value is a matrix (rows, cols). Ops record a backward closure and
 their parent nodes; ``backward()`` on a 1x1 loss walks the graph in
-reverse topological order. Gradients of intermediate nodes are scratch
-space reset on each backward pass, while :class:`Param` gradients
+reverse topological order, handing each closure its node's gradient.
+Closures hold no reference to their own node, so a graph has no
+reference cycles and is freed as soon as the loss is dropped. Gradients
+of intermediate nodes are scratch space allocated by each backward
+pass (a forward pass allocates none), while :class:`Param` gradients
 accumulate across passes until ``zero_grad`` (so two backward calls on
 the same graph exactly double them).
 
@@ -49,19 +52,21 @@ class Tensor:
         self.grad = np.zeros_like(arr)
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[], None] | None = None
+        self._backward: Callable[[Array], None] | None = None
 
     @classmethod
     def _result(cls, value: Array, parents: tuple["Tensor", ...],
-                backward: Callable[[], None]) -> "Tensor":
+                backward: Callable[[Array], None]) -> "Tensor":
         out = cls.__new__(cls)
         out.value = value
-        out.grad = np.zeros_like(value)
         out.requires_grad = any(p.requires_grad for p in parents)
         if out.requires_grad:
+            # allocated by backward(), which only visits nodes like this
+            out.grad = None
             out._parents = parents
             out._backward = backward
         else:
+            out.grad = np.zeros_like(value)
             out._parents = ()
             out._backward = None
         return out
@@ -94,21 +99,19 @@ class Tensor:
         if isinstance(other, (int, float)):
             out_value = self.value + float(other)
 
-            def backward():
-                self.grad += out.grad
+            def backward(grad):
+                self.grad += grad
 
-            out = Tensor._result(out_value, (self,), backward)
-            return out
+            return Tensor._result(out_value, (self,), backward)
         return _add(self, other)
 
     __radd__ = __add__
 
     def __neg__(self):
-        def backward():
-            self.grad -= out.grad
+        def backward(grad):
+            self.grad -= grad
 
-        out = Tensor._result(-self.value, (self,), backward)
-        return out
+        return Tensor._result(-self.value, (self,), backward)
 
     def __sub__(self, other):
         if isinstance(other, (int, float)):
@@ -123,11 +126,10 @@ class Tensor:
         if isinstance(other, (int, float)):
             c = float(other)
 
-            def backward():
-                self.grad += c * out.grad
+            def backward(grad):
+                self.grad += c * grad
 
-            out = Tensor._result(self.value * c, (self,), backward)
-            return out
+            return Tensor._result(self.value * c, (self,), backward)
         return _mul(self, other)
 
     __rmul__ = __mul__
@@ -165,11 +167,11 @@ class Tensor:
 
         for node in topo:
             if not isinstance(node, Param):
-                node.grad[...] = 0.0
+                node.grad = np.zeros_like(node.value)
         self.grad += 1.0
         for node in reversed(topo):
             if node._backward is not None:
-                node._backward()
+                node._backward(node.grad)
 
 
 class Param(Tensor):
@@ -194,21 +196,19 @@ class Param(Tensor):
 
 def _add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape == b.shape:
-        def backward():
-            a.grad += out.grad
-            b.grad += out.grad
+        def backward(grad):
+            a.grad += grad
+            b.grad += grad
 
-        out = Tensor._result(a.value + b.value, (a, b), backward)
-        return out
+        return Tensor._result(a.value + b.value, (a, b), backward)
     if a.shape == (1, 1) or b.shape == (1, 1):
         scalar, full = (a, b) if a.shape == (1, 1) else (b, a)
 
-        def backward():
-            full.grad += out.grad
-            scalar.grad += out.grad.sum()
+        def backward(grad):
+            full.grad += grad
+            scalar.grad += grad.sum()
 
-        out = Tensor._result(scalar.value[0, 0] + full.value, (a, b), backward)
-        return out
+        return Tensor._result(scalar.value[0, 0] + full.value, (a, b), backward)
     if a.rows == 1 and a.cols == b.cols:
         row, full = a, b
     elif b.rows == 1 and b.cols == a.cols:
@@ -216,31 +216,28 @@ def _add(a: Tensor, b: Tensor) -> Tensor:
     else:
         raise ShapeMismatchError(f"cannot add shapes {a.shape} and {b.shape}")
 
-    def backward():
-        full.grad += out.grad
-        row.grad += out.grad.sum(axis=0, keepdims=True)
+    def backward(grad):
+        full.grad += grad
+        row.grad += grad.sum(axis=0, keepdims=True)
 
-    out = Tensor._result(full.value + row.value, (a, b), backward)
-    return out
+    return Tensor._result(full.value + row.value, (a, b), backward)
 
 
 def _mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape == b.shape:
-        def backward():
-            a.grad += out.grad * b.value
-            b.grad += out.grad * a.value
+        def backward(grad):
+            a.grad += grad * b.value
+            b.grad += grad * a.value
 
-        out = Tensor._result(a.value * b.value, (a, b), backward)
-        return out
+        return Tensor._result(a.value * b.value, (a, b), backward)
     if a.shape == (1, 1) or b.shape == (1, 1):
         scalar, full = (a, b) if a.shape == (1, 1) else (b, a)
 
-        def backward():
-            full.grad += scalar.value[0, 0] * out.grad
-            scalar.grad += (out.grad * full.value).sum()
+        def backward(grad):
+            full.grad += scalar.value[0, 0] * grad
+            scalar.grad += (grad * full.value).sum()
 
-        out = Tensor._result(scalar.value[0, 0] * full.value, (a, b), backward)
-        return out
+        return Tensor._result(scalar.value[0, 0] * full.value, (a, b), backward)
     raise ShapeMismatchError(f"cannot multiply shapes {a.shape} and {b.shape}")
 
 
@@ -250,12 +247,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeMismatchError(
             f"matmul inner dimensions differ: {a.shape} x {b.shape}")
 
-    def backward():
-        a.grad += out.grad @ b.value.T
-        b.grad += a.value.T @ out.grad
+    def backward(grad):
+        a.grad += grad @ b.value.T
+        b.grad += a.value.T @ grad
 
-    out = Tensor._result(a.value @ b.value, (a, b), backward)
-    return out
+    return Tensor._result(a.value @ b.value, (a, b), backward)
 
 
 # ---------------------------------------------------------------------- #
@@ -265,11 +261,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def relu(x: Tensor) -> Tensor:
     mask = x.value > 0.0
 
-    def backward():
-        x.grad += out.grad * mask
+    def backward(grad):
+        x.grad += grad * mask
 
-    out = Tensor._result(np.where(mask, x.value, 0.0), (x,), backward)
-    return out
+    return Tensor._result(np.where(mask, x.value, 0.0), (x,), backward)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -278,11 +273,10 @@ def sigmoid(x: Tensor) -> Tensor:
                      1.0 / (1.0 + np.exp(-np.abs(x.value))),
                      np.exp(-np.abs(x.value)) / (1.0 + np.exp(-np.abs(x.value))))
 
-    def backward():
-        x.grad += out.grad * value * (1.0 - value)
+    def backward(grad):
+        x.grad += grad * value * (1.0 - value)
 
-    out = Tensor._result(value, (x,), backward)
-    return out
+    return Tensor._result(value, (x,), backward)
 
 
 def log_softmax_rows(x: Tensor) -> Tensor:
@@ -294,12 +288,10 @@ def log_softmax_rows(x: Tensor) -> Tensor:
     y = shifted - log_z
     p = np.exp(y)
 
-    def backward():
-        g = out.grad
+    def backward(g):
         x.grad += g - p * g.sum(axis=1, keepdims=True)
 
-    out = Tensor._result(y, (x,), backward)
-    return out
+    return Tensor._result(y, (x,), backward)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -321,8 +313,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     xhat = centered * inv
     value = xhat * gain.value + bias.value
 
-    def backward():
-        g = out.grad
+    def backward(g):
         gain.grad += (g * xhat).sum(axis=0, keepdims=True)
         bias.grad += g.sum(axis=0, keepdims=True)
         dxhat = g * gain.value
@@ -330,43 +321,19 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
                                - dxhat.sum(axis=1, keepdims=True)
                                - xhat * (dxhat * xhat).sum(axis=1, keepdims=True))
 
-    out = Tensor._result(value, (x, gain, bias), backward)
-    return out
+    return Tensor._result(value, (x, gain, bias), backward)
 
 
 # ---------------------------------------------------------------------- #
-# reductions and selection
+# reductions
 # ---------------------------------------------------------------------- #
-
-def sum_rows(x: Tensor) -> Tensor:
-    """Column sums: Nxd -> 1xd."""
-    def backward():
-        x.grad += np.broadcast_to(out.grad, x.shape)
-
-    out = Tensor._result(x.value.sum(axis=0, keepdims=True), (x,), backward)
-    return out
-
 
 def sum_all(x: Tensor) -> Tensor:
     """Total sum: Nxd -> 1x1."""
-    def backward():
-        x.grad += out.grad[0, 0]
+    def backward(grad):
+        x.grad += grad[0, 0]
 
-    out = Tensor._result(x.value.sum(keepdims=True).reshape(1, 1), (x,), backward)
-    return out
-
-
-def select(x: Tensor, row: int, col: int) -> Tensor:
-    """Pick one entry as a 1x1 tensor."""
-    if not (0 <= row < x.rows and 0 <= col < x.cols):
-        raise ShapeMismatchError(
-            f"select({row}, {col}) out of bounds for shape {x.shape}")
-
-    def backward():
-        x.grad[row, col] += out.grad[0, 0]
-
-    out = Tensor._result(x.value[row:row + 1, col:col + 1].copy(), (x,), backward)
-    return out
+    return Tensor._result(x.value.sum(keepdims=True).reshape(1, 1), (x,), backward)
 
 
 # ---------------------------------------------------------------------- #

@@ -230,11 +230,11 @@ def cmd_train(args) -> int:
 
     run_dir = _resolve_out(args.out, f"train-{time.strftime('%Y%m%d-%H%M%S')}")
     ckpt_path = run_dir / "best.ckpt"
+    selected = record.best_epoch >= 0      # false with no validation rows
     save_checkpoint(ckpt_path, params, extra={
-        "best_epoch": record.best_epoch,
+        "best_epoch": record.best_epoch if selected else None,
         "selection": config.selection,
-        # -inf when there were no validation rows; JSON has no infinity
-        "best_value": record.best_value if record.best_epoch >= 0 else None,
+        "best_value": record.best_value if selected else None,
     })
     record.write_csv(run_dir / "runrecord.csv")
     snapshot = {
@@ -249,8 +249,11 @@ def cmd_train(args) -> int:
     _write_manifest(run_dir, "train", snapshot, {
         "checkpoint": "best.ckpt", "runrecord": "runrecord.csv"})
     print(f"run directory: {run_dir}")
-    print(f"best epoch {record.best_epoch} "
-          f"{config.selection}={record.best_value:.6f}")
+    if selected:
+        print(f"best epoch {record.best_epoch} "
+              f"{config.selection}={record.best_value:.6f}")
+    else:
+        print("no validation rows: kept the last epoch's parameters")
     return 0
 
 

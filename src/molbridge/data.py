@@ -24,6 +24,12 @@ from .smiles import FeaturedGraph, featurize, parse_smiles
 
 REQUIRED_COLUMNS = ("smiles_1", "smiles_2", "label")
 
+# Labels must lie below this. The class count is 1 + the largest label
+# and sizes the classifier head, so one stray large label would make the
+# model allocate a head that size; 10000 is far above the 86 interaction
+# event types of the DeepDDI corpus.
+MAX_CLASSES = 10_000
+
 
 @dataclass
 class DDISample:
@@ -85,6 +91,10 @@ def load_dataset(path) -> LoadResult:
                 f"{path}:{line_no}: label {raw_label!r} is not an integer") from None
         if label < 0:
             raise MalformedRowError(f"{path}:{line_no}: negative label {label}")
+        if label >= MAX_CLASSES:
+            raise MalformedRowError(
+                f"{path}:{line_no}: label {label} is not below the class "
+                f"cap {MAX_CLASSES}")
         try:
             parse_smiles(s1)
             parse_smiles(s2)

@@ -105,6 +105,10 @@ class InsufficientDrugsError(MolBridgeError, ValueError):
     """Too few distinct drugs to build the requested inductive split."""
 
 
+class EmptySplitError(MolBridgeError, ValueError):
+    """A split that training needs has no rows."""
+
+
 # --- analysis --------------------------------------------------------- #
 
 class KExceedsEdgesError(MolBridgeError, ValueError):

@@ -5,6 +5,15 @@ block-diagonal graph, project features to the working width, score all
 atom pairs with multi-head attention (weights only, no value path), and
 blend the attention matrix with the bonded adjacency through a learned
 scalar gate.
+
+Several pairs run together as a chunk: each pair's joint graph is padded
+to the chunk's largest size N and the blocks are stacked, so every value
+stays a matrix. For B pairs the features are (B*N) x d, each adjacency
+is (B*N) x N with rows [b*N, (b+1)*N) holding block b, and a B x N mask
+marks the real atoms. Padding rows have zero features and no bonds, and
+attention gives them no weight, so a real atom never reads a padding
+row. A single pair is the chunk with B = 1 and no padding: n x d
+features and an n x n adjacency.
 """
 
 from __future__ import annotations
@@ -35,13 +44,27 @@ class JointGraph:
     adjacency: np.ndarray
     boundary: int
 
+    @property
+    def mask(self) -> np.ndarray:
+        """1 x N, all real atoms: one pair is a chunk with no padding."""
+        return np.ones((1, self.adjacency.shape[0]), dtype=bool)
+
+
+@dataclass
+class JointChunk:
+    """B joint graphs padded to N atoms and stacked (see the module doc)."""
+
+    features: np.ndarray    # (B*N) x feature_dim, zero on padding rows
+    adjacency: np.ndarray   # (B*N) x N stacked blocks
+    mask: np.ndarray        # B x N, True on real atoms
+
 
 @dataclass
 class RefinedAdjacency:
     """Outputs of the refinement stage, kept as graph nodes for backprop."""
 
-    projected: Tensor       # H, (N_i+N_j) x dim
-    attention: Tensor       # A_r, row-stochastic
+    projected: Tensor       # H, (B*N) x dim
+    attention: Tensor       # A_r, (B*N) x N, row-stochastic over real atoms
     combined: Tensor        # A = (1-alpha) A' + alpha A_r
     alpha: Tensor           # 1x1, in (0, 1)
 
@@ -60,6 +83,20 @@ def build_joint(g_i: FeaturedGraph, g_j: FeaturedGraph) -> JointGraph:
     return JointGraph(features, adjacency, n_i)
 
 
+def stack_joints(joints: list[JointGraph]) -> JointChunk:
+    """Pad every joint graph to the largest and stack them as one chunk."""
+    n = max(j.adjacency.shape[0] for j in joints)
+    features = np.zeros((len(joints) * n, joints[0].features.shape[1]))
+    adjacency = np.zeros((len(joints) * n, n))
+    mask = np.zeros((len(joints), n), dtype=bool)
+    for b, joint in enumerate(joints):
+        size = joint.adjacency.shape[0]
+        features[b * n:b * n + size] = joint.features
+        adjacency[b * n:b * n + size, :size] = joint.adjacency
+        mask[b, :size] = True
+    return JointChunk(features, adjacency, mask)
+
+
 def project(features: Tensor, weight: Param, bias: Param) -> Tensor:
     """Affine map of stacked features to the working width."""
     if features.cols != weight.rows:
@@ -69,16 +106,26 @@ def project(features: Tensor, weight: Param, bias: Param) -> Tensor:
     return features @ weight + bias
 
 
-def cross_attention(h: Tensor, w_q: Param, w_k: Param, heads: int) -> Tensor:
+def cross_attention(h: Tensor, w_q: Param, w_k: Param, heads: int,
+                    mask: np.ndarray | None = None) -> Tensor:
     """Mean over heads of softmax(Q K^T / sqrt(dim/heads)) on node features.
 
     w_q and w_k are dim x dim; column block h (head_dim = dim/heads
     columns) holds head h's projection. Only the attention weights are
     used; there is no value projection, so the result is directly a
-    row-stochastic adjacency over all atoms. One tape node: the backward
-    runs over (heads, n, head_dim) arrays.
+    row-stochastic adjacency over all atoms. h holds B blocks of N rows
+    and the result is (B*N) x N, block b attending within itself; mask
+    (B x N, default one block with no padding) marks the real atoms, and
+    padding keys get zero weight. One tape node: the backward runs over
+    (B, heads, N, head_dim) arrays.
     """
-    n, dim = h.shape
+    rows, dim = h.shape
+    if mask is None:
+        mask = np.ones((1, rows), dtype=bool)
+    blocks, n = mask.shape
+    if blocks * n != rows:
+        raise ShapeMismatchError(
+            f"mask {mask.shape} does not cover {rows} feature rows")
     if dim % heads != 0:
         raise HeadsNotDividingError(f"{heads} heads do not divide dim {dim}")
     if w_q.shape != (dim, dim) or w_k.shape != (dim, dim):
@@ -88,29 +135,29 @@ def cross_attention(h: Tensor, w_q: Param, w_k: Param, heads: int) -> Tensor:
     scale = 1.0 / math.sqrt(head_dim)
 
     def split(x: np.ndarray) -> np.ndarray:
-        return x.reshape(n, heads, head_dim).transpose(1, 0, 2)
+        return x.reshape(blocks, n, heads, head_dim).transpose(0, 2, 1, 3)
 
     def merge(x: np.ndarray) -> np.ndarray:
-        return x.transpose(1, 0, 2).reshape(n, dim)
+        return x.transpose(0, 2, 1, 3).reshape(rows, dim)
 
     q = split(h.value @ w_q.value)
     k = split(h.value @ w_k.value)
-    scores = (q @ k.transpose(0, 2, 1)) * scale
-    exp = np.exp(scores - scores.max(axis=2, keepdims=True))
-    probs = exp / exp.sum(axis=2, keepdims=True)
+    scores = (q @ k.transpose(0, 1, 3, 2)) * scale
+    scores += np.where(mask, 0.0, -np.inf)[:, None, None, :]
+    exp = np.exp(scores - scores.max(axis=3, keepdims=True))
+    probs = exp / exp.sum(axis=3, keepdims=True)
 
-    def backward():
-        g = out.grad * (1.0 / heads)
-        d_scores = scale * (probs * (g - (g * probs).sum(axis=2, keepdims=True)))
+    def backward(grad):
+        g = grad.reshape(blocks, 1, n, n) * (1.0 / heads)
+        d_scores = scale * (probs * (g - (g * probs).sum(axis=3, keepdims=True)))
         d_q = merge(d_scores @ k)
-        d_k = merge(d_scores.transpose(0, 2, 1) @ q)
+        d_k = merge(d_scores.transpose(0, 1, 3, 2) @ q)
         w_q.grad += h.value.T @ d_q
         w_k.grad += h.value.T @ d_k
         h.grad += d_q @ w_q.value.T + d_k @ w_k.value.T
 
-    out = Tensor._result(probs.sum(axis=0) * (1.0 / heads), (h, w_q, w_k),
-                         backward)
-    return out
+    value = probs.sum(axis=1) * (1.0 / heads)
+    return Tensor._result(value.reshape(rows, n), (h, w_q, w_k), backward)
 
 
 def integrate(a_prime: Tensor, a_r: Tensor, theta: Param) -> tuple[Tensor, Tensor]:
@@ -129,12 +176,13 @@ def integrate(a_prime: Tensor, a_r: Tensor, theta: Param) -> tuple[Tensor, Tenso
     return combined, alpha
 
 
-def refine(joint: JointGraph, proj_w: Param, proj_b: Param,
+def refine(joint: JointGraph | JointChunk, proj_w: Param, proj_b: Param,
            w_q: Param, w_k: Param, heads: int,
            theta: Param) -> RefinedAdjacency:
-    """Run projection, attention, and integration on one joint graph."""
+    """Run projection, attention, and integration on one joint graph or
+    on a chunk of them."""
     features = Tensor(joint.features)
     h = project(features, proj_w, proj_b)
-    a_r = cross_attention(h, w_q, w_k, heads)
+    a_r = cross_attention(h, w_q, w_k, heads, joint.mask)
     combined, alpha = integrate(Tensor(joint.adjacency), a_r, theta)
     return RefinedAdjacency(h, a_r, combined, alpha)

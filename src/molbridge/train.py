@@ -1,10 +1,13 @@
 """Mini-batch training with validation-based model selection.
 
-Batches never pad: each sample's pair has its own graph sizes, so the
-loss is the mean of per-sample cross-entropies accumulated in a fixed
-order. One AdamW step per batch. After every epoch the validation
-metrics are computed and the best parameters (by the configured
-selection metric, earliest epoch on ties) are kept.
+A batch's pairs are sorted by joint graph size and cut into chunks
+(model.plan_chunks); each chunk is padded to its largest pair and runs
+as one forward pass and one backward pass, its mean cross-entropy
+weighted by its share of the batch. Parameter gradients add up across
+the chunks, so only one chunk's tape is alive at a time, and the batch
+gets one AdamW step on the gradient of its mean loss. After every epoch
+the validation metrics are computed and the best parameters (by the
+configured selection metric, earliest epoch on ties) are kept.
 """
 
 from __future__ import annotations
@@ -15,9 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model as m
-from .autodiff import Tensor
 from .data import DDISample, featurize_samples
 from .errors import (
+    EmptySplitError,
     NonFiniteActivationError,
     NonFiniteInputError,
     TrainingAbortedError,
@@ -91,7 +94,7 @@ class RunRecord:
 
 def predict_labels(params: ModelParams,
                    pairs: list[tuple[FeaturedGraph, FeaturedGraph]]) -> list[int]:
-    return [int(np.argmax(m.predict(g1, g2, params))) for g1, g2 in pairs]
+    return [int(c) for c in np.argmax(m.batch_logits(pairs, params), axis=1)]
 
 
 def evaluate(params: ModelParams,
@@ -109,6 +112,10 @@ def train(samples: list[DDISample], plan: SplitPlan,
         for i in idx_list:
             if not 0 <= i < len(samples):
                 raise ValueError(f"plan index {i} outside the sample list")
+    if not plan.train:
+        raise EmptySplitError(
+            f"the train split of {len(samples)} samples is empty; "
+            "nothing to train on")
     n_classes = 1 + max(s.label for s in samples)
     pairs = featurize_samples(samples)
     labels = [s.label for s in samples]
@@ -129,19 +136,20 @@ def train(samples: list[DDISample], plan: SplitPlan,
         for batch_no, start in enumerate(range(0, len(order), config.batch_size)):
             batch = order[start:start + config.batch_size]
             opt.zero_grad()
+            value = 0.0
             try:
-                total: Tensor | None = None
-                for i in batch:
-                    g1, g2 = pairs[i]
-                    loss_i = m.cross_entropy_from_logits(
-                        m.forward_pair(g1, g2, params), labels[i])
-                    total = loss_i if total is None else total + loss_i
-                batch_loss = total * (1.0 / len(batch))
-                value = batch_loss.item()
-                if not np.isfinite(value):
-                    raise TrainingAbortedError(
-                        f"non-finite loss at epoch {epoch} batch {batch_no}")
-                batch_loss.backward()
+                for chunk in m.plan_chunks(m.joint_sizes(
+                        [pairs[i] for i in batch])):
+                    rows = batch[chunk]
+                    logits = m.forward_chunk([pairs[i] for i in rows], params)
+                    loss = m.cross_entropy_from_logits(
+                        logits, [labels[i] for i in rows]) \
+                        * (len(rows) / len(batch))
+                    value += loss.item()
+                    if not np.isfinite(value):
+                        raise TrainingAbortedError(
+                            f"non-finite loss at epoch {epoch} batch {batch_no}")
+                    loss.backward()
             except (NonFiniteActivationError, NonFiniteInputError,
                     FloatingPointError) as exc:
                 raise TrainingAbortedError(

@@ -2,6 +2,7 @@ import json
 import struct
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -64,7 +65,7 @@ class TestTrainCommand:
         assert manifest["config"]["lr"] == 0.125
         assert manifest["config"]["epochs"] == 2
 
-    def test_no_validation_rows_writes_strict_json(self, tmp_path):
+    def test_no_validation_rows_writes_strict_json(self, tmp_path, capsys):
         data = tmp_path / "two.csv"
         write_dataset(make_two_class_dataset(2, seed=1), data)
         out = tmp_path / "tiny"
@@ -78,6 +79,27 @@ class TestTrainCommand:
 
         header = json.loads(raw[16:16 + header_len], parse_constant=reject)
         assert header["extra"]["best_value"] is None
+        assert header["extra"]["best_epoch"] is None
+        printed = capsys.readouterr().out
+        assert "no validation rows" in printed
+        assert "kept the last epoch" in printed
+
+    def test_empty_train_split_is_runtime_error(self, tmp_path, capsys):
+        data = tmp_path / "one.csv"
+        write_dataset(make_two_class_dataset(1, seed=1), data)
+        assert main(["train", "--data", str(data), *TRAIN_FLAGS,
+                     "--out", str(tmp_path / "o")]) == 1
+        assert "train split" in capsys.readouterr().err
+
+    def test_label_above_class_cap_fails_fast(self, tmp_path, capsys):
+        data = tmp_path / "huge.csv"
+        data.write_text("smiles_1,smiles_2,label\nCCO,CN,0\nCC,CO,100000000\n")
+        start = time.perf_counter()
+        assert main(["train", "--data", str(data), *TRAIN_FLAGS,
+                     "--out", str(tmp_path / "o")]) == 1
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert "huge.csv:3" in err and "100000000" in err
 
     def test_missing_data_flag_is_usage_error(self):
         assert main(["train"]) == 2

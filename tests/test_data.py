@@ -1,6 +1,11 @@
 import pytest
 
-from molbridge.data import dataset_digest, featurize_samples, load_dataset
+from molbridge.data import (
+    MAX_CLASSES,
+    dataset_digest,
+    featurize_samples,
+    load_dataset,
+)
 from molbridge.errors import (
     EmptyDatasetError,
     MalformedRowError,
@@ -73,6 +78,14 @@ class TestLoadErrors:
     def test_negative_label(self, tmp_path):
         with pytest.raises(MalformedRowError):
             load_dataset(write(tmp_path, "smiles_1,smiles_2,label\nCCO,CN,-1\n"))
+
+    def test_label_at_class_cap(self, tmp_path):
+        text = f"smiles_1,smiles_2,label\nCCO,CN,0\nCC,CO,{MAX_CLASSES}\n"
+        with pytest.raises(MalformedRowError) as exc:
+            load_dataset(write(tmp_path, text))
+        assert ":3:" in str(exc.value)
+        below = text.replace(str(MAX_CLASSES), str(MAX_CLASSES - 1))
+        assert load_dataset(write(tmp_path, below)).n_classes == MAX_CLASSES
 
     def test_short_row(self, tmp_path):
         with pytest.raises(MalformedRowError):

@@ -14,6 +14,8 @@ from molbridge.errors import (
 )
 from molbridge.smiles import FEATURE_DIM, FeaturedGraph, featurize, parse_smiles
 
+from conftest import CORPUS
+
 
 def graph(text):
     return featurize(parse_smiles(text))
@@ -23,6 +25,53 @@ def tiny_params(classes=3, seed=0):
     cfg = mb.ModelConfig(dim=8, heads=2, layers=2, d_hid=16,
                          classes=classes, seed=seed)
     return mb.init_params(cfg)
+
+
+def oracle_logits(params, g1, g2):
+    """Criterion 2's straight-line numpy forward, for one pair."""
+    v = {name: p.value for name, p in params.named()}
+    heads, layers = params.config.heads, params.config.layers
+    n1 = g1.n_atoms
+    f = np.vstack([g1.features, g2.features])
+    n = f.shape[0]
+    a = np.zeros((n, n))
+    a[:n1, :n1] = g1.adjacency
+    a[n1:, n1:] = g2.adjacency
+    h = f @ v["proj.weight"] + v["proj.bias"]
+    head_dim = h.shape[1] // heads
+    attn = np.zeros((n, n))
+    for idx in range(heads):
+        cols = slice(idx * head_dim, (idx + 1) * head_dim)
+        scores = (h @ v["attn.q"][:, cols]) @ (h @ v["attn.k"][:, cols]).T \
+            / np.sqrt(head_dim)
+        e = np.exp(scores - scores.max(axis=1, keepdims=True))
+        attn += e / e.sum(axis=1, keepdims=True)
+    attn /= heads
+    alpha = 1.0 / (1.0 + np.exp(-v["alpha.theta"][0, 0]))
+    comb = (1.0 - alpha) * a + alpha * attn
+
+    def ln(x, gain, bias):
+        centered = x - x.mean(axis=1, keepdims=True)
+        var = (centered * centered).mean(axis=1, keepdims=True)
+        return centered / np.sqrt(var + 1e-5) * gain + bias
+
+    trace = [h]
+    for l in range(layers):
+        prev = trace[-1]
+        x = ln((comb + np.eye(n)) @ prev, v[f"layer{l}.ln1.gain"],
+               v[f"layer{l}.ln1.bias"]) + prev
+        hidden = np.maximum(x @ v[f"layer{l}.ffn.w1"] + v[f"layer{l}.ffn.b1"],
+                            0.0)
+        trace.append(ln(hidden @ v[f"layer{l}.ffn.w2"] + v[f"layer{l}.ffn.b2"]
+                        + x, v[f"layer{l}.ln2.gain"], v[f"layer{l}.ln2.bias"]))
+    pooled = sum(t.sum(axis=0) for t in trace)
+    hidden = np.maximum(pooled @ v["head.w1"] + v["head.b1"][0], 0.0)
+    return hidden @ v["head.w2"] + v["head.b2"][0]
+
+
+CORPUS_GRAPHS = [graph(text) for text in CORPUS]
+# pairs of the largest corpus molecules that fit in one chunk
+PER_CHUNK = mb.CHUNK_ROWS // (2 * max(g.n_atoms for g in CORPUS_GRAPHS))
 
 
 def zero_layer(dim, d_hid, bias2_value=0.0):
@@ -58,6 +107,26 @@ class TestGcnPropagate:
         assert out.value.tolist() == [[1.0, 1.0, 0.0],
                                       [1.0, 1.0, 1.0],
                                       [0.0, 1.0, 1.0]]
+
+    def test_stacked_blocks_propagate_separately(self):
+        rng = np.random.default_rng(6)
+        a1, a2 = rng.random((3, 3)), rng.random((3, 3))
+        f1, f2 = rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
+        out = mb.gcn_propagate(Tensor(np.vstack([f1, f2])),
+                               Tensor(np.vstack([a1, a2])))
+        assert np.allclose(out.value, np.vstack([a1 @ f1 + f1, a2 @ f2 + f2]),
+                           atol=1e-12)
+
+    def test_stacked_gradients_against_finite_differences(self):
+        rng = np.random.default_rng(8)
+        f = Param(rng.normal(size=(6, 2)), "f")
+        a = Param(rng.random((6, 3)), "a")
+        probe = Tensor(rng.normal(size=(6, 2)))
+
+        def loss():
+            return ad.sum_all(mb.gcn_propagate(f, a) * probe)
+
+        assert ad.grad_check(loss, [f, a]) < 1e-6
 
     def test_shape_errors(self):
         with pytest.raises(ShapeMismatchError):
@@ -142,6 +211,85 @@ class TestAggregate:
         assert np.allclose(a, b, atol=1e-12)
 
 
+    def test_mask_sums_each_pairs_real_rows(self):
+        rng = np.random.default_rng(5)
+        trace = [Tensor(rng.normal(size=(6, 2))) for _ in range(2)]
+        mask = np.array([[True, True, False], [True, True, True]])
+        out = mb.aggregate(trace, mask)
+        both = trace[0].value + trace[1].value
+        assert out.shape == (2, 2)
+        assert np.allclose(out.value, [both[0:2].sum(axis=0),
+                                       both[3:6].sum(axis=0)], atol=1e-12)
+
+    def test_padding_rows_get_no_gradient(self):
+        trace = [Param(np.ones((4, 3)), "f0"), Param(np.ones((4, 3)), "f1")]
+        mask = np.array([[True, False], [True, True]])
+        ad.sum_all(mb.aggregate(trace, mask)).backward()
+        for p in trace:
+            assert p.grad[:, 0].tolist() == [1.0, 0.0, 1.0, 1.0]
+
+
+class TestChunks:
+    def test_sorted_by_size_then_index(self):
+        assert mb.plan_chunks([5, 3, 5, 3]) == [[1, 3, 0, 2]]
+
+    def test_budget_and_cover(self):
+        sizes = [20, 90, 7, 90, 33, 41, 90, 12] * 20
+        chunks = mb.plan_chunks(sizes)
+        assert sorted(i for c in chunks for i in c) == list(range(len(sizes)))
+        flat = [i for c in chunks for i in c]
+        assert flat == sorted(flat, key=lambda i: (sizes[i], i))
+        for c in chunks:
+            assert len(c) * max(sizes[i] for i in c) <= mb.CHUNK_ROWS
+
+    def test_oversized_pair_gets_its_own_chunk(self):
+        assert mb.plan_chunks([mb.CHUNK_ROWS + 1, 2]) == [[1], [0]]
+
+    def test_largest_corpus_pairs_fill_chunks(self):
+        assert PER_CHUNK >= 2
+        big = 2 * max(g.n_atoms for g in CORPUS_GRAPHS)
+        assert len(mb.plan_chunks([big] * (2 * PER_CHUNK + 1))) == 3
+
+    @given(st.lists(st.tuples(st.integers(0, len(CORPUS) - 1),
+                              st.integers(0, len(CORPUS) - 1)),
+                    min_size=1, max_size=2 * PER_CHUNK + 1),
+           st.integers(0, 10**6))
+    def test_batch_logits_match_oracle_in_any_order(self, picks, seed):
+        params = tiny_params(seed=4)
+        params.theta.value[...] = 0.7
+        pairs = [(CORPUS_GRAPHS[i], CORPUS_GRAPHS[j]) for i, j in picks]
+        got = mb.batch_logits(pairs, params)
+        want = np.array([oracle_logits(params, g1, g2) for g1, g2 in pairs])
+        assert got.shape == (len(pairs), 3)
+        assert np.max(np.abs(got - want)) <= 1e-10
+        perm = np.random.default_rng(seed).permutation(len(pairs))
+        shuffled = mb.batch_logits([pairs[i] for i in perm], params)
+        assert np.max(np.abs(shuffled - got[perm])) <= 1e-12
+
+    def test_padded_chunk_gradients(self):
+        params = mb.init_params(mb.ModelConfig(dim=8, heads=2, layers=2,
+                                               d_hid=16, classes=3, seed=21))
+        pairs = [(graph("CCO"), graph("C")),
+                 (graph("c1ccccc1"), graph("CC(=O)O")),
+                 (graph("CN"), graph("O"))]
+        labels = [2, 0, 1]
+
+        def loss():
+            return mb.cross_entropy_from_logits(
+                mb.forward_chunk(pairs, params), labels)
+
+        assert ad.grad_check(loss, params.all()) < 1e-6
+        # the chunk's gradient is the mean of the one-pair gradients
+        loss().backward()
+        chunk_grads = [p.grad.copy() for p in params.all()]
+        ad.zero_grads(params.all())
+        for (g1, g2), label in zip(pairs, labels):
+            (mb.cross_entropy_from_logits(mb.forward_pair(g1, g2, params),
+                                          label) * (1.0 / 3.0)).backward()
+        for p, want in zip(params.all(), chunk_grads):
+            assert np.allclose(p.grad, want, rtol=1e-10, atol=1e-13), p.name
+
+
 class TestPredict:
     def test_distribution(self):
         params = tiny_params(classes=5)
@@ -218,6 +366,25 @@ class TestCrossEntropy:
             mb.cross_entropy_from_logits(Tensor([[0.0, 0.0]]), 2)
         with pytest.raises(LabelOutOfRangeError):
             mb.cross_entropy_from_logits(Tensor([[0.0, 0.0]]), -1)
+
+    def test_label_vector_gives_mean(self):
+        rng = np.random.default_rng(9)
+        logits = rng.normal(0, 2, (3, 4))
+        rows = [mb.cross_entropy_from_logits(Tensor(logits[i:i + 1]), c).item()
+                for i, c in enumerate([0, 3, 1])]
+        batch = mb.cross_entropy_from_logits(Tensor(logits), [0, 3, 1])
+        assert abs(batch.item() - sum(rows) / 3) < 1e-12
+
+    def test_batch_gradient(self):
+        rng = np.random.default_rng(10)
+        logits = Param(rng.normal(0, 2, (3, 4)), "z")
+        assert ad.grad_check(
+            lambda: mb.cross_entropy_from_logits(logits, [2, 2, 0]),
+            [logits]) < 1e-8
+
+    def test_label_count_must_match_rows(self):
+        with pytest.raises(ShapeMismatchError):
+            mb.cross_entropy_from_logits(Tensor(np.zeros((2, 3))), [0])
 
     def test_fused_matches_plain(self):
         rng = np.random.default_rng(8)

@@ -120,7 +120,7 @@ class TestTraining:
     def test_abort_names_epoch_and_batch(self, dataset, plan, monkeypatch):
         def explode(*args, **kwargs):
             raise NonFiniteActivationError("layer 0 produced nan")
-        monkeypatch.setattr(m, "forward_pair", explode)
+        monkeypatch.setattr(m, "forward_chunk", explode)
         with pytest.raises(TrainingAbortedError,
                            match=r"epoch 0 batch 0"):
             train(dataset, plan, small_config(max_epochs=1))
