@@ -4,11 +4,18 @@ Every value is a matrix (rows, cols). Ops record a backward closure and
 their parent nodes; ``backward()`` on a 1x1 loss walks the graph in
 reverse topological order, handing each closure its node's gradient.
 Closures hold no reference to their own node, so a graph has no
-reference cycles and is freed as soon as the loss is dropped. Gradients
-of intermediate nodes are scratch space allocated by each backward
-pass (a forward pass allocates none), while :class:`Param` gradients
-accumulate across passes until ``zero_grad`` (so two backward calls on
-the same graph exactly double them).
+reference cycles and is freed as soon as the loss is dropped.
+
+Gradient buffers: only a :class:`Param` owns one, zeroed at creation;
+its gradient accumulates in place across backward passes until
+``zero_grad`` (so two backward calls on the same graph exactly double
+it). Every other node starts each backward pass with no gradient. Its
+first contribution is kept as is, not copied, and a later one makes a
+new array (``old + g``) instead of writing in place, because that first
+array may be the very one another node also holds. So no closure writes
+into the gradient it is handed. A closure computes no gradient for a
+parent that does not require one (a constant input), and a forward pass
+allocates no gradient at all.
 
 Broadcasting is deliberately narrow: same-shape elementwise, a 1x1
 scalar against anything, and a 1xd row (bias) against Nxd. Anything
@@ -49,7 +56,7 @@ class Tensor:
         if not np.all(np.isfinite(arr)):
             raise NonFiniteInputError("tensor constructed from non-finite values")
         self.value = arr
-        self.grad = np.zeros_like(arr)
+        self.grad: Array | None = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[Array], None] | None = None
@@ -59,17 +66,20 @@ class Tensor:
                 backward: Callable[[Array], None]) -> "Tensor":
         out = cls.__new__(cls)
         out.value = value
+        out.grad = None
         out.requires_grad = any(p.requires_grad for p in parents)
         if out.requires_grad:
-            # allocated by backward(), which only visits nodes like this
-            out.grad = None
             out._parents = parents
             out._backward = backward
         else:
-            out.grad = np.zeros_like(value)
             out._parents = ()
             out._backward = None
         return out
+
+    def _add_grad(self, g: Array) -> None:
+        """Take one gradient contribution; never writes into g or into an
+        array this node already holds (see the module doc)."""
+        self.grad = g if self.grad is None else self.grad + g
 
     # -- introspection -------------------------------------------------- #
 
@@ -97,19 +107,15 @@ class Tensor:
 
     def __add__(self, other):
         if isinstance(other, (int, float)):
-            out_value = self.value + float(other)
-
-            def backward(grad):
-                self.grad += grad
-
-            return Tensor._result(out_value, (self,), backward)
+            return Tensor._result(self.value + float(other), (self,),
+                                  self._add_grad)
         return _add(self, other)
 
     __radd__ = __add__
 
     def __neg__(self):
         def backward(grad):
-            self.grad -= grad
+            self._add_grad(-grad)
 
         return Tensor._result(-self.value, (self,), backward)
 
@@ -127,7 +133,7 @@ class Tensor:
             c = float(other)
 
             def backward(grad):
-                self.grad += c * grad
+                self._add_grad(c * grad)
 
             return Tensor._result(self.value * c, (self,), backward)
         return _mul(self, other)
@@ -167,8 +173,8 @@ class Tensor:
 
         for node in topo:
             if not isinstance(node, Param):
-                node.grad = np.zeros_like(node.value)
-        self.grad += 1.0
+                node.grad = None
+        self._add_grad(np.ones((1, 1)))
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward(node.grad)
@@ -181,7 +187,11 @@ class Param(Tensor):
 
     def __init__(self, value, name: str):
         super().__init__(value, requires_grad=True)
+        self.grad = np.zeros_like(self.value)
         self.name = name
+
+    def _add_grad(self, g: Array) -> None:
+        self.grad += g
 
     def zero_grad(self) -> None:
         self.grad[...] = 0.0
@@ -197,16 +207,20 @@ class Param(Tensor):
 def _add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape == b.shape:
         def backward(grad):
-            a.grad += grad
-            b.grad += grad
+            if a.requires_grad:
+                a._add_grad(grad)
+            if b.requires_grad:
+                b._add_grad(grad)
 
         return Tensor._result(a.value + b.value, (a, b), backward)
     if a.shape == (1, 1) or b.shape == (1, 1):
         scalar, full = (a, b) if a.shape == (1, 1) else (b, a)
 
         def backward(grad):
-            full.grad += grad
-            scalar.grad += grad.sum()
+            if full.requires_grad:
+                full._add_grad(grad)
+            if scalar.requires_grad:
+                scalar._add_grad(grad.sum(keepdims=True))
 
         return Tensor._result(scalar.value[0, 0] + full.value, (a, b), backward)
     if a.rows == 1 and a.cols == b.cols:
@@ -217,8 +231,10 @@ def _add(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeMismatchError(f"cannot add shapes {a.shape} and {b.shape}")
 
     def backward(grad):
-        full.grad += grad
-        row.grad += grad.sum(axis=0, keepdims=True)
+        if full.requires_grad:
+            full._add_grad(grad)
+        if row.requires_grad:
+            row._add_grad(grad.sum(axis=0, keepdims=True))
 
     return Tensor._result(full.value + row.value, (a, b), backward)
 
@@ -226,16 +242,20 @@ def _add(a: Tensor, b: Tensor) -> Tensor:
 def _mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape == b.shape:
         def backward(grad):
-            a.grad += grad * b.value
-            b.grad += grad * a.value
+            if a.requires_grad:
+                a._add_grad(grad * b.value)
+            if b.requires_grad:
+                b._add_grad(grad * a.value)
 
         return Tensor._result(a.value * b.value, (a, b), backward)
     if a.shape == (1, 1) or b.shape == (1, 1):
         scalar, full = (a, b) if a.shape == (1, 1) else (b, a)
 
         def backward(grad):
-            full.grad += scalar.value[0, 0] * grad
-            scalar.grad += (grad * full.value).sum()
+            if full.requires_grad:
+                full._add_grad(scalar.value[0, 0] * grad)
+            if scalar.requires_grad:
+                scalar._add_grad((grad * full.value).sum(keepdims=True))
 
         return Tensor._result(scalar.value[0, 0] * full.value, (a, b), backward)
     raise ShapeMismatchError(f"cannot multiply shapes {a.shape} and {b.shape}")
@@ -248,10 +268,32 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             f"matmul inner dimensions differ: {a.shape} x {b.shape}")
 
     def backward(grad):
-        a.grad += grad @ b.value.T
-        b.grad += a.value.T @ grad
+        if a.requires_grad:
+            a._add_grad(grad @ b.value.T)
+        if b.requires_grad:
+            b._add_grad(a.value.T @ grad)
 
     return Tensor._result(a.value @ b.value, (a, b), backward)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b as one node; b is a 1 x w.cols row added to every row."""
+    if x.cols != w.rows or b.shape != (1, w.cols):
+        raise ShapeMismatchError(
+            f"linear needs x @ w + b with a 1x{w.cols} bias, got "
+            f"{x.shape} x {w.shape} + {b.shape}")
+    value = x.value @ w.value
+    value += b.value
+
+    def backward(grad):
+        if x.requires_grad:
+            x._add_grad(grad @ w.value.T)
+        if w.requires_grad:
+            w._add_grad(x.value.T @ grad)
+        if b.requires_grad:
+            b._add_grad(grad.sum(axis=0, keepdims=True))
+
+    return Tensor._result(value, (x, w, b), backward)
 
 
 # ---------------------------------------------------------------------- #
@@ -262,7 +304,7 @@ def relu(x: Tensor) -> Tensor:
     mask = x.value > 0.0
 
     def backward(grad):
-        x.grad += grad * mask
+        x._add_grad(grad * mask)
 
     return Tensor._result(np.where(mask, x.value, 0.0), (x,), backward)
 
@@ -274,7 +316,7 @@ def sigmoid(x: Tensor) -> Tensor:
                      np.exp(-np.abs(x.value)) / (1.0 + np.exp(-np.abs(x.value))))
 
     def backward(grad):
-        x.grad += grad * value * (1.0 - value)
+        x._add_grad(grad * value * (1.0 - value))
 
     return Tensor._result(value, (x,), backward)
 
@@ -289,9 +331,14 @@ def log_softmax_rows(x: Tensor) -> Tensor:
     p = np.exp(y)
 
     def backward(g):
-        x.grad += g - p * g.sum(axis=1, keepdims=True)
+        x._add_grad(g - p * g.sum(axis=1, keepdims=True))
 
     return Tensor._result(y, (x,), backward)
+
+
+def _row_dot(a: Array, b: Array) -> Array:
+    """Dot product of each row of a with the same row of b, as a column."""
+    return np.einsum("ij,ij->i", a, b)[:, None]
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -306,20 +353,27 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     if eps <= 0:
         raise ValueError("eps must be positive")
     d = x.cols
-    mu = x.value.mean(axis=1, keepdims=True)
-    centered = x.value - mu
-    var = (centered * centered).mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
-    value = xhat * gain.value + bias.value
+    xhat = x.value - x.value.sum(axis=1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(_row_dot(xhat, xhat) / d + eps)
+    xhat *= inv
+    value = xhat * gain.value
+    value += bias.value
 
     def backward(g):
-        gain.grad += (g * xhat).sum(axis=0, keepdims=True)
-        bias.grad += g.sum(axis=0, keepdims=True)
-        dxhat = g * gain.value
-        x.grad += (inv / d) * (d * dxhat
-                               - dxhat.sum(axis=1, keepdims=True)
-                               - xhat * (dxhat * xhat).sum(axis=1, keepdims=True))
+        if gain.requires_grad:
+            gain._add_grad(np.einsum("ij,ij->j", g, xhat)[None, :])
+        if bias.requires_grad:
+            bias._add_grad(g.sum(axis=0, keepdims=True))
+        if x.requires_grad:
+            # dx = (inv / d) (d dxhat - rowsum(dxhat) - xhat rowdot(dxhat, xhat))
+            dx = g * gain.value
+            row_sum = dx.sum(axis=1, keepdims=True)
+            row_dot = _row_dot(dx, xhat)
+            dx *= d
+            dx -= row_sum
+            dx -= xhat * row_dot
+            dx *= inv / d
+            x._add_grad(dx)
 
     return Tensor._result(value, (x, gain, bias), backward)
 
@@ -331,7 +385,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 def sum_all(x: Tensor) -> Tensor:
     """Total sum: Nxd -> 1x1."""
     def backward(grad):
-        x.grad += grad[0, 0]
+        x._add_grad(np.full(x.shape, grad[0, 0]))
 
     return Tensor._result(x.value.sum(keepdims=True).reshape(1, 1), (x,), backward)
 

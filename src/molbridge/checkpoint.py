@@ -17,7 +17,8 @@ The header object holds:
 
 The header is strict JSON (no NaN or Infinity), the payload is exactly
 the declared values packed back to back, and every value is finite;
-anything else is rejected with CheckpointError. The attention
+anything else is rejected with CheckpointError, and save_checkpoint
+refuses non-finite parameters the same way. The attention
 projections are stored as "attn.q" and "attn.k", each dim x dim, with
 column block h (dim/heads columns) holding head h. Version 1 files held
 them per head and are rejected with VersionMismatchError.
@@ -46,6 +47,9 @@ def save_checkpoint(path, params: ModelParams, extra: dict | None = None) -> Non
     offset = 0
     chunks = []
     for name, p in params.named():
+        if not np.all(np.isfinite(p.value)):
+            # the loader refuses such a file, so none is written
+            raise CheckpointError(f"{name} has non-finite values; not saved")
         rows, cols = p.shape
         entries.append({"name": name, "rows": rows, "cols": cols,
                         "offset": offset})

@@ -28,7 +28,7 @@ from .data import dataset_digest, featurize_samples, load_dataset
 from .errors import MolBridgeError, SmilesError
 from .metrics import accumulate, format_metrics, macro_metrics, stratified_metrics
 from .smiles import featurize, parse_smiles
-from .splits import MODES, make_splits
+from .splits import MODES, N_FOLDS, make_splits
 from .train import TrainConfig, predict_labels, train
 
 TRAIN_KEYS = ("mode", "fold", "seed", "epochs", "batch", "lr", "dim",
@@ -61,6 +61,28 @@ def main(argv: list[str]) -> int:
         return 1
 
 
+def _int_in(low: int, high: int | None = None):
+    """argparse type: an integer in [low, high], unbounded above if high
+    is None. Out-of-range values are usage errors (exit 2)."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}") from None
+        if value < low or (high is not None and value > high):
+            bound = f"at least {low}" if high is None else f"in [{low}, {high}]"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+
+    return parse
+
+
+NON_NEGATIVE = _int_in(0)
+POSITIVE = _int_in(1)
+FOLD = _int_in(0, N_FOLDS - 1)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="molbridge",
@@ -72,15 +94,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--data", required=True)
     p_train.add_argument("--config", help="key=value file of defaults")
     p_train.add_argument("--mode", choices=MODES)
-    p_train.add_argument("--fold", type=int)
+    p_train.add_argument("--fold", type=FOLD)
     p_train.add_argument("--seed", type=int)
-    p_train.add_argument("--epochs", type=int)
-    p_train.add_argument("--batch", type=int)
+    p_train.add_argument("--epochs", type=POSITIVE)
+    p_train.add_argument("--batch", type=POSITIVE)
     p_train.add_argument("--lr", type=float)
-    p_train.add_argument("--dim", type=int)
-    p_train.add_argument("--layers", type=int)
-    p_train.add_argument("--heads", type=int)
-    p_train.add_argument("--d-hid", dest="d_hid", type=int)
+    p_train.add_argument("--dim", type=POSITIVE)
+    p_train.add_argument("--layers", type=POSITIVE)
+    p_train.add_argument("--heads", type=POSITIVE)
+    p_train.add_argument("--d-hid", dest="d_hid", type=NON_NEGATIVE)
     p_train.add_argument("--weight-decay", dest="weight_decay", type=float)
     p_train.add_argument("--selection", choices=("accuracy", "macro_f1"))
     p_train.add_argument("--out")
@@ -92,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--split", choices=("train", "val", "test", "all"),
                         default="test")
     p_eval.add_argument("--mode", choices=MODES, default="transductive")
-    p_eval.add_argument("--fold", type=int, default=0)
+    p_eval.add_argument("--fold", type=FOLD, default=0)
     p_eval.add_argument("--seed", type=int, default=42)
     p_eval.add_argument("--labels",
                         help="comma-separated label subset for stratified "
@@ -114,8 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_os = ana_sub.add_parser("oversmooth",
                               help="depth collapse probe on random graphs")
     p_os.add_argument("--seed", type=int, default=42)
-    p_os.add_argument("--depth", type=int, default=8)
-    p_os.add_argument("--trials", type=int, default=100)
+    p_os.add_argument("--depth", type=_int_in(2), default=8)
+    p_os.add_argument("--trials", type=POSITIVE, default=100)
     p_os.add_argument("--out")
     p_os.set_defaults(func=cmd_oversmooth)
 
@@ -126,9 +148,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_dist.add_argument("--split", choices=("train", "val", "test", "all"),
                         default="test")
     p_dist.add_argument("--mode", choices=MODES, default="transductive")
-    p_dist.add_argument("--fold", type=int, default=0)
+    p_dist.add_argument("--fold", type=FOLD, default=0)
     p_dist.add_argument("--seed", type=int, default=42)
-    p_dist.add_argument("--quantiles", type=int, default=5)
+    p_dist.add_argument("--quantiles", type=POSITIVE, default=5)
     p_dist.add_argument("--combine", choices=("pair_mean", "first"),
                         default="pair_mean")
     p_dist.add_argument("--out")
@@ -139,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_edges.add_argument("--checkpoint", required=True)
     p_edges.add_argument("smiles_1")
     p_edges.add_argument("smiles_2")
-    p_edges.add_argument("--k", type=int, default=10)
+    p_edges.add_argument("--k", type=POSITIVE, default=10)
     p_edges.add_argument("--out")
     p_edges.set_defaults(func=cmd_edges)
 
@@ -207,20 +229,28 @@ def cmd_train(args) -> int:
             return cast(file_cfg[key])
         return fallback
 
-    mode = pick("mode", str, "transductive")
-    fold = pick("fold", int, 0)
-    config = TrainConfig(
-        batch_size=pick("batch", int, 512),
-        lr=pick("lr", float, 0.005),
-        seed=pick("seed", int, 42),
-        layers=pick("layers", int, 3),
-        heads=pick("heads", int, 4),
-        dim=pick("dim", int, 32),
-        d_hid=pick("d_hid", int, 0),
-        max_epochs=pick("epochs", int, 500),
-        weight_decay=pick("weight_decay", float, 0.01),
-        selection=pick("selection", str, "accuracy"),
-    )
+    # config file values pass the flags' checks too; a bad one, or a
+    # setting TrainConfig refuses, is a usage error
+    try:
+        mode = pick("mode", str, "transductive")
+        if mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        fold = pick("fold", FOLD, 0)
+        config = TrainConfig(
+            batch_size=pick("batch", POSITIVE, 512),
+            lr=pick("lr", float, 0.005),
+            seed=pick("seed", int, 42),
+            layers=pick("layers", POSITIVE, 3),
+            heads=pick("heads", POSITIVE, 4),
+            dim=pick("dim", POSITIVE, 32),
+            d_hid=pick("d_hid", NON_NEGATIVE, 0),
+            max_epochs=pick("epochs", POSITIVE, 500),
+            weight_decay=pick("weight_decay", float, 0.01),
+            selection=pick("selection", str, "accuracy"),
+        )
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     result = load_dataset(args.data)
     for row in result.quarantined:

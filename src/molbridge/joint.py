@@ -98,12 +98,8 @@ def stack_joints(joints: list[JointGraph]) -> JointChunk:
 
 
 def project(features: Tensor, weight: Param, bias: Param) -> Tensor:
-    """Affine map of stacked features to the working width."""
-    if features.cols != weight.rows:
-        raise ShapeMismatchError(
-            f"projection expects {weight.rows} input columns, "
-            f"got {features.cols}")
-    return features @ weight + bias
+    """Affine map of stacked features to the working width (one node)."""
+    return ad.linear(features, weight, bias)
 
 
 def cross_attention(h: Tensor, w_q: Param, w_k: Param, heads: int,
@@ -142,26 +138,44 @@ def cross_attention(h: Tensor, w_q: Param, w_k: Param, heads: int,
 
     q = split(h.value @ w_q.value)
     k = split(h.value @ w_k.value)
-    scores = (q @ k.transpose(0, 1, 3, 2)) * scale
-    scores += np.where(mask, 0.0, -np.inf)[:, None, None, :]
-    exp = np.exp(scores - scores.max(axis=3, keepdims=True))
-    probs = exp / exp.sum(axis=3, keepdims=True)
+    # scores, then softmax over keys, in place on one (B, heads, N, N) buffer
+    probs = q @ k.transpose(0, 1, 3, 2)
+    probs *= scale
+    if not mask.all():
+        probs += np.where(mask, 0.0, -np.inf)[:, None, None, :]
+    probs -= probs.max(axis=3, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=3, keepdims=True)
 
     def backward(grad):
-        g = grad.reshape(blocks, 1, n, n) * (1.0 / heads)
-        d_scores = scale * (probs * (g - (g * probs).sum(axis=3, keepdims=True)))
+        # softmax pullback probs * (g - rowdot(g, probs)) in one buffer;
+        # the head mean and the score scale go on the (B*N) x dim results
+        g = grad.reshape(blocks, 1, n, n)
+        d_scores = g * probs
+        row_dot = d_scores.sum(axis=3, keepdims=True)
+        np.subtract(g, row_dot, out=d_scores)
+        d_scores *= probs
         d_q = merge(d_scores @ k)
+        d_q *= scale / heads
         d_k = merge(d_scores.transpose(0, 1, 3, 2) @ q)
-        w_q.grad += h.value.T @ d_q
-        w_k.grad += h.value.T @ d_k
-        h.grad += d_q @ w_q.value.T + d_k @ w_k.value.T
+        d_k *= scale / heads
+        if w_q.requires_grad:
+            w_q._add_grad(h.value.T @ d_q)
+        if w_k.requires_grad:
+            w_k._add_grad(h.value.T @ d_k)
+        if h.requires_grad:
+            d_h = d_q @ w_q.value.T
+            d_h += d_k @ w_k.value.T
+            h._add_grad(d_h)
 
-    value = probs.sum(axis=1) * (1.0 / heads)
+    value = probs.sum(axis=1)
+    value *= 1.0 / heads
     return Tensor._result(value.reshape(rows, n), (h, w_q, w_k), backward)
 
 
 def integrate(a_prime: Tensor, a_r: Tensor, theta: Param) -> tuple[Tensor, Tensor]:
-    """Blend bonded and attention adjacencies: A = (1-alpha) A' + alpha A_r.
+    """Blend bonded and attention adjacencies: A = (1-alpha) A' + alpha A_r,
+    computed as A' + alpha (A_r - A') in one node.
 
     alpha = logistic(theta) keeps the mix a convex combination.
     Returns (A, alpha).
@@ -172,7 +186,20 @@ def integrate(a_prime: Tensor, a_r: Tensor, theta: Param) -> tuple[Tensor, Tenso
     if theta.shape != (1, 1):
         raise ShapeMismatchError("theta must be 1x1")
     alpha = ad.sigmoid(theta)
-    combined = (1.0 - alpha) * a_prime + alpha * a_r
+    a = alpha.value[0, 0]
+    diff = a_r.value - a_prime.value
+    value = diff * a
+    value += a_prime.value
+
+    def backward(grad):
+        if a_prime.requires_grad:
+            a_prime._add_grad(grad * (1.0 - a))
+        if a_r.requires_grad:
+            a_r._add_grad(grad * a)
+        if alpha.requires_grad:
+            alpha._add_grad(np.full((1, 1), np.vdot(grad, diff)))
+
+    combined = Tensor._result(value, (a_prime, a_r, alpha), backward)
     return combined, alpha
 
 

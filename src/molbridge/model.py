@@ -183,9 +183,12 @@ def gcn_propagate(features: Tensor, adjacency: Tensor) -> Tensor:
 
     def backward(grad):
         g = grad.reshape(blocks, n, dim)
-        adjacency.grad += (g @ f.transpose(0, 2, 1)).reshape(rows, n)
-        features.grad += (a.transpose(0, 2, 1) @ g).reshape(rows, dim) \
-            + grad
+        if adjacency.requires_grad:
+            adjacency._add_grad((g @ f.transpose(0, 2, 1)).reshape(rows, n))
+        if features.requires_grad:
+            d_f = (a.transpose(0, 2, 1) @ g).reshape(rows, dim)
+            d_f += grad
+            features._add_grad(d_f)
 
     return Tensor._result((a @ f).reshape(rows, dim) + features.value,
                           (features, adjacency), backward)
@@ -196,8 +199,8 @@ def gformer_layer(f_prev: Tensor, adjacency: Tensor,
     """One propagation block: X = LN((A+I)F) + F; out = LN(FFN(X) + X)."""
     x = ad.layer_norm(gcn_propagate(f_prev, adjacency), p.ln1_gain, p.ln1_bias) \
         + f_prev
-    hidden = ad.relu(x @ p.w1 + p.b1)
-    ffn = hidden @ p.w2 + p.b2
+    hidden = ad.relu(ad.linear(x, p.w1, p.b1))
+    ffn = ad.linear(hidden, p.w2, p.b2)
     out = ad.layer_norm(ffn + x, p.ln2_gain, p.ln2_bias)
     if not np.all(np.isfinite(out.value)):
         raise NonFiniteActivationError("non-finite activations in GFormer layer")
@@ -232,9 +235,11 @@ def aggregate(trace: list[Tensor], mask: np.ndarray | None = None) -> Tensor:
         total += (layer_out.value.reshape(blocks, n, dim) * keep).sum(axis=1)
 
     def backward(grad):
+        # every layer output gets the same array; none writes into it
         g = (grad[:, None, :] * keep).reshape(rows, dim)
         for layer_out in trace:
-            layer_out.grad += g
+            if layer_out.requires_grad:
+                layer_out._add_grad(g)
 
     return Tensor._result(total, tuple(trace), backward)
 
@@ -273,8 +278,8 @@ def forward_chunk(pairs: list[tuple[FeaturedGraph, FeaturedGraph]],
                         params.theta)
     trace = scm_forward(refined.projected, refined.combined, params.gformer)
     pooled = aggregate(trace, joint.mask)
-    hidden = ad.relu(pooled @ params.head_w1 + params.head_b1)
-    return hidden @ params.head_w2 + params.head_b2
+    hidden = ad.relu(ad.linear(pooled, params.head_w1, params.head_b1))
+    return ad.linear(hidden, params.head_w2, params.head_b2)
 
 
 def forward_pair(g_i: FeaturedGraph, g_j: FeaturedGraph,
@@ -322,7 +327,8 @@ def cross_entropy_from_logits(logits: Tensor, labels) -> Tensor:
     def backward(grad):
         d = np.exp(log_p)
         d[rows, labels] -= 1.0
-        logits.grad += d * (grad[0, 0] / labels.size)
+        d *= grad[0, 0] / labels.size
+        logits._add_grad(d)
 
     return Tensor._result(-log_p[rows, labels].mean().reshape(1, 1),
                           (logits,), backward)

@@ -3,7 +3,8 @@
 Supported grammar: organic-subset atoms (B, C, N, O, P, S, F, Cl, Br, I),
 lowercase aromatic atoms (b, c, n, o, p, s), bracket atoms with an explicit
 hydrogen count and formal charge, bond symbols ``- = # :``, branches, and
-ring closures (single digit or ``%nn``). Stereochemistry (``/ \\ @``),
+ring closures (single digit or ``%nn``). Digits (ring labels, hydrogen
+counts, charges) are ASCII ``0-9`` only. Stereochemistry (``/ \\ @``),
 isotopes, wildcards, atom classes, and multi-fragment dots are rejected
 with :class:`UnsupportedTokenError` rather than silently ignored.
 
@@ -52,7 +53,9 @@ _BOND_CHARS = {"-": "single", "=": "double", "#": "triple", ":": "aromatic"}
 _BOND_VALUE = {"single": 1.0, "double": 2.0, "triple": 3.0, "aromatic": 1.5}
 
 # symbol, optional hydrogen count, optional charge -- nothing else.
-_BRACKET_RE = re.compile(r"^(Cl|Br|[BCNOPSFI]|[bcnops])(H\d?)?(\+\+|--|[+-]\d?)?$")
+_BRACKET_RE = re.compile(r"^(Cl|Br|[BCNOPSFI]|[bcnops])(H[0-9]?)?(\+\+|--|[+-][0-9]?)?$")
+# ASCII only: str.isdigit() and \d also accept other scripts' digits.
+_DIGITS = frozenset("0123456789")
 
 
 @dataclass
@@ -232,13 +235,14 @@ def parse_smiles(text: str) -> Molecule:
                 raise SmilesError("dangling bond symbol before ')'", pos)
             prev = branch_stack.pop()
             pos += 1
-        elif ch.isdigit():
+        elif ch in _DIGITS:
             ring(int(ch), pos)
             pos += 1
         elif ch == "%":
             digits = text[pos + 1:pos + 3]
-            if len(digits) != 2 or not digits.isdigit():
-                raise SmilesError("'%' ring closure needs two digits", pos)
+            if len(digits) != 2 or not _DIGITS.issuperset(digits):
+                raise UnsupportedTokenError(
+                    "'%' ring closure needs two ASCII digits", pos)
             ring(int(digits), pos)
             pos += 3
         else:

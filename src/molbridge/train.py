@@ -13,6 +13,7 @@ configured selection metric, earliest epoch on ties) are kept.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,9 +53,14 @@ class TrainConfig:
             raise ValueError(
                 f"selection must be one of {SELECTION_METRICS}, "
                 f"got {self.selection!r}")
-        for name in ("batch_size", "lr", "max_epochs", "layers", "heads", "dim"):
-            if getattr(self, name) < 0 or (name != "lr" and getattr(self, name) == 0):
+        for name in ("batch_size", "max_epochs", "layers", "heads", "dim"):
+            if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        for name in ("lr", "weight_decay"):
+            value = getattr(self, name)
+            if not math.isfinite(value) or value < 0:
+                raise ValueError(
+                    f"{name} must be finite and non-negative, got {value}")
 
     def model_config(self, n_classes: int) -> ModelConfig:
         return ModelConfig(feature_dim=FEATURE_DIM, dim=self.dim,

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 import molbridge.autodiff as ad
 from molbridge.autodiff import Param, Tensor
-from molbridge.joint import cross_attention
+from molbridge.joint import cross_attention, integrate
+from molbridge.model import gcn_propagate
 from molbridge.errors import (
     NonFiniteInputError,
     NonScalarLossError,
@@ -51,6 +52,33 @@ class TestMatmul:
         loss.backward()
         # d sum(Ax) / dA = ones @ x^T, every row equals x
         assert a.grad.tolist() == [[5.0, 6.0], [5.0, 6.0]]
+
+
+class TestLinear:
+    def test_equals_matmul_plus_bias(self):
+        rng = np.random.default_rng(3)
+        x, w, b = (Tensor(rng.normal(size=shape))
+                   for shape in ((5, 4), (4, 3), (1, 3)))
+        assert np.array_equal(ad.linear(x, w, b).value, (x @ w + b).value)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ShapeMismatchError):
+            ad.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4))),
+                      Tensor(np.zeros((1, 3))))
+
+    @settings(max_examples=20)
+    @given(st.integers(0, 10**6))
+    def test_gradients(self, seed):
+        rng = np.random.default_rng(seed)
+        x = Param(rng.normal(size=(5, 4)), "x")
+        w = Param(rng.normal(size=(4, 3)), "w")
+        b = Param(rng.normal(size=(1, 3)), "b")
+        probe = Tensor(rng.normal(size=(5, 3)))
+
+        def f():
+            return ad.sum_all(ad.linear(x, w, b) * probe)
+
+        assert ad.grad_check(f, [x, w, b]) < 1e-6
 
 
 class TestSoftmax:
@@ -162,6 +190,62 @@ class TestBackward:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize("op", ["matmul", "add", "mul", "scalar_mul",
+                                    "row_add", "linear", "layer_norm",
+                                    "gcn_propagate", "integrate",
+                                    "cross_attention"])
+    def test_constant_inputs_get_no_gradient(self, op):
+        rng = np.random.default_rng(4)
+        c = Tensor(rng.normal(size=(4, 4)))
+        c_row = Tensor(rng.normal(size=(1, 4)))
+        c_one = Tensor([[0.7]])
+        p = Param(rng.normal(size=(4, 4)), "p")
+        p_row = Param(rng.normal(size=(1, 4)), "p_row")
+        out = {
+            "matmul": lambda: c @ p,
+            "add": lambda: c + p,
+            "mul": lambda: c * p,
+            "scalar_mul": lambda: c_one * p,
+            "row_add": lambda: c_row + p,
+            "linear": lambda: ad.linear(c, p, c_row),
+            "layer_norm": lambda: ad.layer_norm(c, p_row, c_row),
+            "gcn_propagate": lambda: gcn_propagate(p, c),
+            "integrate": lambda: integrate(c, p, Param(np.zeros((1, 1)), "t"))[0],
+            "cross_attention": lambda: cross_attention(c, p, p, heads=2),
+        }[op]()
+        constants = (c, c_row, c_one)
+        before = [t.grad for t in constants]
+        ad.sum_all(out * out).backward()
+        assert [t.grad for t in constants] == before == [None] * 3
+        assert np.any(p.grad != 0.0) or np.any(p_row.grad != 0.0)
+
+    @pytest.mark.parametrize("shared_first", [True, False])
+    def test_diamond_shared_first_contribution(self, shared_first):
+        # u = a + b hands one array to both a and b; a later contribution
+        # (from a * a) lands on a and must not show up in b's gradient
+        rng = np.random.default_rng(6)
+        p = Param(rng.normal(size=(3, 4)), "p")
+        w = Tensor(rng.normal(size=(3, 4)))
+        nodes = {}
+
+        def f():
+            a = p * 3.0
+            b = ad.relu(p)
+            first = ad.sum_all((a + b) * w)
+            second = ad.sum_all(a * a)
+            nodes.update(a=a, b=b)
+            return first + second if shared_first else second + first
+
+        assert ad.grad_check(f, [p]) < 1e-6
+        p.zero_grad()
+        f().backward()
+        a_value = 3.0 * p.value
+        assert np.array_equal(nodes["b"].grad, w.value)
+        assert np.allclose(nodes["a"].grad, w.value + 2.0 * a_value,
+                           rtol=1e-12, atol=1e-12)
+        assert np.allclose(p.grad, 3.0 * (w.value + 2.0 * a_value)
+                           + (p.value > 0) * w.value, rtol=1e-12, atol=1e-12)
 
     def test_scalar_broadcast_grad(self):
         s = Param(np.array([[2.0]]), "s")

@@ -137,6 +137,15 @@ class TestMalformed:
         with pytest.raises(VersionMismatchError, match="version 1"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_save_refuses_non_finite_params(self, tmp_path, bad):
+        params = params_with_noise()
+        params.proj_w.value[0, 0] = bad
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(CheckpointError, match="proj.weight"):
+            save_checkpoint(path, params)
+        assert not path.exists()
+
     def test_save_refuses_non_finite_extra(self, tmp_path):
         with pytest.raises(ValueError):
             save_checkpoint(tmp_path / "model.ckpt", params_with_noise(),

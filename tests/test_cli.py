@@ -101,6 +101,26 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert "huge.csv:3" in err and "100000000" in err
 
+    def test_non_ascii_digit_row_is_quarantined(self, tmp_path, capsys):
+        data = tmp_path / "digits.csv"
+        write_dataset(make_two_class_dataset(40, seed=1), data)
+        with open(data, "a", encoding="utf-8") as fh:
+            fh.write("C\u00b2,CCO,1\n")            # line 42
+        assert main(["train", "--data", str(data), *TRAIN_FLAGS,
+                     "--epochs", "1", "--out", str(tmp_path / "o")]) == 0
+        err = capsys.readouterr().err
+        assert "quarantined line 42" in err
+        assert "Traceback" not in err
+
+    def test_config_file_value_checked_like_flag(self, data_path, tmp_path,
+                                                 capsys):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("batch = 0\n")
+        assert main(["train", "--data", str(data_path), "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_data_flag_is_usage_error(self):
         assert main(["train"]) == 2
 
@@ -231,7 +251,34 @@ class TestAnalyzeCommands:
         assert (tmp_path / "oversmooth-3" / "oversmooth.csv").is_file()
 
 
+BAD_NUMBERS = [
+    ["train", "--data", "d.csv", "--batch", "0"],
+    ["train", "--data", "d.csv", "--epochs", "0"],
+    ["train", "--data", "d.csv", "--fold", "9"],
+    ["train", "--data", "d.csv", "--lr", "nan"],
+    ["train", "--data", "d.csv", "--weight-decay", "nan"],
+    ["train", "--data", "d.csv", "--weight-decay", "-0.5"],
+    ["eval", "--checkpoint", "m.ckpt", "--data", "d.csv", "--fold", "9"],
+    ["analyze", "oversmooth", "--depth", "0"],
+    ["analyze", "oversmooth", "--trials", "0"],
+    ["analyze", "distance", "--checkpoint", "m.ckpt", "--data", "d.csv",
+     "--quantiles", "0"],
+    ["analyze", "edges", "--checkpoint", "m.ckpt", "CC", "CO", "--k", "-3"],
+]
+
+
 class TestParsing:
+    @pytest.mark.parametrize("argv", BAD_NUMBERS,
+                             ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+    def test_bad_numeric_flag_is_usage_error(self, argv, tmp_path,
+                                             monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)          # nothing may be written
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+
     def test_no_command_is_usage_error(self, capsys):
         assert main([]) == 2
         capsys.readouterr()

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import molbridge.autodiff as ad
 from molbridge.autodiff import Param, Tensor
@@ -218,6 +218,33 @@ class TestIntegrate:
         with pytest.raises(ShapeMismatchError):
             integrate(Tensor(np.zeros((2, 2))), Tensor(np.zeros((3, 3))),
                       Param(np.zeros((1, 1)), "t"))
+
+    def test_one_node_returning_alpha(self):
+        theta = Param(np.array([[0.4]]), "t")
+        combined, alpha = integrate(Tensor(np.eye(3)),
+                                    Param(np.full((3, 3), 0.2), "r"), theta)
+        assert combined._parents[2] is alpha
+        assert alpha._parents == (theta,)
+
+    @settings(max_examples=20)
+    @given(st.integers(0, 10**6), st.booleans())
+    def test_gradients(self, seed, bonded_constant):
+        rng = np.random.default_rng(seed)
+        a_prime_val = (rng.random((5, 5)) < 0.4).astype(float)
+        a_prime = (Tensor(a_prime_val) if bonded_constant
+                   else Param(a_prime_val, "a_prime"))
+        a_r = Param(rng.dirichlet(np.ones(5), size=5), "a_r")
+        theta = Param(rng.normal(size=(1, 1)), "theta")
+        probe = Tensor(rng.normal(size=(5, 5)))
+
+        def f():
+            combined, _ = integrate(a_prime, a_r, theta)
+            return ad.sum_all(combined * probe)
+
+        params = [a_r, theta] if bonded_constant else [a_prime, a_r, theta]
+        assert ad.grad_check(f, params) < 1e-6
+        if bonded_constant:
+            assert a_prime.grad is None
 
 
 class TestEquivariance:

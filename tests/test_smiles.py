@@ -140,6 +140,19 @@ class TestParseErrors:
         with pytest.raises(UnsupportedTokenError):
             parse_smiles(text)
 
+    # str.isdigit() and the regex class \d also accept these digits
+    @pytest.mark.parametrize("text, position", [
+        ("C\u00b2", 1),            # superscript two as a ring label
+        ("C%1\u00b2", 1),          # ... as the second %nn digit
+        ("C1CC\u0661", 4),         # Arabic-Indic one closing ring 1
+        ("[CH\u0663]", 0),         # Arabic-Indic three as an H count
+        ("[N+\u0662]", 0),         # Arabic-Indic two as a charge
+    ])
+    def test_non_ascii_digits(self, text, position):
+        with pytest.raises(UnsupportedTokenError) as exc:
+            parse_smiles(text)
+        assert exc.value.position == position
+
     def test_error_reports_position(self):
         with pytest.raises(SmilesError) as exc:
             parse_smiles("CC*C")

@@ -42,6 +42,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             TrainConfig(dim=-3)
 
+    @pytest.mark.parametrize("field, value", [
+        ("lr", float("nan")), ("lr", float("inf")), ("lr", -0.1),
+        ("weight_decay", float("nan")), ("weight_decay", float("inf")),
+        ("weight_decay", -0.01),
+    ])
+    def test_rejects_bad_optimizer_settings(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
     def test_zero_lr_allowed(self):
         assert TrainConfig(lr=0.0).lr == 0.0
 
