@@ -24,10 +24,10 @@ import numpy as np
 
 from . import analysis, model, synthetic
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import dataset_digest, featurize_samples, load_dataset
+from .data import dataset_digest, featurize_samples, load_dataset, read_utf8
 from .errors import MolBridgeError, SmilesError
 from .metrics import accumulate, format_metrics, macro_metrics, stratified_metrics
-from .smiles import featurize, parse_smiles
+from .smiles import featurize_smiles, parse_smiles
 from .splits import MODES, N_FOLDS, make_splits
 from .train import TrainConfig, predict_labels, train
 
@@ -173,15 +173,22 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------- #
 
 def read_config_file(path) -> dict[str, str]:
+    """key=value lines of train settings. A file that is not UTF-8 text
+    or has a line without '=' is a MolBridgeError; a key outside
+    TRAIN_KEYS is a ValueError, which cmd_train reports as a usage error."""
     values: dict[str, str] = {}
-    for line_no, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for line_no, line in enumerate(read_utf8(path).splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise MolBridgeError(f"{path}:{line_no}: expected key=value")
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in TRAIN_KEYS:
+            raise ValueError(f"{path}:{line_no}: unknown config key {key!r}; "
+                             f"known keys: {', '.join(TRAIN_KEYS)}")
+        values[key] = value.strip()
     return values
 
 
@@ -219,8 +226,6 @@ def _split_indices(result, split: str, mode: str, fold: int, seed: int):
 # ---------------------------------------------------------------------- #
 
 def cmd_train(args) -> int:
-    file_cfg = read_config_file(args.config) if args.config else {}
-
     def pick(key, cast, fallback):
         flag = getattr(args, key)
         if flag is not None:
@@ -229,9 +234,11 @@ def cmd_train(args) -> int:
             return cast(file_cfg[key])
         return fallback
 
-    # config file values pass the flags' checks too; a bad one, or a
-    # setting TrainConfig refuses, is a usage error
+    # an unknown config key is a usage error, and config file values pass
+    # the flags' checks too; a bad one, or a setting TrainConfig refuses,
+    # is a usage error as well
     try:
+        file_cfg = read_config_file(args.config) if args.config else {}
         mode = pick("mode", str, "transductive")
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -248,6 +255,8 @@ def cmd_train(args) -> int:
             weight_decay=pick("weight_decay", float, 0.01),
             selection=pick("selection", str, "accuracy"),
         )
+    except MolBridgeError:
+        raise               # a config file that is not key=value text: exit 1
     except (ValueError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -328,8 +337,8 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     params, _ = load_checkpoint(args.checkpoint)
-    g1 = featurize(parse_smiles(args.smiles_1))
-    g2 = featurize(parse_smiles(args.smiles_2))
+    g1 = featurize_smiles(args.smiles_1)
+    g2 = featurize_smiles(args.smiles_2)
     probs = model.predict(g1, g2, params)
     order = np.argsort(-probs, kind="stable")
     if args.topk is not None:
@@ -400,8 +409,8 @@ def cmd_distance(args) -> int:
 
 def cmd_edges(args) -> int:
     params, _ = load_checkpoint(args.checkpoint)
-    g1 = featurize(parse_smiles(args.smiles_1))
-    g2 = featurize(parse_smiles(args.smiles_2))
+    g1 = featurize_smiles(args.smiles_1)
+    g2 = featurize_smiles(args.smiles_2)
     from .joint import build_joint, refine
     joint = build_joint(g1, g2)
     refined = refine(joint, params.proj_w, params.proj_b, params.w_q,

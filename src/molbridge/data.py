@@ -4,7 +4,15 @@ Files are UTF-8, comma- or tab-delimited, with a header row naming the
 columns smiles_1, smiles_2, label (extra columns are ignored). Rows
 whose SMILES fall outside the supported subset are quarantined with the
 parse error and 1-based line number rather than failing the load;
-structurally broken rows (missing fields, non-integer labels) abort it.
+structurally broken rows (missing fields, non-integer labels) and bytes
+that are not UTF-8 text or not CSV abort it with a MalformedRowError
+naming the file and line.
+
+Loading only validates each SMILES with the one-pass scanner of
+:mod:`molbridge.smiles` and keeps nothing per row but the strings: only
+the rows a command goes on to use are featurized, by
+:func:`featurize_samples`, which scans each distinct SMILES among them
+once more, straight into arrays.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from .errors import (
     MissingColumnError,
     SmilesError,
 )
-from .smiles import FeaturedGraph, featurize, parse_smiles
+from .smiles import FeaturedGraph, featurize_smiles, scan_smiles
 
 REQUIRED_COLUMNS = ("smiles_1", "smiles_2", "label")
 
@@ -56,15 +64,27 @@ def dataset_digest(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def read_utf8(path) -> str:
+    """The file's text; bytes that are not UTF-8 raise a MalformedRowError
+    naming the file and the line they are on."""
+    raw = Path(path).read_bytes()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise MalformedRowError(
+            f"{path}:{line}: not UTF-8 text (byte {raw[exc.start]:#04x} at "
+            f"offset {exc.start})") from None
+
+
 def load_dataset(path) -> LoadResult:
     """Read a delimited interaction file; returns usable samples, the
     class count C = 1 + max label, and the quarantine report."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
+    lines = read_utf8(path).splitlines()
     if not lines:
         raise EmptyDatasetError(f"{path}: empty file")
     delimiter = "\t" if "\t" in lines[0] else ","
-    reader = csv.reader(lines, delimiter=delimiter)
+    reader = _rows(path, csv.reader(lines, delimiter=delimiter))
     header = next(reader)
     columns = [c.strip() for c in header]
     missing = [c for c in REQUIRED_COLUMNS if c not in columns]
@@ -96,8 +116,8 @@ def load_dataset(path) -> LoadResult:
                 f"{path}:{line_no}: label {label} is not below the class "
                 f"cap {MAX_CLASSES}")
         try:
-            parse_smiles(s1)
-            parse_smiles(s2)
+            scan_smiles(s1)
+            scan_smiles(s2)
         except SmilesError as exc:
             quarantined.append(QuarantinedRow(line_no, str(exc)))
             continue
@@ -109,13 +129,22 @@ def load_dataset(path) -> LoadResult:
     return LoadResult(samples, n_classes, quarantined)
 
 
+def _rows(path, reader):
+    """The reader's rows, with a csv error (such as a field over csv's
+    size limit) turned into a MalformedRowError naming the line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise MalformedRowError(f"{path}:{reader.line_num}: {exc}") from None
+
+
 def featurize_samples(samples: list[DDISample]) -> list[tuple[FeaturedGraph, FeaturedGraph]]:
-    """Parse and featurize every sample once, caching per distinct SMILES."""
+    """Featurize every sample, scanning each distinct SMILES once."""
     cache: dict[str, FeaturedGraph] = {}
 
     def get(smiles: str) -> FeaturedGraph:
         if smiles not in cache:
-            cache[smiles] = featurize(parse_smiles(smiles))
+            cache[smiles] = featurize_smiles(smiles)
         return cache[smiles]
 
     return [(get(s.smiles_1), get(s.smiles_2)) for s in samples]

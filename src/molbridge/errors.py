@@ -94,7 +94,8 @@ class MissingColumnError(MolBridgeError, ValueError):
 
 
 class MalformedRowError(MolBridgeError, ValueError):
-    """Dataset row is structurally broken (field count, label syntax)."""
+    """Input file is structurally broken (bytes that are not UTF-8, a CSV
+    error, field count, label syntax)."""
 
 
 class EmptyDatasetError(MolBridgeError, ValueError):

@@ -1,4 +1,4 @@
-"""SMILES subset parser and atom featurisation.
+"""SMILES subset scanner, parser and atom featurisation.
 
 Supported grammar: organic-subset atoms (B, C, N, O, P, S, F, Cl, Br, I),
 lowercase aromatic atoms (b, c, n, o, p, s), bracket atoms with an explicit
@@ -8,6 +8,15 @@ counts, charges) are ASCII ``0-9`` only. Stereochemistry (``/ \\ @``),
 isotopes, wildcards, atom classes, and multi-fragment dots are rejected
 with :class:`UnsupportedTokenError` rather than silently ignored.
 
+There is one grammar implementation, :func:`scan_smiles`: a single pass
+that checks the grammar and emits one integer code per atom and a flat
+bond list, building no per-atom or per-bond object. Everything else is
+an adapter over it: :func:`featurize_smiles` turns a scan into feature
+and adjacency arrays with a few vectorised writes, and
+:func:`parse_smiles` turns it into a :class:`Molecule` for callers that
+walk atoms and bonds. :func:`featurize` encodes a Molecule with the same
+array builder, so both routes give identical arrays.
+
 Implicit hydrogens on organic-subset atoms follow the usual valence rule:
 bond orders are summed (aromatic counts 1.5), rounded up, and the smallest
 standard valence at or above that sum determines the hydrogen count.
@@ -16,7 +25,6 @@ Bracket atoms carry exactly the hydrogens written in the brackets.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
 
@@ -34,7 +42,8 @@ from .errors import (
 ATOM_CAP = 50
 
 ELEMENTS = ("B", "C", "N", "O", "P", "S", "F", "Cl", "Br", "I")
-AROMATIC_SYMBOLS = frozenset("bcnops")
+OTHER_ELEMENT = len(ELEMENTS)          # feature slot for any other symbol
+_ELEMENT_INDEX = {symbol: i for i, symbol in enumerate(ELEMENTS)}
 
 _VALENCES = {
     "B": (3,),
@@ -49,13 +58,41 @@ _VALENCES = {
     "I": (1,),
 }
 
-_BOND_CHARS = {"-": "single", "=": "double", "#": "triple", ":": "aromatic"}
-_BOND_VALUE = {"single": 1.0, "double": 2.0, "triple": 3.0, "aromatic": 1.5}
+# Bond orders are kept doubled so aromatic (1.5) stays an integer.
+_ORDER2 = {"-": 2, "=": 4, "#": 6, ":": 3}
+_ORDER_NAME = {2: "single", 4: "double", 6: "triple", 3: "aromatic"}
+
+# Atom code: element index in bits 0-3, aromatic flag in bit 4, bracket
+# flag in bit 5, bracket hydrogen count in bits 6-9, formal charge + 16
+# in bits 10-14.
+_AROMATIC = 1 << 4
+_BRACKET = 1 << 5
+_H_SHIFT = 6
+_CHARGE_SHIFT = 10
+_NEUTRAL = 16 << _CHARGE_SHIFT
+_ORGANIC = {ch: _ELEMENT_INDEX[ch] | _NEUTRAL for ch in "BCNOPSFI"}
+_ORGANIC.update({ch: _ELEMENT_INDEX[ch.upper()] | _AROMATIC | _NEUTRAL
+                 for ch in "bcnops"})
+_CHLORINE = _ELEMENT_INDEX["Cl"] | _NEUTRAL
+_BROMINE = _ELEMENT_INDEX["Br"] | _NEUTRAL
+
+# Implicit hydrogens by the low six code bits and the doubled bond-order
+# sum: the smallest valence at or above the rounded-up sum, less the sum.
+# Bracket rows are zero (their count is in the code); sums past the last
+# column exceed every valence and give none.
+_IMPLICIT_H = [[0] * 14 for _ in range(_BRACKET << 1)]
+for _symbol, _valences in _VALENCES.items():
+    _i = _ELEMENT_INDEX[_symbol]
+    for _sum in range(14):
+        _needed = (_sum + 1) // 2
+        _IMPLICIT_H[_i][_sum] = _IMPLICIT_H[_i | _AROMATIC][_sum] = next(
+            (v - _needed for v in _valences if v >= _needed), 0)
+_IMPLICIT_H = np.array(_IMPLICIT_H, dtype=np.intp)
 
 # symbol, optional hydrogen count, optional charge -- nothing else.
 _BRACKET_RE = re.compile(r"^(Cl|Br|[BCNOPSFI]|[bcnops])(H[0-9]?)?(\+\+|--|[+-][0-9]?)?$")
 # ASCII only: str.isdigit() and \d also accept other scripts' digits.
-_DIGITS = frozenset("0123456789")
+_DIGIT = {str(d): d for d in range(10)}
 
 
 @dataclass
@@ -122,6 +159,159 @@ def _parse_charge(token: str | None) -> int:
     return sign * magnitude
 
 
+def _bracket_code(body: str, pos: int) -> int:
+    match = _BRACKET_RE.match(body)
+    if match is None:
+        raise UnsupportedTokenError(f"unsupported bracket atom [{body}]", pos)
+    symbol, h_part, charge_part = match.groups()
+    code = _ORGANIC.get(symbol)
+    if code is None:
+        code = _CHLORINE if symbol == "Cl" else _BROMINE
+    hydrogens = 0
+    if h_part is not None:
+        hydrogens = int(h_part[1:]) if len(h_part) > 1 else 1
+    return ((code | _BRACKET) + (hydrogens << _H_SHIFT)
+            + (_parse_charge(charge_part) << _CHARGE_SHIFT))
+
+
+def scan_smiles(text: str) -> tuple[list[int], list[int], list[int]]:
+    """Check text against the documented subset in one pass.
+
+    Returns ``(codes, bonds, orders)``: one atom code per atom in
+    left-to-right order, and per bond its key ``a * ATOM_CAP + b``
+    (``a < b``) and twice its order. Raises a :class:`SmilesError`
+    subclass (with the offending position) on any input outside the
+    subset.
+    """
+    if not text:
+        raise SmilesError("empty SMILES string", 0)
+
+    codes: list[int] = []
+    bonds: list[int] = []
+    orders: list[int] = []
+    prev = -1                 # atom the next bond starts from
+    pending = 0               # doubled order of a written bond symbol
+    pending_pos = 0
+    branches: list[int] = []
+    rings: dict[int, int] = {}    # label -> opening atom * 8 + its order
+
+    pos = 0
+    n = len(text)
+    while pos < n:
+        ch = text[pos]
+        code = _ORGANIC.get(ch)
+        if code is not None:
+            width = 1
+            if ch == "C" and text.startswith("l", pos + 1):
+                code, width = _CHLORINE, 2
+            elif ch == "B" and text.startswith("r", pos + 1):
+                code, width = _BROMINE, 2
+        elif ch == "[":
+            end = text.find("]", pos)
+            if end < 0:
+                raise SmilesError("unterminated bracket atom", pos)
+            code = _bracket_code(text[pos + 1:end], pos)
+            width = end + 1 - pos
+        else:
+            label = _DIGIT.get(ch)
+            if label is not None:
+                width = 1
+            elif ch == "%":
+                digits = text[pos + 1:pos + 3]
+                if (len(digits) != 2 or digits[0] not in _DIGIT
+                        or digits[1] not in _DIGIT):
+                    raise UnsupportedTokenError(
+                        "'%' ring closure needs two ASCII digits", pos)
+                label, width = int(digits), 3
+            else:
+                order = _ORDER2.get(ch)
+                if order is not None:
+                    if prev < 0:
+                        raise SmilesError("bond symbol before any atom", pos)
+                    if pending:
+                        raise SmilesError("two consecutive bond symbols", pos)
+                    pending, pending_pos = order, pos
+                elif ch == "(":
+                    if prev < 0:
+                        raise SmilesError("branch opened before any atom", pos)
+                    if pending:
+                        raise SmilesError("bond symbol directly before '('", pos)
+                    branches.append(prev)
+                elif ch == ")":
+                    if not branches:
+                        raise UnclosedBranchError("unmatched ')'", pos)
+                    if pending:
+                        raise SmilesError("dangling bond symbol before ')'", pos)
+                    prev = branches.pop()
+                else:
+                    raise UnsupportedTokenError(f"unsupported token {ch!r}", pos)
+                pos += 1
+                continue
+
+            # ring-closure label
+            if prev < 0:
+                raise SmilesError("ring-closure digit before any atom", pos)
+            opened = rings.pop(label, None)
+            if opened is None:
+                rings[label] = prev * 8 + pending
+            else:
+                other, written = divmod(opened, 8)
+                if pending and written and pending != written:
+                    raise UnmatchedRingBondError(
+                        f"conflicting bond orders on ring closure {label}", pos)
+                if other == prev:
+                    raise UnmatchedRingBondError(
+                        "ring bond joins an atom to itself", pos)
+                a, b = (other, prev) if other < prev else (prev, other)
+                key = a * ATOM_CAP + b
+                if key in bonds:
+                    raise UnmatchedRingBondError(
+                        f"duplicate bond between atoms {(a, b)}", pos)
+                bonds.append(key)
+                orders.append(pending or written or (
+                    3 if codes[other] & codes[prev] & _AROMATIC else 2))
+            pending = 0
+            pos += width
+            continue
+
+        # atom
+        idx = len(codes)
+        if idx >= ATOM_CAP:
+            raise AtomCapExceededError(f"molecule exceeds {ATOM_CAP} atoms", pos)
+        codes.append(code)
+        if prev >= 0:
+            bonds.append(prev * ATOM_CAP + idx)
+            orders.append(pending or (
+                3 if codes[prev] & code & _AROMATIC else 2))
+        pending = 0
+        prev = idx
+        pos += width
+
+    if pending:
+        raise SmilesError("dangling bond symbol at end of input", pending_pos)
+    if branches:
+        raise UnclosedBranchError(f"{len(branches)} unclosed branch(es)", n)
+    if rings:
+        raise UnmatchedRingBondError(f"unclosed ring bond(s): {sorted(rings)}", n)
+    return codes, bonds, orders
+
+
+def _decode(codes: list[int], bonds: list[int], orders: list[int]):
+    """Per-atom arrays (element, charge, hydrogens, aromatic) and bond
+    ends (a, b) of a scan, with implicit hydrogens filled in."""
+    code = np.array(codes, dtype=np.intp)
+    a, b = np.divmod(np.array(bonds, dtype=np.intp), ATOM_CAP)
+    doubled = np.array(orders, dtype=np.intp)
+    n = len(codes)
+    order_sum = (np.bincount(a, doubled, n)
+                 + np.bincount(b, doubled, n)).astype(np.intp)
+    hydrogens = (_IMPLICIT_H[code & (_BRACKET | _AROMATIC | 15),
+                             np.minimum(order_sum, _IMPLICIT_H.shape[1] - 1)]
+                 + ((code >> _H_SHIFT) & 15))
+    charge = (code >> _CHARGE_SHIFT) - 16
+    return code & 15, charge, hydrogens, (code >> 4) & 1, a, b
+
+
 def parse_smiles(text: str) -> Molecule:
     """Parse a SMILES string from the documented subset into a Molecule.
 
@@ -129,151 +319,12 @@ def parse_smiles(text: str) -> Molecule:
     :class:`SmilesError` subclass (with the offending position) on any
     input outside the subset.
     """
-    if not text:
-        raise SmilesError("empty SMILES string", 0)
-
-    atoms: list[Atom] = []
-    bonds: list[Bond] = []
-    bracketed: list[bool] = []
-    seen_pairs: set[tuple[int, int]] = set()
-    prev: int | None = None
-    pending: str | None = None
-    pending_pos = 0
-    branch_stack: list[int] = []
-    open_rings: dict[int, tuple[int, str | None]] = {}
-
-    def add_bond(a: int, b: int, order: str, pos: int) -> None:
-        if a == b:
-            raise UnmatchedRingBondError("ring bond joins an atom to itself", pos)
-        key = (min(a, b), max(a, b))
-        if key in seen_pairs:
-            raise UnmatchedRingBondError(f"duplicate bond between atoms {key}", pos)
-        seen_pairs.add(key)
-        bonds.append(Bond(key[0], key[1], order))
-
-    def add_atom(symbol: str, aromatic: bool, charge: int, hydrogens: int,
-                 pos: int, from_bracket: bool) -> None:
-        nonlocal prev, pending
-        if len(atoms) >= ATOM_CAP:
-            raise AtomCapExceededError(f"molecule exceeds {ATOM_CAP} atoms", pos)
-        idx = len(atoms)
-        atoms.append(Atom(symbol, charge, aromatic, hydrogens))
-        bracketed.append(from_bracket)
-        if prev is not None:
-            order = pending
-            if order is None:
-                order = "aromatic" if atoms[prev].aromatic and aromatic else "single"
-            add_bond(prev, idx, order, pos)
-        pending = None
-        prev = idx
-
-    def ring(num: int, pos: int) -> None:
-        nonlocal pending
-        if prev is None:
-            raise SmilesError("ring-closure digit before any atom", pos)
-        if num in open_rings:
-            other, opened_order = open_rings.pop(num)
-            if pending and opened_order and pending != opened_order:
-                raise UnmatchedRingBondError(
-                    f"conflicting bond orders on ring closure {num}", pos)
-            order = pending or opened_order
-            if order is None:
-                order = ("aromatic" if atoms[other].aromatic and atoms[prev].aromatic
-                         else "single")
-            add_bond(prev, other, order, pos)
-        else:
-            open_rings[num] = (prev, pending)
-        pending = None
-
-    pos = 0
-    n = len(text)
-    while pos < n:
-        ch = text[pos]
-        if ch == "[":
-            end = text.find("]", pos)
-            if end < 0:
-                raise SmilesError("unterminated bracket atom", pos)
-            body = text[pos + 1:end]
-            match = _BRACKET_RE.match(body)
-            if match is None:
-                raise UnsupportedTokenError(f"unsupported bracket atom [{body}]", pos)
-            sym, h_part, charge_part = match.groups()
-            hydrogens = 0
-            if h_part is not None:
-                hydrogens = int(h_part[1:]) if len(h_part) > 1 else 1
-            add_atom(sym.upper() if sym.islower() else sym, sym.islower(),
-                     _parse_charge(charge_part), hydrogens, pos, True)
-            pos = end + 1
-        elif text[pos:pos + 2] in ("Cl", "Br"):
-            add_atom(text[pos:pos + 2], False, 0, 0, pos, False)
-            pos += 2
-        elif ch in "BCNOPSFI":
-            add_atom(ch, False, 0, 0, pos, False)
-            pos += 1
-        elif ch in AROMATIC_SYMBOLS:
-            add_atom(ch.upper(), True, 0, 0, pos, False)
-            pos += 1
-        elif ch in _BOND_CHARS:
-            if prev is None:
-                raise SmilesError("bond symbol before any atom", pos)
-            if pending is not None:
-                raise SmilesError("two consecutive bond symbols", pos)
-            pending = _BOND_CHARS[ch]
-            pending_pos = pos
-            pos += 1
-        elif ch == "(":
-            if prev is None:
-                raise SmilesError("branch opened before any atom", pos)
-            if pending is not None:
-                raise SmilesError("bond symbol directly before '('", pos)
-            branch_stack.append(prev)
-            pos += 1
-        elif ch == ")":
-            if not branch_stack:
-                raise UnclosedBranchError("unmatched ')'", pos)
-            if pending is not None:
-                raise SmilesError("dangling bond symbol before ')'", pos)
-            prev = branch_stack.pop()
-            pos += 1
-        elif ch in _DIGITS:
-            ring(int(ch), pos)
-            pos += 1
-        elif ch == "%":
-            digits = text[pos + 1:pos + 3]
-            if len(digits) != 2 or not _DIGITS.issuperset(digits):
-                raise UnsupportedTokenError(
-                    "'%' ring closure needs two ASCII digits", pos)
-            ring(int(digits), pos)
-            pos += 3
-        else:
-            raise UnsupportedTokenError(f"unsupported token {ch!r}", pos)
-
-    if pending is not None:
-        raise SmilesError("dangling bond symbol at end of input", pending_pos)
-    if branch_stack:
-        raise UnclosedBranchError(f"{len(branch_stack)} unclosed branch(es)", n)
-    if open_rings:
-        raise UnmatchedRingBondError(
-            f"unclosed ring bond(s): {sorted(open_rings)}", n)
-
-    # Implicit hydrogens for organic-subset atoms; bracket atoms keep the
-    # count written in the brackets (zero if omitted).
-    order_sum = [0.0] * len(atoms)
-    for bond in bonds:
-        value = _BOND_VALUE[bond.order]
-        order_sum[bond.a] += value
-        order_sum[bond.b] += value
-    for i, atom in enumerate(atoms):
-        if bracketed[i]:
-            continue
-        needed = math.ceil(order_sum[i])
-        atom.hydrogens = 0
-        for valence in _VALENCES[atom.symbol]:
-            if valence >= needed:
-                atom.hydrogens = valence - needed
-                break
-
-    return Molecule(atoms, bonds)
+    codes, bonds, orders = scan_smiles(text)
+    element, charge, hydrogens, aromatic, a, b = _decode(codes, bonds, orders)
+    atoms = [Atom(ELEMENTS[e], c, ar == 1, h) for e, c, ar, h in zip(
+        element.tolist(), charge.tolist(), aromatic.tolist(), hydrogens.tolist())]
+    return Molecule(atoms, [Bond(i, j, _ORDER_NAME[o]) for i, j, o in zip(
+        a.tolist(), b.tolist(), orders)])
 
 
 # ---------------------------------------------------------------------- #
@@ -310,6 +361,31 @@ class FeaturedGraph:
         return self.features.shape[0]
 
 
+def _graph(element, charge, hydrogens, aromatic, a, b) -> FeaturedGraph:
+    """Feature and adjacency arrays from per-atom arrays and bond ends."""
+    n = len(element)
+    adjacency = np.zeros((n, n), dtype=np.float64)
+    adjacency[a, b] = 1.0
+    adjacency[b, a] = 1.0
+    degree = np.bincount(a, minlength=n) + np.bincount(b, minlength=n)
+    features = np.zeros((n, FEATURE_DIM), dtype=np.float64)
+    rows = np.arange(n)
+    features[rows, element] = 1.0
+    features[rows, FEATURE_BLOCKS["degree"][0] + np.minimum(degree, 6)] = 1.0
+    features[rows, FEATURE_BLOCKS["charge"][0] + 2
+             + np.maximum(np.minimum(charge, 2), -2)] = 1.0
+    features[rows, FEATURE_BLOCKS["hydrogens"][0]
+             + np.maximum(np.minimum(hydrogens, 4), 0)] = 1.0
+    features[:, AROMATIC_INDEX] = aromatic
+    return FeaturedGraph(features, adjacency)
+
+
+def featurize_smiles(text: str) -> FeaturedGraph:
+    """Scan text and encode it; the same arrays as
+    ``featurize(parse_smiles(text))`` without building a Molecule."""
+    return _graph(*_decode(*scan_smiles(text)))
+
+
 def featurize(mol: Molecule) -> FeaturedGraph:
     """Encode a Molecule as a feature matrix and binary adjacency.
 
@@ -317,23 +393,10 @@ def featurize(mol: Molecule) -> FeaturedGraph:
     adjacency is symmetric with a zero diagonal.
     """
     mol.validate()
-    n = len(mol.atoms)
-    features = np.zeros((n, FEATURE_DIM), dtype=np.float64)
-    adjacency = np.zeros((n, n), dtype=np.float64)
-    for bond in mol.bonds:
-        adjacency[bond.a, bond.b] = 1.0
-        adjacency[bond.b, bond.a] = 1.0
-
-    degrees = mol.degrees()
-    for i, atom in enumerate(mol.atoms):
-        try:
-            element = ELEMENTS.index(atom.symbol)
-        except ValueError:
-            element = 10  # "other"
-        features[i, element] = 1.0
-        features[i, 11 + min(degrees[i], 6)] = 1.0
-        features[i, 18 + min(max(atom.formal_charge, -2), 2) + 2] = 1.0
-        features[i, 23 + min(max(atom.hydrogens, 0), 4)] = 1.0
-        if atom.aromatic:
-            features[i, AROMATIC_INDEX] = 1.0
-    return FeaturedGraph(features, adjacency)
+    atoms = np.array([(_ELEMENT_INDEX.get(x.symbol, OTHER_ELEMENT),
+                       x.formal_charge, x.hydrogens, x.aromatic)
+                      for x in mol.atoms], dtype=np.intp)
+    ends = np.array([(x.a, x.b) for x in mol.bonds], dtype=np.intp)
+    ends = ends.reshape(-1, 2)
+    return _graph(atoms[:, 0], atoms[:, 1], atoms[:, 2], atoms[:, 3],
+                  ends[:, 0], ends[:, 1])

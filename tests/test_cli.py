@@ -121,6 +121,18 @@ class TestTrainCommand:
         assert "at least 1" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_unknown_config_key_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("epochs = 2\n# epochs, misspelled:\nepoch = 1\n")
+        # the data file does not exist: the key must be refused before
+        # anything is loaded (a load would exit 1) or written
+        assert main(["train", "--data", str(tmp_path / "absent.csv"),
+                     "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "train.cfg:3" in err and "'epoch'" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_data_flag_is_usage_error(self):
         assert main(["train"]) == 2
 
@@ -128,6 +140,43 @@ class TestTrainCommand:
         assert main(["train", "--data", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "o")]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestBadInputBytes:
+    """Bytes a data or config file must not hold end in an error line and
+    exit 1, never a traceback, and nothing is written."""
+
+    @staticmethod
+    def check_runtime_error(argv, out, capsys, where):
+        assert main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and where in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_non_utf8_data_file(self, command, run_dir, tmp_path, capsys):
+        data = tmp_path / "latin1.csv"
+        data.write_bytes(b"smiles_1,smiles_2,label\nCCO,CN,0\nC\xe9,CC,1\n")
+        argv = [command, "--data", str(data)]
+        if command == "eval":
+            argv += ["--checkpoint", str(run_dir / "best.ckpt")]
+        self.check_runtime_error(argv, tmp_path / "o", capsys,
+                                 "latin1.csv:3: not UTF-8")
+
+    def test_csv_field_over_size_limit(self, tmp_path, capsys):
+        data = tmp_path / "wide.csv"
+        data.write_text("smiles_1,smiles_2,label\nCCO,CN,0\n"
+                        f"CC,{'C' * 131073},1\n")
+        self.check_runtime_error(["train", "--data", str(data)],
+                                 tmp_path / "o", capsys, "wide.csv:3: field larger")
+
+    def test_non_utf8_config_file(self, data_path, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"epochs = 2\n# r\xe9sum\xe9\n")
+        self.check_runtime_error(
+            ["train", "--data", str(data_path), "--config", str(cfg)],
+            tmp_path / "o", capsys, "latin1.cfg:2: not UTF-8")
 
 
 class TestEvalCommand:

@@ -91,6 +91,19 @@ class TestLoadErrors:
         with pytest.raises(MalformedRowError):
             load_dataset(write(tmp_path, "smiles_1,smiles_2,label\nCCO,CN\n"))
 
+    def test_non_utf8_byte_names_line(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"smiles_1,smiles_2,label\nCCO,CN,0\nCC,C\xff,1\n")
+        with pytest.raises(MalformedRowError, match=r"data\.csv:3: not UTF-8 "
+                                                    r"text \(byte 0xff"):
+            load_dataset(path)
+
+    def test_field_over_csv_limit_names_line(self, tmp_path):
+        text = ("smiles_1,smiles_2,label\nCCO,CN,0\nCC,CO,1\n"
+                f"{'C' * 131073},CN,0\n")
+        with pytest.raises(MalformedRowError, match=r":4: field larger"):
+            load_dataset(write(tmp_path, text))
+
     def test_empty_file(self, tmp_path):
         with pytest.raises(EmptyDatasetError):
             load_dataset(write(tmp_path, ""))

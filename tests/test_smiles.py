@@ -240,6 +240,15 @@ class TestFeaturize:
             g = featurize(mol)
             assert g.adjacency.sum(axis=1).astype(int).tolist() == mol.degrees()
 
+    def test_built_molecule_clamps_and_other_element(self):
+        from molbridge.smiles import Atom, Bond
+        mol = Molecule(atoms=[Atom("Xe", 3, True, 7), Atom("C", -5, False, -1)],
+                       bonds=[Bond(1, 0, "single")])
+        g = featurize(mol)
+        assert np.flatnonzero(g.features[0]).tolist() == [10, 12, 22, 27, 28]
+        assert np.flatnonzero(g.features[1]).tolist() == [1, 12, 18, 23]
+        assert g.adjacency.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+
     def test_molecule_validation(self):
         from molbridge.smiles import Bond
         bad = Molecule(atoms=parse_smiles("CC").atoms,
