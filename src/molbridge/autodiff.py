@@ -17,9 +17,12 @@ into the gradient it is handed. A closure computes no gradient for a
 parent that does not require one (a constant input), and a forward pass
 allocates no gradient at all.
 
-Broadcasting is deliberately narrow: same-shape elementwise, a 1x1
-scalar against anything, and a 1xd row (bias) against Nxd. Anything
-else raises ShapeMismatchError instead of guessing.
+Broadcasting is deliberately narrow: ``+`` takes two tensors of the
+same shape and ``*`` a Python number; a 1xd row (bias or gain) is
+broadcast over the rows only inside the fused ops that take one
+(``linear``, ``layer_norm``). ``+`` of different shapes raises
+ShapeMismatchError instead of guessing, and any other operator or
+operand type is a TypeError.
 """
 
 from __future__ import annotations
@@ -106,42 +109,29 @@ class Tensor:
     # -- arithmetic ----------------------------------------------------- #
 
     def __add__(self, other):
-        if isinstance(other, (int, float)):
-            return Tensor._result(self.value + float(other), (self,),
-                                  self._add_grad)
-        return _add(self, other)
+        if not isinstance(other, Tensor):
+            return NotImplemented
+        if self.shape != other.shape:
+            raise ShapeMismatchError(
+                f"cannot add shapes {self.shape} and {other.shape}")
 
-    __radd__ = __add__
-
-    def __neg__(self):
         def backward(grad):
-            self._add_grad(-grad)
+            if self.requires_grad:
+                self._add_grad(grad)
+            if other.requires_grad:
+                other._add_grad(grad)
 
-        return Tensor._result(-self.value, (self,), backward)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, float)):
-            return self + (-float(other))
-        return _add(self, -other)
-
-    def __rsub__(self, other):
-        # float - tensor
-        return (-self) + float(other)
+        return Tensor._result(self.value + other.value, (self, other), backward)
 
     def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            c = float(other)
+        if not isinstance(other, (int, float)):
+            return NotImplemented
+        c = float(other)
 
-            def backward(grad):
-                self._add_grad(c * grad)
+        def backward(grad):
+            self._add_grad(c * grad)
 
-            return Tensor._result(self.value * c, (self,), backward)
-        return _mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return matmul(self, other)
+        return Tensor._result(self.value * c, (self,), backward)
 
     # -- autodiff ------------------------------------------------------- #
 
@@ -201,80 +191,8 @@ class Param(Tensor):
 
 
 # ---------------------------------------------------------------------- #
-# binary ops
+# fused ops
 # ---------------------------------------------------------------------- #
-
-def _add(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape == b.shape:
-        def backward(grad):
-            if a.requires_grad:
-                a._add_grad(grad)
-            if b.requires_grad:
-                b._add_grad(grad)
-
-        return Tensor._result(a.value + b.value, (a, b), backward)
-    if a.shape == (1, 1) or b.shape == (1, 1):
-        scalar, full = (a, b) if a.shape == (1, 1) else (b, a)
-
-        def backward(grad):
-            if full.requires_grad:
-                full._add_grad(grad)
-            if scalar.requires_grad:
-                scalar._add_grad(grad.sum(keepdims=True))
-
-        return Tensor._result(scalar.value[0, 0] + full.value, (a, b), backward)
-    if a.rows == 1 and a.cols == b.cols:
-        row, full = a, b
-    elif b.rows == 1 and b.cols == a.cols:
-        row, full = b, a
-    else:
-        raise ShapeMismatchError(f"cannot add shapes {a.shape} and {b.shape}")
-
-    def backward(grad):
-        if full.requires_grad:
-            full._add_grad(grad)
-        if row.requires_grad:
-            row._add_grad(grad.sum(axis=0, keepdims=True))
-
-    return Tensor._result(full.value + row.value, (a, b), backward)
-
-
-def _mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape == b.shape:
-        def backward(grad):
-            if a.requires_grad:
-                a._add_grad(grad * b.value)
-            if b.requires_grad:
-                b._add_grad(grad * a.value)
-
-        return Tensor._result(a.value * b.value, (a, b), backward)
-    if a.shape == (1, 1) or b.shape == (1, 1):
-        scalar, full = (a, b) if a.shape == (1, 1) else (b, a)
-
-        def backward(grad):
-            if full.requires_grad:
-                full._add_grad(scalar.value[0, 0] * grad)
-            if scalar.requires_grad:
-                scalar._add_grad((grad * full.value).sum(keepdims=True))
-
-        return Tensor._result(scalar.value[0, 0] * full.value, (a, b), backward)
-    raise ShapeMismatchError(f"cannot multiply shapes {a.shape} and {b.shape}")
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product with the standard reverse-mode pullbacks."""
-    if a.cols != b.rows:
-        raise ShapeMismatchError(
-            f"matmul inner dimensions differ: {a.shape} x {b.shape}")
-
-    def backward(grad):
-        if a.requires_grad:
-            a._add_grad(grad @ b.value.T)
-        if b.requires_grad:
-            b._add_grad(a.value.T @ grad)
-
-    return Tensor._result(a.value @ b.value, (a, b), backward)
-
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b as one node; b is a 1 x w.cols row added to every row."""
@@ -295,10 +213,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     return Tensor._result(value, (x, w, b), backward)
 
-
-# ---------------------------------------------------------------------- #
-# elementwise / fused ops
-# ---------------------------------------------------------------------- #
 
 def relu(x: Tensor) -> Tensor:
     mask = x.value > 0.0
@@ -376,18 +290,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             x._add_grad(dx)
 
     return Tensor._result(value, (x, gain, bias), backward)
-
-
-# ---------------------------------------------------------------------- #
-# reductions
-# ---------------------------------------------------------------------- #
-
-def sum_all(x: Tensor) -> Tensor:
-    """Total sum: Nxd -> 1x1."""
-    def backward(grad):
-        x._add_grad(np.full(x.shape, grad[0, 0]))
-
-    return Tensor._result(x.value.sum(keepdims=True).reshape(1, 1), (x,), backward)
 
 
 # ---------------------------------------------------------------------- #

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -22,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, model, synthetic
+from . import analysis, model
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import dataset_digest, featurize_samples, load_dataset, read_utf8
 from .errors import MolBridgeError, SmilesError
@@ -95,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--config", help="key=value file of defaults")
     p_train.add_argument("--mode", choices=MODES)
     p_train.add_argument("--fold", type=FOLD)
-    p_train.add_argument("--seed", type=int)
+    p_train.add_argument("--seed", type=NON_NEGATIVE)
     p_train.add_argument("--epochs", type=POSITIVE)
     p_train.add_argument("--batch", type=POSITIVE)
     p_train.add_argument("--lr", type=float)
@@ -115,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default="test")
     p_eval.add_argument("--mode", choices=MODES, default="transductive")
     p_eval.add_argument("--fold", type=FOLD, default=0)
-    p_eval.add_argument("--seed", type=int, default=42)
+    p_eval.add_argument("--seed", type=NON_NEGATIVE, default=42)
     p_eval.add_argument("--labels",
                         help="comma-separated label subset for stratified "
                              "metrics")
@@ -127,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pred.add_argument("--checkpoint", required=True)
     p_pred.add_argument("smiles_1")
     p_pred.add_argument("smiles_2")
-    p_pred.add_argument("--topk", type=int)
+    p_pred.add_argument("--topk", type=POSITIVE)
     p_pred.set_defaults(func=cmd_predict)
 
     p_ana = sub.add_parser("analyze", help="diagnostic reports")
@@ -135,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_os = ana_sub.add_parser("oversmooth",
                               help="depth collapse probe on random graphs")
-    p_os.add_argument("--seed", type=int, default=42)
+    p_os.add_argument("--seed", type=NON_NEGATIVE, default=42)
     p_os.add_argument("--depth", type=_int_in(2), default=8)
     p_os.add_argument("--trials", type=POSITIVE, default=100)
     p_os.add_argument("--out")
@@ -149,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default="test")
     p_dist.add_argument("--mode", choices=MODES, default="transductive")
     p_dist.add_argument("--fold", type=FOLD, default=0)
-    p_dist.add_argument("--seed", type=int, default=42)
+    p_dist.add_argument("--seed", type=NON_NEGATIVE, default=42)
     p_dist.add_argument("--quantiles", type=POSITIVE, default=5)
     p_dist.add_argument("--combine", choices=("pair_mean", "first"),
                         default="pair_mean")
@@ -177,7 +178,7 @@ def read_config_file(path) -> dict[str, str]:
     or has a line without '=' is a MolBridgeError; a key outside
     TRAIN_KEYS is a ValueError, which cmd_train reports as a usage error."""
     values: dict[str, str] = {}
-    for line_no, line in enumerate(read_utf8(path).splitlines(), 1):
+    for line_no, line in enumerate(io.StringIO(read_utf8(path)), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -214,11 +215,22 @@ def _write_manifest(run_dir: Path, command: str, config: dict,
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _split_indices(result, split: str, mode: str, fold: int, seed: int):
-    if split == "all":
-        return list(range(len(result.samples)))
-    plan = make_splits(result.samples, mode, fold, seed)
-    return getattr(plan, split)
+def _score_split(args):
+    """Load the checkpoint, then the dataset; score the chosen split.
+    Returns the parameters, the split's samples and their predictions."""
+    params, _ = load_checkpoint(args.checkpoint)
+    samples = load_dataset(args.data).samples
+    if args.split != "all":
+        plan = make_splits(samples, args.mode, args.fold, args.seed)
+        samples = [samples[i] for i in getattr(plan, args.split)]
+    return params, samples, predict_labels(params, featurize_samples(samples))
+
+
+def _pair_graphs(args):
+    """The checkpoint's parameters and the graphs of the two SMILES."""
+    params, _ = load_checkpoint(args.checkpoint)
+    return (params, featurize_smiles(args.smiles_1),
+            featurize_smiles(args.smiles_2))
 
 
 # ---------------------------------------------------------------------- #
@@ -246,7 +258,7 @@ def cmd_train(args) -> int:
         config = TrainConfig(
             batch_size=pick("batch", POSITIVE, 512),
             lr=pick("lr", float, 0.005),
-            seed=pick("seed", int, 42),
+            seed=pick("seed", NON_NEGATIVE, 42),
             layers=pick("layers", POSITIVE, 3),
             heads=pick("heads", POSITIVE, 4),
             dim=pick("dim", POSITIVE, 32),
@@ -308,15 +320,9 @@ def cmd_eval(args) -> int:
                   "comma-separated integers", file=sys.stderr)
             return 2
 
-    params, _ = load_checkpoint(args.checkpoint)
-    result = load_dataset(args.data)
-    indices = _split_indices(result, args.split, args.mode, args.fold,
-                             args.seed)
-    chosen = [result.samples[i] for i in indices]
-    pairs = featurize_samples(chosen)
+    params, chosen, preds = _score_split(args)
     labels = [s.label for s in chosen]
     n_classes = params.config.classes
-    preds = predict_labels(params, pairs)
     if subset is None:
         values = macro_metrics(accumulate(preds, labels, n_classes))
     else:
@@ -336,13 +342,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    params, _ = load_checkpoint(args.checkpoint)
-    g1 = featurize_smiles(args.smiles_1)
-    g2 = featurize_smiles(args.smiles_2)
+    params, g1, g2 = _pair_graphs(args)
     probs = model.predict(g1, g2, params)
     order = np.argsort(-probs, kind="stable")
     if args.topk is not None:
-        order = order[:max(args.topk, 1)]
+        order = order[:args.topk]
     for cls in order:
         print(f"class={int(cls)} p={probs[cls]:.6f}")
     return 0
@@ -367,14 +371,8 @@ def cmd_oversmooth(args) -> int:
 
 
 def cmd_distance(args) -> int:
-    params, _ = load_checkpoint(args.checkpoint)
-    result = load_dataset(args.data)
-    indices = _split_indices(result, args.split, args.mode, args.fold,
-                             args.seed)
-    chosen = [result.samples[i] for i in indices]
-    pairs = featurize_samples(chosen)
+    params, chosen, preds = _score_split(args)
     labels = [s.label for s in chosen]
-    preds = predict_labels(params, pairs)
     mols = [(parse_smiles(s.smiles_1), parse_smiles(s.smiles_2))
             for s in chosen]
     strata = analysis.stratify_by_distance(
@@ -408,9 +406,7 @@ def cmd_distance(args) -> int:
 
 
 def cmd_edges(args) -> int:
-    params, _ = load_checkpoint(args.checkpoint)
-    g1 = featurize_smiles(args.smiles_1)
-    g2 = featurize_smiles(args.smiles_2)
+    params, g1, g2 = _pair_graphs(args)
     from .joint import build_joint, refine
     joint = build_joint(g1, g2)
     refined = refine(joint, params.proj_w, params.proj_b, params.w_q,

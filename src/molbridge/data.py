@@ -3,10 +3,10 @@
 Files are UTF-8, comma- or tab-delimited, with a header row naming the
 columns smiles_1, smiles_2, label (extra columns are ignored). Rows
 whose SMILES fall outside the supported subset are quarantined with the
-parse error and 1-based line number rather than failing the load;
-structurally broken rows (missing fields, non-integer labels) and bytes
-that are not UTF-8 text or not CSV abort it with a MalformedRowError
-naming the file and line.
+parse error and the 1-based line the row starts on rather than failing
+the load; structurally broken rows (missing fields, non-integer labels)
+and bytes that are not UTF-8 text or not CSV abort it with a
+MalformedRowError naming the file and line.
 
 Loading only validates each SMILES with the one-pass scanner of
 :mod:`molbridge.smiles` and keeps nothing per row but the strings: only
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -80,12 +81,14 @@ def read_utf8(path) -> str:
 def load_dataset(path) -> LoadResult:
     """Read a delimited interaction file; returns usable samples, the
     class count C = 1 + max label, and the quarantine report."""
-    lines = read_utf8(path).splitlines()
-    if not lines:
+    text = read_utf8(path)
+    if not text:
         raise EmptyDatasetError(f"{path}: empty file")
-    delimiter = "\t" if "\t" in lines[0] else ","
-    reader = _rows(path, csv.reader(lines, delimiter=delimiter))
-    header = next(reader)
+    header_line = text.split("\n", 1)[0].split("\r", 1)[0]
+    delimiter = "\t" if "\t" in header_line else ","
+    reader = _rows(path, csv.reader(io.StringIO(text, newline=""),
+                                    delimiter=delimiter))
+    _, header = next(reader)
     columns = [c.strip() for c in header]
     missing = [c for c in REQUIRED_COLUMNS if c not in columns]
     if missing:
@@ -95,7 +98,7 @@ def load_dataset(path) -> LoadResult:
 
     samples: list[DDISample] = []
     quarantined: list[QuarantinedRow] = []
-    for line_no, row in enumerate(reader, start=2):
+    for line_no, row in reader:
         if not row or all(not f.strip() for f in row):
             continue
         if len(row) < width:
@@ -130,10 +133,15 @@ def load_dataset(path) -> LoadResult:
 
 
 def _rows(path, reader):
-    """The reader's rows, with a csv error (such as a field over csv's
-    size limit) turned into a MalformedRowError naming the line."""
+    """(line, row) for each of the reader's rows, with the line the row
+    starts on (a quoted field may span lines), and a csv error (such as
+    a field over csv's size limit) turned into a MalformedRowError
+    naming the line."""
+    start = 1
     try:
-        yield from reader
+        for row in reader:
+            yield start, row
+            start = reader.line_num + 1
     except csv.Error as exc:
         raise MalformedRowError(f"{path}:{reader.line_num}: {exc}") from None
 

@@ -1,4 +1,7 @@
 import hypothesis
+import numpy as np
+
+from molbridge.autodiff import Tensor
 
 hypothesis.settings.register_profile(
     "ci", derandomize=True, deadline=None, max_examples=25)
@@ -25,3 +28,18 @@ CORPUS = [
     "IC", "SCC", "CS(=O)C", "PC", "C%10CC%10", "CC(C)(C)C", "OC1CCC1",
     "CCCCCCCCCCCC",
 ]
+
+
+def probe_loss(x: Tensor, probe) -> Tensor:
+    """The 1x1 loss sum(x * probe) as one tape node, for gradient tests.
+
+    probe is a constant (an array, or a number broadcast to x's shape);
+    the backward hands x the gradient probe * g. A loss of sum(p * p) has
+    gradient 2p, which probe_loss(p, 2.0 * p.value) gives bit for bit.
+    """
+    probe = np.broadcast_to(probe, x.shape)
+
+    def backward(grad):
+        x._add_grad(probe * grad)
+
+    return Tensor._result((x.value * probe).sum(keepdims=True), (x,), backward)

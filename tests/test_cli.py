@@ -121,6 +121,24 @@ class TestTrainCommand:
         assert "at least 1" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_config_file_seed_checked_like_flag(self, data_path, tmp_path,
+                                                capsys):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("seed = -1\n")
+        assert main(["train", "--data", str(data_path), "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "at least 0" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_config_lines_break_only_at_newlines(self, tmp_path, capsys):
+        # a form feed inside a comment does not start a new line
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("# a form feed \x0c inside a comment\nepoch = 1\n")
+        assert main(["train", "--data", str(tmp_path / "absent.csv"),
+                     "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "train.cfg:2" in capsys.readouterr().err
+
     def test_unknown_config_key_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "train.cfg"
         cfg.write_text("epochs = 2\n# epochs, misspelled:\nepoch = 1\n")
@@ -307,11 +325,18 @@ BAD_NUMBERS = [
     ["train", "--data", "d.csv", "--lr", "nan"],
     ["train", "--data", "d.csv", "--weight-decay", "nan"],
     ["train", "--data", "d.csv", "--weight-decay", "-0.5"],
+    ["train", "--data", "d.csv", "--seed", "-1"],
+    ["eval", "--checkpoint", "m.ckpt", "--data", "d.csv", "--seed", "-1"],
+    ["predict", "--checkpoint", "m.ckpt", "CC", "CO", "--topk", "0"],
+    ["predict", "--checkpoint", "m.ckpt", "CC", "CO", "--topk", "-3"],
+    ["analyze", "oversmooth", "--seed", "-1"],
     ["eval", "--checkpoint", "m.ckpt", "--data", "d.csv", "--fold", "9"],
     ["analyze", "oversmooth", "--depth", "0"],
     ["analyze", "oversmooth", "--trials", "0"],
     ["analyze", "distance", "--checkpoint", "m.ckpt", "--data", "d.csv",
      "--quantiles", "0"],
+    ["analyze", "distance", "--checkpoint", "m.ckpt", "--data", "d.csv",
+     "--seed=-1"],
     ["analyze", "edges", "--checkpoint", "m.ckpt", "CC", "CO", "--k", "-3"],
 ]
 

@@ -46,6 +46,28 @@ class TestLoad:
         assert result.quarantined[0].line == 3
         assert "position" in result.quarantined[0].reason
 
+    def test_form_feed_in_field_is_quarantined(self, tmp_path):
+        # csv reads a form feed as part of the field, not as a line break
+        text = "smiles_1,smiles_2,label\nC\x0cC,CN,1\nCC,CN,0\n"
+        result = load_dataset(write(tmp_path, text))
+        assert [q.line for q in result.quarantined] == [2]
+        assert [s.smiles_1 for s in result.samples] == ["CC"]
+
+    def test_quoted_field_keeps_its_newline(self, tmp_path):
+        # the row on lines 2-3 is reported at line 2, and later rows keep
+        # their own line numbers
+        text = ('smiles_1,smiles_2,label\n"C\nC",CN,1\nCC,CN,0\n'
+                "C@C,CN,1\n")
+        result = load_dataset(write(tmp_path, text))
+        assert [q.line for q in result.quarantined] == [2, 5]
+        assert [s.smiles_1 for s in result.samples] == ["CC"]
+
+    def test_crlf_line_numbers(self, tmp_path):
+        text = "smiles_1,smiles_2,label\r\nCC,CN,0\r\nC@C,CN,1\r\n"
+        result = load_dataset(write(tmp_path, text))
+        assert [q.line for q in result.quarantined] == [3]
+        assert [s.smiles_2 for s in result.samples] == ["CN"]
+
     def test_tab_delimited(self, tmp_path):
         text = "smiles_1\tsmiles_2\tlabel\nCCO\tCN\t2\n"
         result = load_dataset(write(tmp_path, text))

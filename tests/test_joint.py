@@ -20,6 +20,8 @@ from molbridge.joint import (
 )
 from molbridge.smiles import FEATURE_DIM, FeaturedGraph, featurize, parse_smiles
 
+from conftest import probe_loss
+
 
 def graph(text):
     return featurize(parse_smiles(text))
@@ -162,10 +164,10 @@ class TestCrossAttention:
         h = Param(rng.normal(size=(5, 8)), "h")
         w_q = Param(rng.normal(0, 0.5, (8, 8)), "q")
         w_k = Param(rng.normal(0, 0.5, (8, 8)), "k")
-        probe = Tensor(rng.normal(size=(5, 5)))
+        probe = rng.normal(size=(5, 5))
 
         def f():
-            return ad.sum_all(cross_attention(h, w_q, w_k, heads) * probe)
+            return probe_loss(cross_attention(h, w_q, w_k, heads), probe)
 
         assert ad.grad_check(f, [h, w_q, w_k]) < 1e-6
 
@@ -235,11 +237,11 @@ class TestIntegrate:
                    else Param(a_prime_val, "a_prime"))
         a_r = Param(rng.dirichlet(np.ones(5), size=5), "a_r")
         theta = Param(rng.normal(size=(1, 1)), "theta")
-        probe = Tensor(rng.normal(size=(5, 5)))
+        probe = rng.normal(size=(5, 5))
 
         def f():
             combined, _ = integrate(a_prime, a_r, theta)
-            return ad.sum_all(combined * probe)
+            return probe_loss(combined, probe)
 
         params = [a_r, theta] if bonded_constant else [a_prime, a_r, theta]
         assert ad.grad_check(f, params) < 1e-6

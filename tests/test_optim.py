@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-import molbridge.autodiff as ad
 from molbridge.autodiff import Param
 from molbridge.errors import ShapeMismatchError
 from molbridge.optim import AdamW, adamw_step
+
+from conftest import probe_loss
 
 
 class TestAdamwStep:
@@ -62,14 +63,14 @@ class TestAdamWClass:
         opt = AdamW([p], lr=0.05, weight_decay=0.0)
         for _ in range(400):
             opt.zero_grad()
-            ad.sum_all(p * p).backward()
+            probe_loss(p, 2.0 * p.value).backward()
             opt.step()
         assert abs(p.value[0, 0]) < 1e-2
 
     def test_zero_grad_clears(self):
         p = Param(np.ones((1, 1)), "p")
         opt = AdamW([p])
-        ad.sum_all(p * 2.0).backward()
+        probe_loss(p * 2.0, 1.0).backward()
         assert p.grad[0, 0] != 0.0
         opt.zero_grad()
         assert p.grad[0, 0] == 0.0
@@ -81,7 +82,7 @@ class TestAdamWClass:
             opt = AdamW([p], lr=0.01, weight_decay=0.01)
             for _ in range(10):
                 opt.zero_grad()
-                ad.sum_all(p * p).backward()
+                probe_loss(p, 2.0 * p.value).backward()
                 opt.step()
             results.append(p.value.copy())
         assert np.array_equal(results[0], results[1])
