@@ -30,7 +30,7 @@ from .errors import MolBridgeError, SmilesError
 from .metrics import accumulate, format_metrics, macro_metrics, stratified_metrics
 from .smiles import featurize_smiles, parse_smiles
 from .splits import MODES, N_FOLDS, make_splits
-from .train import TrainConfig, predict_labels, train
+from .train import SELECTION_METRICS, TrainConfig, predict_labels, train
 
 TRAIN_KEYS = ("mode", "fold", "seed", "epochs", "batch", "lr", "dim",
               "layers", "heads", "d_hid", "weight_decay", "selection")
@@ -79,6 +79,16 @@ def _int_in(low: int, high: int | None = None):
     return parse
 
 
+def _one_of(choices):
+    """Config-file type of a flag with choices."""
+    def parse(text: str) -> str:
+        if text not in choices:
+            raise ValueError(f"must be one of {choices}, got {text!r}")
+        return text
+
+    return parse
+
+
 NON_NEGATIVE = _int_in(0)
 POSITIVE = _int_in(1)
 FOLD = _int_in(0, N_FOLDS - 1)
@@ -105,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--heads", type=POSITIVE)
     p_train.add_argument("--d-hid", dest="d_hid", type=NON_NEGATIVE)
     p_train.add_argument("--weight-decay", dest="weight_decay", type=float)
-    p_train.add_argument("--selection", choices=("accuracy", "macro_f1"))
+    p_train.add_argument("--selection", choices=SELECTION_METRICS)
     p_train.add_argument("--out")
     p_train.set_defaults(func=cmd_train)
 
@@ -173,11 +183,12 @@ def build_parser() -> argparse.ArgumentParser:
 # helpers
 # ---------------------------------------------------------------------- #
 
-def read_config_file(path) -> dict[str, str]:
-    """key=value lines of train settings. A file that is not UTF-8 text
-    or has a line without '=' is a MolBridgeError; a key outside
-    TRAIN_KEYS is a ValueError, which cmd_train reports as a usage error."""
-    values: dict[str, str] = {}
+def read_config_file(path) -> dict[str, tuple[str, int]]:
+    """key=value lines of train settings, as key -> (value, line number).
+    A file that is not UTF-8 text or has a line without '=' is a
+    MolBridgeError; a key outside TRAIN_KEYS is a ValueError, which
+    cmd_train reports as a usage error."""
+    values: dict[str, tuple[str, int]] = {}
     for line_no, line in enumerate(io.StringIO(read_utf8(path)), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -189,7 +200,7 @@ def read_config_file(path) -> dict[str, str]:
         if key not in TRAIN_KEYS:
             raise ValueError(f"{path}:{line_no}: unknown config key {key!r}; "
                              f"known keys: {', '.join(TRAIN_KEYS)}")
-        values[key] = value.strip()
+        values[key] = (value.strip(), line_no)
     return values
 
 
@@ -242,18 +253,21 @@ def cmd_train(args) -> int:
         flag = getattr(args, key)
         if flag is not None:
             return flag
-        if key in file_cfg:
-            return cast(file_cfg[key])
-        return fallback
+        if key not in file_cfg:
+            return fallback
+        text, line_no = file_cfg[key]
+        try:
+            return cast(text)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise ValueError(
+                f"{args.config}:{line_no}: {key}: {exc}") from None
 
     # an unknown config key is a usage error, and config file values pass
-    # the flags' checks too; a bad one, or a setting TrainConfig refuses,
-    # is a usage error as well
+    # the flags' checks too; a bad one, named by its line, or a setting
+    # TrainConfig refuses, is a usage error as well
     try:
         file_cfg = read_config_file(args.config) if args.config else {}
-        mode = pick("mode", str, "transductive")
-        if mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        mode = pick("mode", _one_of(MODES), "transductive")
         fold = pick("fold", FOLD, 0)
         config = TrainConfig(
             batch_size=pick("batch", POSITIVE, 512),
@@ -265,7 +279,8 @@ def cmd_train(args) -> int:
             d_hid=pick("d_hid", NON_NEGATIVE, 0),
             max_epochs=pick("epochs", POSITIVE, 500),
             weight_decay=pick("weight_decay", float, 0.01),
-            selection=pick("selection", str, "accuracy"),
+            selection=pick("selection", _one_of(SELECTION_METRICS),
+                           "accuracy"),
         )
     except MolBridgeError:
         raise               # a config file that is not key=value text: exit 1

@@ -11,17 +11,22 @@ atoms, features (B*N) x d, adjacency (B*N) x N, and a B x N mask of real
 atoms. Row-wise ops (projection, layer norm, the feed-forward block) run
 over every row of a chunk; propagation works block by block, pooling
 sums each pair's real atoms into row b of a B x d matrix, and the head
-gives B x C logits. A batch is cut into chunks by plan_chunks.
+gives B x C logits. A batch is cut into chunks by plan_chunks;
+batch_logits cuts the chunks into slices of about equal cost
+(chunk_costs) and scores the later slices on helper processes
+(parallel.py), each chunk's logits landing in its own rows.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from . import joint as jg
+from . import parallel as par
 from .autodiff import Param, Tensor
 from .errors import (
     HeadsNotDividingError,
@@ -288,12 +293,36 @@ def forward_pair(g_i: FeaturedGraph, g_j: FeaturedGraph,
     return forward_chunk([(g_i, g_j)], params)
 
 
+def chunk_costs(sizes: list[int], chunks: list[list[int]]) -> list[int]:
+    """Estimated time of each chunk, pairs x N x (64 + N) for padding N:
+    row-wise work plus N-wide propagation and attention per row."""
+    return [len(c) * sizes[c[-1]] * (64 + sizes[c[-1]]) for c in chunks]
+
+
+def chunk_logits(pairs: list[tuple[FeaturedGraph, FeaturedGraph]],
+                 params: ModelParams, chunk: list[int]) -> np.ndarray:
+    return forward_chunk([pairs[i] for i in chunk], params).value
+
+
 def batch_logits(pairs: list[tuple[FeaturedGraph, FeaturedGraph]],
-                 params: ModelParams) -> np.ndarray:
-    """Class logits (len(pairs) x C) in input order, chunk by chunk."""
+                 params: ModelParams,
+                 helpers: par.Helpers | None = None) -> np.ndarray:
+    """Class logits (len(pairs) x C) in input order, chunk by chunk.
+
+    Chunks after the first slice run on helper processes (see
+    parallel.py): given ones, whose "logits" task must score these same
+    pairs, or else ones forked for this call alone.
+    """
+    run = functools.partial(chunk_logits, pairs, params)
+    if helpers is None:
+        with par.Helpers(params.all(), {"logits": run}) as helpers:
+            return batch_logits(pairs, params, helpers)
+    sizes = joint_sizes(pairs)
+    chunks = plan_chunks(sizes)
     out = np.zeros((len(pairs), params.config.classes))
-    for chunk in plan_chunks(joint_sizes(pairs)):
-        out[chunk] = forward_chunk([pairs[i] for i in chunk], params).value
+    for chunk, logits in zip(chunks, helpers.run(
+            "logits", chunks, chunk_costs(sizes, chunks), run)):
+        out[chunk] = logits
     return out
 
 

@@ -8,17 +8,28 @@ the chunks, so only one chunk's tape is alive at a time, and the batch
 gets one AdamW step on the gradient of its mean loss. After every epoch
 the validation metrics are computed and the best parameters (by the
 configured selection metric, earliest epoch on ties) are kept.
+
+The chunks are cut into contiguous slices of about equal cost
+(parallel.py). This process runs the first slice as above; helpers
+forked once per train() call run the later ones, each chunk's
+gradient from zero, and their losses and gradients are added in chunk
+order after the first slice's, with the loss check after every chunk:
+the same float operations in the same order as one process. Validation
+is split the same way on the same helpers.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import model as m
+from . import parallel as par
+from .autodiff import Tensor, zero_grads
 from .data import DDISample, featurize_samples
 from .errors import (
     EmptySplitError,
@@ -99,14 +110,17 @@ class RunRecord:
 
 
 def predict_labels(params: ModelParams,
-                   pairs: list[tuple[FeaturedGraph, FeaturedGraph]]) -> list[int]:
-    return [int(c) for c in np.argmax(m.batch_logits(pairs, params), axis=1)]
+                   pairs: list[tuple[FeaturedGraph, FeaturedGraph]],
+                   helpers: par.Helpers | None = None) -> list[int]:
+    return [int(c) for c in
+            np.argmax(m.batch_logits(pairs, params, helpers), axis=1)]
 
 
 def evaluate(params: ModelParams,
              pairs: list[tuple[FeaturedGraph, FeaturedGraph]],
-             labels: list[int], n_classes: int) -> dict[str, float]:
-    preds = predict_labels(params, pairs)
+             labels: list[int], n_classes: int,
+             helpers: par.Helpers | None = None) -> dict[str, float]:
+    preds = predict_labels(params, pairs, helpers)
     return macro_metrics(accumulate(preds, labels, n_classes))
 
 
@@ -127,50 +141,79 @@ def train(samples: list[DDISample], plan: SplitPlan,
     labels = [s.label for s in samples]
 
     params = m.init_params(config.model_config(n_classes))
-    opt = AdamW(params.all(), lr=config.lr,
-                weight_decay=config.weight_decay)
+    plist = params.all()
+    opt = AdamW(plist, lr=config.lr, weight_decay=config.weight_decay)
     rng = np.random.default_rng(config.seed)
     record = RunRecord(config=config)
     val_pairs = [pairs[i] for i in plan.val]
     val_labels = [labels[i] for i in plan.val]
     best_values: dict[str, np.ndarray] | None = None
 
-    train_idx = np.array(plan.train)
-    for epoch in range(config.max_epochs):
-        order = train_idx[rng.permutation(len(train_idx))]
-        loss_sum = 0.0
-        for batch_no, start in enumerate(range(0, len(order), config.batch_size)):
-            batch = order[start:start + config.batch_size]
-            opt.zero_grad()
-            value = 0.0
-            try:
-                for chunk in m.plan_chunks(m.joint_sizes(
-                        [pairs[i] for i in batch])):
-                    rows = batch[chunk]
-                    logits = m.forward_chunk([pairs[i] for i in rows], params)
-                    loss = m.cross_entropy_from_logits(
-                        logits, [labels[i] for i in rows]) \
-                        * (len(rows) / len(batch))
-                    value += loss.item()
-                    if not np.isfinite(value):
-                        raise TrainingAbortedError(
-                            f"non-finite loss at epoch {epoch} batch {batch_no}")
-                    loss.backward()
-            except (NonFiniteActivationError, NonFiniteInputError,
-                    FloatingPointError) as exc:
-                raise TrainingAbortedError(
-                    f"epoch {epoch} batch {batch_no}: {exc}") from exc
-            opt.step()
-            loss_sum += value * len(batch)
+    def chunk_loss(work) -> Tensor:
+        rows, share = work
+        logits = m.forward_chunk([pairs[i] for i in rows], params)
+        return m.cross_entropy_from_logits(
+            logits, [labels[i] for i in rows]) * share
 
-        val = evaluate(params, val_pairs, val_labels, n_classes) if val_pairs \
-            else {"accuracy": 0.0, "macro_precision": 0.0,
-                  "macro_recall": 0.0, "macro_f1": 0.0}
-        record.epochs.append(EpochRecord(epoch, loss_sum / len(order), val))
-        if val_pairs and val[config.selection] > record.best_value:
-            record.best_value = val[config.selection]
-            record.best_epoch = epoch
-            best_values = {name: p.value.copy() for name, p in params.named()}
+    def local(work) -> tuple[float, Tensor]:
+        loss = chunk_loss(work)
+        return loss.item(), loss
+
+    def helper_grads(work) -> tuple[float, list[np.ndarray]]:
+        """A helper's chunk: its loss, and unless that is not finite (the
+        parent stops there) its gradient from zero."""
+        loss = chunk_loss(work)
+        zero_grads(plist)
+        if np.isfinite(loss.item()):
+            loss.backward()
+        return loss.item(), [p.grad.copy() for p in plist]
+
+    tasks = {"grads": helper_grads,
+             "logits": functools.partial(m.chunk_logits, val_pairs, params)}
+    train_idx = np.array(plan.train)
+    with par.Helpers(plist, tasks) as helpers:
+        for epoch in range(config.max_epochs):
+            order = train_idx[rng.permutation(len(train_idx))]
+            loss_sum = 0.0
+            for batch_no, start in enumerate(
+                    range(0, len(order), config.batch_size)):
+                batch = order[start:start + config.batch_size]
+                sizes = m.joint_sizes([pairs[i] for i in batch])
+                chunks = m.plan_chunks(sizes)
+                work = [(batch[c], len(c) / len(batch)) for c in chunks]
+                costs = m.chunk_costs(sizes, chunks)
+                opt.zero_grad()
+                value = 0.0
+                try:
+                    for loss_value, loss_or_grads in helpers.run(
+                            "grads", work, costs, local):
+                        value += loss_value
+                        if not np.isfinite(value):
+                            raise TrainingAbortedError(
+                                f"non-finite loss at epoch {epoch} "
+                                f"batch {batch_no}")
+                        if isinstance(loss_or_grads, Tensor):
+                            loss_or_grads.backward()    # the parent's chunk
+                        else:                           # a helper's chunk
+                            for p, g in zip(plist, loss_or_grads):
+                                p._add_grad(g)
+                except (NonFiniteActivationError, NonFiniteInputError,
+                        FloatingPointError) as exc:
+                    raise TrainingAbortedError(
+                        f"epoch {epoch} batch {batch_no}: {exc}") from exc
+                opt.step()
+                loss_sum += value * len(batch)
+
+            val = evaluate(params, val_pairs, val_labels, n_classes, helpers) \
+                if val_pairs else {"accuracy": 0.0, "macro_precision": 0.0,
+                                   "macro_recall": 0.0, "macro_f1": 0.0}
+            record.epochs.append(
+                EpochRecord(epoch, loss_sum / len(order), val))
+            if val_pairs and val[config.selection] > record.best_value:
+                record.best_value = val[config.selection]
+                record.best_epoch = epoch
+                best_values = {name: p.value.copy()
+                               for name, p in params.named()}
 
     if best_values is not None:
         for name, p in params.named():

@@ -1,5 +1,8 @@
+import os
+
 import hypothesis
 import numpy as np
+import pytest
 
 from molbridge.autodiff import Tensor
 
@@ -17,6 +20,19 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process behind, running or not
+    yet reaped (chunk-parallel helpers must be killed and reaped)."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left child process {pid or '(still running)'}")
+
 
 # Small parsable molecules used across test modules; all within the
 # supported subset, atom counts 1 to 12.

@@ -118,7 +118,20 @@ class TestTrainCommand:
         cfg.write_text("batch = 0\n")
         assert main(["train", "--data", str(data_path), "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 2
-        assert "at least 1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "at least 1" in err
+        assert f"{cfg}:1: batch: " in err
+        assert not (tmp_path / "o").exists()
+
+    def test_config_file_bad_float_names_key_and_line(self, data_path,
+                                                      tmp_path, capsys):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("epochs = 2\nlr = abc\n")
+        assert main(["train", "--data", str(data_path), "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {cfg}:2: lr: could not convert" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
     def test_config_file_seed_checked_like_flag(self, data_path, tmp_path,
@@ -129,6 +142,14 @@ class TestTrainCommand:
                      "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "at least 0" in err and "Traceback" not in err
+        assert f"{cfg}:1: seed: " in err
+        assert not (tmp_path / "o").exists()
+        # the line a key sits on, past blank and comment lines
+        cfg.write_text("epochs = 2\n\n# seed below\nseed = -1\n")
+        assert main(["train", "--data", str(data_path), "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert f"{cfg}:4: seed: must be at least 0, got -1" in \
+            capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_config_lines_break_only_at_newlines(self, tmp_path, capsys):
