@@ -29,6 +29,7 @@ be compared with a plain file hash.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import struct
 from pathlib import Path
@@ -56,15 +57,7 @@ def save_checkpoint(path, params: ModelParams, extra: dict | None = None) -> Non
         chunks.append(np.ascontiguousarray(p.value, dtype="<f8").tobytes())
         offset += rows * cols
     header = {
-        "model_config": {
-            "feature_dim": params.config.feature_dim,
-            "dim": params.config.dim,
-            "heads": params.config.heads,
-            "layers": params.config.layers,
-            "d_hid": params.config.d_hid,
-            "classes": params.config.classes,
-            "seed": params.config.seed,
-        },
+        "model_config": dataclasses.asdict(params.config),
         "extra": extra or {},
         "params": entries,
     }

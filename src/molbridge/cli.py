@@ -32,9 +32,6 @@ from .smiles import featurize_smiles, parse_smiles
 from .splits import MODES, N_FOLDS, make_splits
 from .train import SELECTION_METRICS, TrainConfig, predict_labels, train
 
-TRAIN_KEYS = ("mode", "fold", "seed", "epochs", "batch", "lr", "dim",
-              "layers", "heads", "d_hid", "weight_decay", "selection")
-
 
 def entry() -> None:
     sys.exit(main(sys.argv[1:]))
@@ -79,19 +76,24 @@ def _int_in(low: int, high: int | None = None):
     return parse
 
 
-def _one_of(choices):
-    """Config-file type of a flag with choices."""
-    def parse(text: str) -> str:
-        if text not in choices:
-            raise ValueError(f"must be one of {choices}, got {text!r}")
-        return text
-
-    return parse
-
-
 NON_NEGATIVE = _int_in(0)
 POSITIVE = _int_in(1)
 FOLD = _int_in(0, N_FOLDS - 1)
+
+# Each train setting once: its key (the flag with "_" for "-", and the
+# config-file key), its argparse type or tuple of choices, and the
+# TrainConfig field it sets. mode and fold pick the split instead; every
+# other default lives in TrainConfig.
+TRAIN_SETTINGS = (
+    ("mode", MODES, None), ("fold", FOLD, None),
+    ("seed", NON_NEGATIVE, "seed"), ("epochs", POSITIVE, "max_epochs"),
+    ("batch", POSITIVE, "batch_size"), ("lr", float, "lr"),
+    ("dim", POSITIVE, "dim"), ("layers", POSITIVE, "layers"),
+    ("heads", POSITIVE, "heads"), ("d_hid", NON_NEGATIVE, "d_hid"),
+    ("weight_decay", float, "weight_decay"),
+    ("selection", SELECTION_METRICS, "selection"),
+)
+TRAIN_KEYS = tuple(key for key, _, _ in TRAIN_SETTINGS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -104,29 +106,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="train a model on a dataset file")
     p_train.add_argument("--data", required=True)
     p_train.add_argument("--config", help="key=value file of defaults")
-    p_train.add_argument("--mode", choices=MODES)
-    p_train.add_argument("--fold", type=FOLD)
-    p_train.add_argument("--seed", type=NON_NEGATIVE)
-    p_train.add_argument("--epochs", type=POSITIVE)
-    p_train.add_argument("--batch", type=POSITIVE)
-    p_train.add_argument("--lr", type=float)
-    p_train.add_argument("--dim", type=POSITIVE)
-    p_train.add_argument("--layers", type=POSITIVE)
-    p_train.add_argument("--heads", type=POSITIVE)
-    p_train.add_argument("--d-hid", dest="d_hid", type=NON_NEGATIVE)
-    p_train.add_argument("--weight-decay", dest="weight_decay", type=float)
-    p_train.add_argument("--selection", choices=SELECTION_METRICS)
+    for key, kind, _ in TRAIN_SETTINGS:
+        p_train.add_argument("--" + key.replace("_", "-"), **(
+            {"choices": kind} if isinstance(kind, tuple) else {"type": kind}))
     p_train.add_argument("--out")
     p_train.set_defaults(func=cmd_train)
 
+    def split_arguments(p):
+        """The checkpoint, dataset and split a scoring command reads."""
+        p.add_argument("--checkpoint", required=True)
+        p.add_argument("--data", required=True)
+        p.add_argument("--split", choices=("train", "val", "test", "all"),
+                       default="test")
+        p.add_argument("--mode", choices=MODES, default="transductive")
+        p.add_argument("--fold", type=FOLD, default=0)
+        p.add_argument("--seed", type=NON_NEGATIVE, default=42)
+
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a split")
-    p_eval.add_argument("--checkpoint", required=True)
-    p_eval.add_argument("--data", required=True)
-    p_eval.add_argument("--split", choices=("train", "val", "test", "all"),
-                        default="test")
-    p_eval.add_argument("--mode", choices=MODES, default="transductive")
-    p_eval.add_argument("--fold", type=FOLD, default=0)
-    p_eval.add_argument("--seed", type=NON_NEGATIVE, default=42)
+    split_arguments(p_eval)
     p_eval.add_argument("--labels",
                         help="comma-separated label subset for stratified "
                              "metrics")
@@ -154,13 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dist = ana_sub.add_parser("distance",
                                 help="metrics stratified by path length")
-    p_dist.add_argument("--checkpoint", required=True)
-    p_dist.add_argument("--data", required=True)
-    p_dist.add_argument("--split", choices=("train", "val", "test", "all"),
-                        default="test")
-    p_dist.add_argument("--mode", choices=MODES, default="transductive")
-    p_dist.add_argument("--fold", type=FOLD, default=0)
-    p_dist.add_argument("--seed", type=NON_NEGATIVE, default=42)
+    split_arguments(p_dist)
     p_dist.add_argument("--quantiles", type=POSITIVE, default=5)
     p_dist.add_argument("--combine", choices=("pair_mean", "first"),
                         default="pair_mean")
@@ -214,10 +205,19 @@ def _resolve_out(arg_out: str | None, default_name: str) -> Path:
     return run_dir
 
 
-def _write_manifest(run_dir: Path, command: str, config: dict,
-                    outputs: dict[str, str]) -> None:
+def _write_manifest(run_dir: Path, args, outputs: dict[str, str],
+                    config: dict | None = None) -> None:
+    """The command of args, its configuration (by default its parsed
+    arguments but the run directory) and, with a dataset, its digest."""
+    if config is None:
+        config = {key: value for key, value in vars(args).items()
+                  if key not in ("func", "command", "subcommand", "out")}
+    if "data" in config:
+        config["dataset_digest"] = dataset_digest(config["data"])
+    subcommand = getattr(args, "subcommand", None)
     manifest = {
-        "command": command,
+        "command": f"{args.command}.{subcommand}" if subcommand
+                   else args.command,
         "config": config,
         "outputs": outputs,
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -249,15 +249,18 @@ def _pair_graphs(args):
 # ---------------------------------------------------------------------- #
 
 def cmd_train(args) -> int:
-    def pick(key, cast, fallback):
+    def pick(key, kind):
+        """The flag's value, else the config file's, else None."""
         flag = getattr(args, key)
-        if flag is not None:
+        if flag is not None or key not in file_cfg:
             return flag
-        if key not in file_cfg:
-            return fallback
         text, line_no = file_cfg[key]
         try:
-            return cast(text)
+            if not isinstance(kind, tuple):
+                return kind(text)
+            if text in kind:
+                return text
+            raise ValueError(f"must be one of {kind}, got {text!r}")
         except (ValueError, argparse.ArgumentTypeError) as exc:
             raise ValueError(
                 f"{args.config}:{line_no}: {key}: {exc}") from None
@@ -267,27 +270,18 @@ def cmd_train(args) -> int:
     # TrainConfig refuses, is a usage error as well
     try:
         file_cfg = read_config_file(args.config) if args.config else {}
-        mode = pick("mode", _one_of(MODES), "transductive")
-        fold = pick("fold", FOLD, 0)
-        config = TrainConfig(
-            batch_size=pick("batch", POSITIVE, 512),
-            lr=pick("lr", float, 0.005),
-            seed=pick("seed", NON_NEGATIVE, 42),
-            layers=pick("layers", POSITIVE, 3),
-            heads=pick("heads", POSITIVE, 4),
-            dim=pick("dim", POSITIVE, 32),
-            d_hid=pick("d_hid", NON_NEGATIVE, 0),
-            max_epochs=pick("epochs", POSITIVE, 500),
-            weight_decay=pick("weight_decay", float, 0.01),
-            selection=pick("selection", _one_of(SELECTION_METRICS),
-                           "accuracy"),
-        )
+        given = {key: pick(key, kind) for key, kind, _ in TRAIN_SETTINGS}
+        config = TrainConfig(**{
+            field: given[key] for key, _, field in TRAIN_SETTINGS
+            if field and given[key] is not None})
     except MolBridgeError:
         raise               # a config file that is not key=value text: exit 1
     except (ValueError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    mode = given["mode"] or "transductive"
+    fold = given["fold"] or 0
     result = load_dataset(args.data)
     for row in result.quarantined:
         print(f"quarantined line {row.line}: {row.reason}", file=sys.stderr)
@@ -303,17 +297,11 @@ def cmd_train(args) -> int:
         "best_value": record.best_value if selected else None,
     })
     record.write_csv(run_dir / "runrecord.csv")
-    snapshot = {
-        "data": str(args.data),
-        "dataset_digest": dataset_digest(args.data),
-        "mode": mode, "fold": fold, "seed": config.seed,
-        "epochs": config.max_epochs, "batch": config.batch_size,
-        "lr": config.lr, "dim": config.dim, "layers": config.layers,
-        "heads": config.heads, "d_hid": config.d_hid,
-        "weight_decay": config.weight_decay, "selection": config.selection,
-    }
-    _write_manifest(run_dir, "train", snapshot, {
-        "checkpoint": "best.ckpt", "runrecord": "runrecord.csv"})
+    _write_manifest(
+        run_dir, args, {"checkpoint": "best.ckpt", "runrecord": "runrecord.csv"},
+        {"data": args.data, "mode": mode, "fold": fold,
+         **{key: getattr(config, field)
+            for key, _, field in TRAIN_SETTINGS if field}})
     print(f"run directory: {run_dir}")
     if selected:
         print(f"best epoch {record.best_epoch} "
@@ -347,12 +335,7 @@ def cmd_eval(args) -> int:
     if args.out:
         run_dir = _resolve_out(args.out, "")
         (run_dir / "metrics.txt").write_text(report + "\n")
-        _write_manifest(run_dir, "eval", {
-            "checkpoint": str(args.checkpoint), "data": str(args.data),
-            "dataset_digest": dataset_digest(args.data),
-            "split": args.split, "mode": args.mode, "fold": args.fold,
-            "seed": args.seed, "labels": args.labels,
-        }, {"metrics": "metrics.txt"})
+        _write_manifest(run_dir, args, {"metrics": "metrics.txt"})
     return 0
 
 
@@ -378,9 +361,7 @@ def cmd_oversmooth(args) -> int:
         for i, depth in enumerate(report.depths):
             writer.writerow([int(depth), repr(float(report.plain_mean[i])),
                              repr(float(report.gformer_mean[i]))])
-    _write_manifest(run_dir, "analyze.oversmooth", {
-        "seed": args.seed, "depth": args.depth, "trials": args.trials,
-    }, {"report": "oversmooth.csv"})
+    _write_manifest(run_dir, args, {"report": "oversmooth.csv"})
     print(f"report: {path}")
     return 0
 
@@ -410,12 +391,7 @@ def cmd_distance(args) -> int:
                 repr(row["accuracy"]) if row else "",
                 repr(row["macro_f1"]) if row else "",
             ])
-    _write_manifest(run_dir, "analyze.distance", {
-        "checkpoint": str(args.checkpoint), "data": str(args.data),
-        "dataset_digest": dataset_digest(args.data), "split": args.split,
-        "mode": args.mode, "fold": args.fold, "seed": args.seed,
-        "quantiles": args.quantiles, "combine": args.combine,
-    }, {"report": "distance.csv"})
+    _write_manifest(run_dir, args, {"report": "distance.csv"})
     print(f"report: {path}")
     return 0
 
@@ -438,8 +414,5 @@ def cmd_edges(args) -> int:
             writer.writerow([p, q, repr(w)])
     for p, q, w in edges[:10]:
         print(f"{p} -> {q}  {w:.6f}")
-    _write_manifest(run_dir, "analyze.edges", {
-        "checkpoint": str(args.checkpoint), "smiles_1": args.smiles_1,
-        "smiles_2": args.smiles_2, "k": args.k,
-    }, {"report": "edges.csv"})
+    _write_manifest(run_dir, args, {"report": "edges.csv"})
     return 0

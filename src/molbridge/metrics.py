@@ -21,6 +21,9 @@ from .errors import (
     NoMatchingSamplesError,
 )
 
+# the order of eval's report and of runrecord.csv's columns
+METRIC_KEYS = ("accuracy", "macro_precision", "macro_recall", "macro_f1")
+
 
 @dataclass
 class ConfusionMatrix:
@@ -51,7 +54,9 @@ def accumulate(preds: Sequence[int], labels: Sequence[int],
     return ConfusionMatrix(counts)
 
 
-def _per_class(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _metrics(cm: ConfusionMatrix, classes=slice(None)) -> dict[str, float]:
+    """Accuracy, and precision, recall and F1 averaged over classes."""
+    counts = cm.counts
     diag = np.diag(counts).astype(np.float64)
     row = counts.sum(axis=1).astype(np.float64)   # true-class totals
     col = counts.sum(axis=0).astype(np.float64)   # predicted totals
@@ -60,19 +65,15 @@ def _per_class(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         recall = np.where(row > 0, diag / np.where(row > 0, row, 1), 0.0)
         pr = precision + recall
         f1 = np.where(pr > 0, 2.0 * precision * recall / np.where(pr > 0, pr, 1), 0.0)
-    return precision, recall, f1
+    return dict(zip(METRIC_KEYS, (
+        float(np.trace(counts) / cm.total),
+        *(float(v[classes].mean()) for v in (precision, recall, f1)))))
 
 
 def macro_metrics(cm: ConfusionMatrix) -> dict[str, float]:
     if cm.total == 0:
         raise EmptyMatrixError("confusion matrix has no samples")
-    precision, recall, f1 = _per_class(cm.counts)
-    return {
-        "accuracy": float(np.trace(cm.counts) / cm.total),
-        "macro_precision": float(precision.mean()),
-        "macro_recall": float(recall.mean()),
-        "macro_f1": float(f1.mean()),
-    }
+    return _metrics(cm)
 
 
 def stratified_metrics(preds: Sequence[int], labels: Sequence[int],
@@ -90,19 +91,12 @@ def stratified_metrics(preds: Sequence[int], labels: Sequence[int],
             f"no samples with true label in {subset}")
     cm = accumulate([preds[i] for i in keep], [labels[i] for i in keep],
                     n_classes)
-    precision, recall, f1 = _per_class(cm.counts)
-    idx = np.array(subset)
-    return {
-        "accuracy": float(np.trace(cm.counts) / cm.total),
-        "macro_precision": float(precision[idx].mean()),
-        "macro_recall": float(recall[idx].mean()),
-        "macro_f1": float(f1[idx].mean()),
-    }
+    return _metrics(cm, np.array(subset))
 
 
 def format_metrics(values: dict[str, float]) -> str:
     """key=value lines, one metric per line, fixed key order."""
-    keys = ["accuracy", "macro_precision", "macro_recall", "macro_f1"]
-    lines = [f"{k}={values[k]:.6f}" for k in keys if k in values]
-    lines.extend(f"{k}={v:.6f}" for k, v in values.items() if k not in keys)
+    lines = [f"{k}={values[k]:.6f}" for k in METRIC_KEYS if k in values]
+    lines.extend(f"{k}={v:.6f}" for k, v in values.items()
+                 if k not in METRIC_KEYS)
     return "\n".join(lines)

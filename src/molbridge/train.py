@@ -37,7 +37,7 @@ from .errors import (
     NonFiniteInputError,
     TrainingAbortedError,
 )
-from .metrics import accumulate, macro_metrics
+from .metrics import METRIC_KEYS, accumulate, macro_metrics
 from .model import ModelConfig, ModelParams
 from .optim import AdamW
 from .smiles import FEATURE_DIM, FeaturedGraph
@@ -99,14 +99,10 @@ class RunRecord:
         byte-identical."""
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["epoch", "train_loss", "accuracy",
-                             "macro_precision", "macro_recall", "macro_f1"])
+            writer.writerow(["epoch", "train_loss", *METRIC_KEYS])
             for rec in self.epochs:
                 writer.writerow([rec.epoch, repr(rec.train_loss),
-                                 repr(rec.val["accuracy"]),
-                                 repr(rec.val["macro_precision"]),
-                                 repr(rec.val["macro_recall"]),
-                                 repr(rec.val["macro_f1"])])
+                                 *(repr(rec.val[k]) for k in METRIC_KEYS)])
 
 
 def predict_labels(params: ModelParams,
@@ -205,8 +201,7 @@ def train(samples: list[DDISample], plan: SplitPlan,
                 loss_sum += value * len(batch)
 
             val = evaluate(params, val_pairs, val_labels, n_classes, helpers) \
-                if val_pairs else {"accuracy": 0.0, "macro_precision": 0.0,
-                                   "macro_recall": 0.0, "macro_f1": 0.0}
+                if val_pairs else dict.fromkeys(METRIC_KEYS, 0.0)
             record.epochs.append(
                 EpochRecord(epoch, loss_sum / len(order), val))
             if val_pairs and val[config.selection] > record.best_value:

@@ -1,8 +1,10 @@
 import json
+import os
 import struct
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,9 @@ from molbridge.cli import main, read_config_file
 from molbridge.data import dataset_digest
 from molbridge.errors import MolBridgeError
 from molbridge.synthetic import make_two_class_dataset, write_dataset
+from molbridge.train import TrainConfig
+
+ROOT = Path(__file__).resolve().parents[1]
 
 TRAIN_FLAGS = ["--epochs", "2", "--dim", "8", "--heads", "2",
                "--batch", "16", "--layers", "2", "--d-hid", "16"]
@@ -31,6 +36,14 @@ def run_dir(tmp_path_factory, data_path):
     return out
 
 
+def read_manifest(run_dir):
+    """A manifest's command and config; it also holds exactly the outputs
+    and a creation time."""
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert set(manifest) == {"command", "config", "outputs", "created_utc"}
+    return manifest["command"], manifest["config"]
+
+
 class TestTrainCommand:
     def test_outputs_present(self, run_dir):
         assert (run_dir / "best.ckpt").is_file()
@@ -38,13 +51,30 @@ class TestTrainCommand:
         assert (run_dir / "manifest.json").is_file()
 
     def test_manifest_records_digest_and_config(self, run_dir, data_path):
+        assert read_manifest(run_dir) == ("train", {
+            "data": str(data_path), "dataset_digest": dataset_digest(data_path),
+            "mode": "transductive", "fold": 0, "seed": 42, "epochs": 2,
+            "batch": 16, "lr": 0.005, "dim": 8, "layers": 2, "heads": 2,
+            "d_hid": 16, "weight_decay": 0.01, "selection": "accuracy"})
         manifest = json.loads((run_dir / "manifest.json").read_text())
-        assert manifest["command"] == "train"
-        assert manifest["config"]["dataset_digest"] == \
-            dataset_digest(data_path)
-        assert manifest["config"]["dim"] == 8
-        assert manifest["config"]["epochs"] == 2
-        assert manifest["outputs"]["checkpoint"] == "best.ckpt"
+        assert manifest["outputs"] == {"checkpoint": "best.ckpt",
+                                       "runrecord": "runrecord.csv"}
+
+    def test_manifest_without_setting_flags_records_defaults(self, tmp_path,
+                                                              capsys):
+        data = tmp_path / "two.csv"
+        write_dataset(make_two_class_dataset(2, seed=1), data)
+        out = tmp_path / "defaults"
+        assert main(["train", "--data", str(data), "--out", str(out)]) == 0
+        capsys.readouterr()
+        d = TrainConfig()
+        assert read_manifest(out) == ("train", {
+            "data": str(data), "dataset_digest": dataset_digest(data),
+            "mode": "transductive", "fold": 0, "seed": d.seed,
+            "epochs": d.max_epochs, "batch": d.batch_size, "lr": d.lr,
+            "dim": d.dim, "layers": d.layers, "heads": d.heads,
+            "d_hid": d.d_hid, "weight_decay": d.weight_decay,
+            "selection": d.selection})
 
     def test_rerun_reproduces_runrecord_bytes(self, run_dir, data_path,
                                               tmp_path):
@@ -57,13 +87,18 @@ class TestTrainCommand:
     def test_flag_beats_config_file(self, data_path, tmp_path):
         cfg = tmp_path / "train.cfg"
         cfg.write_text("lr = 0.25\nepochs = 2\ndim = 8\nheads = 2\n"
-                       "batch = 16\nlayers = 2\nd_hid = 16\n# comment\n")
+                       "batch = 16\nlayers = 2\nd_hid = 16\n# comment\n"
+                       "mode = s1\nfold = 2\nseed = 7\nweight_decay = 0.5\n"
+                       "selection = macro_f1\n")
         out = tmp_path / "cfg-run"
         assert main(["train", "--data", str(data_path), "--config",
-                     str(cfg), "--lr", "0.125", "--out", str(out)]) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["config"]["lr"] == 0.125
-        assert manifest["config"]["epochs"] == 2
+                     str(cfg), "--lr", "0.125", "--layers", "1",
+                     "--out", str(out)]) == 0
+        assert read_manifest(out) == ("train", {
+            "data": str(data_path), "dataset_digest": dataset_digest(data_path),
+            "mode": "s1", "fold": 2, "seed": 7, "epochs": 2, "batch": 16,
+            "lr": 0.125, "dim": 8, "layers": 1, "heads": 2, "d_hid": 16,
+            "weight_decay": 0.5, "selection": "macro_f1"})
 
     def test_no_validation_rows_writes_strict_json(self, tmp_path, capsys):
         data = tmp_path / "two.csv"
@@ -150,6 +185,21 @@ class TestTrainCommand:
                      "--out", str(tmp_path / "o")]) == 2
         assert f"{cfg}:4: seed: must be at least 0, got -1" in \
             capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("line, message", [
+        ("mode = s3", "mode: must be one of ('transductive', 's1', 's2'), "
+                      "got 's3'"),
+        ("selection = loss", "selection: must be one of ('accuracy', "
+                             "'macro_f1'), got 'loss'"),
+    ], ids=["mode", "selection"])
+    def test_config_file_choice_checked_like_flag(self, line, message,
+                                                  data_path, tmp_path, capsys):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(f"epochs = 2\n{line}\n")
+        assert main(["train", "--data", str(data_path), "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}:2: {message}\n"
         assert not (tmp_path / "o").exists()
 
     def test_config_lines_break_only_at_newlines(self, tmp_path, capsys):
@@ -257,7 +307,23 @@ class TestEvalCommand:
         assert code == 0
         capsys.readouterr()
         assert (out / "metrics.txt").read_text().startswith("accuracy=")
-        assert (out / "manifest.json").is_file()
+        assert read_manifest(out) == ("eval", {
+            "checkpoint": str(run_dir / "best.ckpt"), "data": str(data_path),
+            "dataset_digest": dataset_digest(data_path), "split": "test",
+            "mode": "transductive", "fold": 0, "seed": 42, "labels": None})
+
+    def test_manifest_records_given_flags(self, run_dir, data_path,
+                                          tmp_path, capsys):
+        out = tmp_path / "evalrun"
+        assert main(["eval", "--checkpoint", str(run_dir / "best.ckpt"),
+                     "--data", str(data_path), "--split", "val", "--mode",
+                     "s2", "--fold", "3", "--seed", "5", "--labels", "0,1",
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert read_manifest(out) == ("eval", {
+            "checkpoint": str(run_dir / "best.ckpt"), "data": str(data_path),
+            "dataset_digest": dataset_digest(data_path), "split": "val",
+            "mode": "s2", "fold": 3, "seed": 5, "labels": "0,1"})
 
     def test_bad_checkpoint_path(self, data_path, tmp_path, capsys):
         code = main(["eval", "--checkpoint", str(tmp_path / "no.ckpt"),
@@ -307,6 +373,8 @@ class TestAnalyzeCommands:
         lines = (out / "oversmooth.csv").read_text().splitlines()
         assert lines[0] == "depth,plain_cosine,gformer_cosine"
         assert len(lines) == 5
+        assert read_manifest(out) == ("analyze.oversmooth", {
+            "seed": 7, "depth": 4, "trials": 5})
 
     def test_distance_report(self, run_dir, data_path, tmp_path, capsys):
         out = tmp_path / "dist"
@@ -318,6 +386,11 @@ class TestAnalyzeCommands:
         assert lines[0] == "stratum,upper_boundary,count,accuracy,macro_f1"
         counts = [int(ln.split(",")[2]) for ln in lines[1:]]
         assert sum(counts) == 40
+        assert read_manifest(out) == ("analyze.distance", {
+            "checkpoint": str(run_dir / "best.ckpt"), "data": str(data_path),
+            "dataset_digest": dataset_digest(data_path), "split": "all",
+            "mode": "transductive", "fold": 0, "seed": 42, "quantiles": 5,
+            "combine": "pair_mean"})
 
     def test_edges_report(self, run_dir, tmp_path, capsys):
         out = tmp_path / "edges"
@@ -330,6 +403,9 @@ class TestAnalyzeCommands:
         lines = (out / "edges.csv").read_text().splitlines()
         assert lines[0] == "atom_1,atom_2,weight"
         assert len(lines) == 5
+        assert read_manifest(out) == ("analyze.edges", {
+            "checkpoint": str(run_dir / "best.ckpt"), "smiles_1": "CCO",
+            "smiles_2": "CCN", "k": 4})
 
     def test_out_root_env_var(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("MOLBRIDGE_OUT_ROOT", str(tmp_path))
@@ -374,6 +450,28 @@ class TestParsing:
         assert list(tmp_path.iterdir()) == []
 
 
+    @pytest.mark.parametrize("flag, value, choices", [
+        ("--mode", "s3", "'transductive', 's1', 's2'"),
+        ("--selection", "loss", "'accuracy', 'macro_f1'"),
+    ], ids=["mode", "selection"])
+    def test_bad_choice_flag_is_usage_error(self, flag, value, choices,
+                                            capsys):
+        assert main(["train", "--data", "d.csv", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: invalid choice: '{value}'" in err
+        assert choices in err
+
+    def test_train_help_lists_every_setting(self, capsys):
+        assert main(["train", "--help"]) == 0
+        out = " ".join(capsys.readouterr().out.split())
+        for usage in ("--mode {transductive,s1,s2}", "--fold FOLD",
+                      "--seed SEED", "--epochs EPOCHS", "--batch BATCH",
+                      "--lr LR", "--dim DIM", "--layers LAYERS",
+                      "--heads HEADS", "--d-hid D_HID",
+                      "--weight-decay WEIGHT_DECAY",
+                      "--selection {accuracy,macro_f1}"):
+            assert f"[{usage}]" in out
+
     def test_no_command_is_usage_error(self, capsys):
         assert main([]) == 2
         capsys.readouterr()
@@ -393,8 +491,11 @@ class TestParsing:
             read_config_file(path)
 
     def test_module_entry_help(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "molbridge", "--help"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert "train" in proc.stdout
