@@ -172,9 +172,9 @@ def random_joint_graph(rng: np.random.Generator,
     return adj, features
 
 
-def depth_probe(seed: int, max_depth: int = 8, trials: int = 100,
-                dim: int = 16) -> DepthProbeReport:
-    """Per-trial, per-depth cosine similarity for both stacks.
+def depth_probe(seed: int, max_depth: int = 8,
+                trials: int = 100) -> DepthProbeReport:
+    """Per-trial, per-depth cosine similarity for both stacks, width 16.
 
     Trial t draws its graph from default_rng([seed, t]) so trials are
     reproducible independently of each other.
@@ -187,7 +187,7 @@ def depth_probe(seed: int, max_depth: int = 8, trials: int = 100,
     gformer = np.zeros((trials, max_depth))
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
-        adj, features = random_joint_graph(rng, dim)
+        adj, features = random_joint_graph(rng, 16)
         n = adj.shape[0]
 
         deg = adj.sum(axis=1) + 1.0
@@ -198,7 +198,7 @@ def depth_probe(seed: int, max_depth: int = 8, trials: int = 100,
             current = smooth @ current
             plain[t, depth] = mean_pairwise_cosine(current)
 
-        layers = [m.init_layer(rng, depth, dim, 2 * dim)
+        layers = [m.init_layer(rng, depth, 16, 32)
                   for depth in range(max_depth)]
         adj_t = Tensor(adj)
         out = Tensor(features)

@@ -31,22 +31,9 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    NonFiniteInputError,
-    NonScalarLossError,
-    ShapeMismatchError,
-)
+from .errors import NonScalarLossError, ShapeMismatchError
 
 Array = np.ndarray
-
-
-def _as_matrix(value) -> Array:
-    arr = np.asarray(value, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr.reshape(1, -1)
-    if arr.ndim != 2:
-        raise ShapeMismatchError(f"expected a rank-2 array, got rank {arr.ndim}")
-    return arr
 
 
 class Tensor:
@@ -55,9 +42,12 @@ class Tensor:
     __slots__ = ("value", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, value, requires_grad: bool = False):
-        arr = _as_matrix(value)
-        if not np.all(np.isfinite(arr)):
-            raise NonFiniteInputError("tensor constructed from non-finite values")
+        arr = np.asarray(value, dtype=np.float64)
+        if arr.ndim == 1:
+            arr = arr.reshape(1, -1)
+        if arr.ndim != 2:
+            raise ShapeMismatchError(
+                f"expected a rank-2 array, got rank {arr.ndim}")
         self.value = arr
         self.grad: Array | None = None
         self.requires_grad = requires_grad
@@ -235,28 +225,14 @@ def sigmoid(x: Tensor) -> Tensor:
     return Tensor._result(value, (x,), backward)
 
 
-def log_softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise log-softmax (numerically fused; exp never overflows)."""
-    if not np.all(np.isfinite(x.value)):
-        raise NonFiniteInputError("log_softmax_rows received non-finite input")
-    shifted = x.value - x.value.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    y = shifted - log_z
-    p = np.exp(y)
-
-    def backward(g):
-        x._add_grad(g - p * g.sum(axis=1, keepdims=True))
-
-    return Tensor._result(y, (x,), backward)
-
-
 def _row_dot(a: Array, b: Array) -> Array:
     """Dot product of each row of a with the same row of b, as a column."""
     return np.einsum("ij,ij->i", a, b)[:, None]
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-row normalization to zero mean / unit variance, then gain and bias.
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Per-row normalization to zero mean / unit variance (variance plus
+    1e-5), then gain and bias.
 
     gain and bias are 1 x cols rows broadcast over every row of x.
     """
@@ -264,11 +240,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         raise ShapeMismatchError(
             f"layer_norm gain/bias must be 1x{x.cols}, "
             f"got {gain.shape} and {bias.shape}")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     d = x.cols
     xhat = x.value - x.value.sum(axis=1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(_row_dot(xhat, xhat) / d + eps)
+    inv = 1.0 / np.sqrt(_row_dot(xhat, xhat) / d + 1e-5)
     xhat *= inv
     value = xhat * gain.value
     value += bias.value

@@ -76,6 +76,18 @@ def _int_in(low: int, high: int | None = None):
     return parse
 
 
+def _rate(text: str) -> float:
+    """argparse type: a finite float of at least 0, else a usage error."""
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if not (np.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(
+            f"must be finite and non-negative, got {value}")
+    return value
+
+
 NON_NEGATIVE = _int_in(0)
 POSITIVE = _int_in(1)
 FOLD = _int_in(0, N_FOLDS - 1)
@@ -87,10 +99,10 @@ FOLD = _int_in(0, N_FOLDS - 1)
 TRAIN_SETTINGS = (
     ("mode", MODES, None), ("fold", FOLD, None),
     ("seed", NON_NEGATIVE, "seed"), ("epochs", POSITIVE, "max_epochs"),
-    ("batch", POSITIVE, "batch_size"), ("lr", float, "lr"),
+    ("batch", POSITIVE, "batch_size"), ("lr", _rate, "lr"),
     ("dim", POSITIVE, "dim"), ("layers", POSITIVE, "layers"),
     ("heads", POSITIVE, "heads"), ("d_hid", NON_NEGATIVE, "d_hid"),
-    ("weight_decay", float, "weight_decay"),
+    ("weight_decay", _rate, "weight_decay"),
     ("selection", SELECTION_METRICS, "selection"),
 )
 TRAIN_KEYS = tuple(key for key, _, _ in TRAIN_SETTINGS)

@@ -43,10 +43,6 @@ class ShapeMismatchError(MolBridgeError, ValueError):
     """Operands have incompatible shapes."""
 
 
-class NonFiniteInputError(MolBridgeError, FloatingPointError):
-    """An operation received NaN or Inf where finite values are required."""
-
-
 class NonScalarLossError(MolBridgeError, ValueError):
     """backward() was called on a non-scalar node."""
 

@@ -32,7 +32,6 @@ from .errors import (
     HeadsNotDividingError,
     LabelOutOfRangeError,
     NonFiniteActivationError,
-    NonFiniteInputError,
     ShapeMismatchError,
 )
 from .smiles import FEATURE_DIM, FeaturedGraph
@@ -206,10 +205,7 @@ def gformer_layer(f_prev: Tensor, adjacency: Tensor,
         + f_prev
     hidden = ad.relu(ad.linear(x, p.w1, p.b1))
     ffn = ad.linear(hidden, p.w2, p.b2)
-    out = ad.layer_norm(ffn + x, p.ln2_gain, p.ln2_bias)
-    if not np.all(np.isfinite(out.value)):
-        raise NonFiniteActivationError("non-finite activations in GFormer layer")
-    return out
+    return ad.layer_norm(ffn + x, p.ln2_gain, p.ln2_bias)
 
 
 def scm_forward(h: Tensor, adjacency: Tensor,
@@ -284,7 +280,15 @@ def forward_chunk(pairs: list[tuple[FeaturedGraph, FeaturedGraph]],
     trace = scm_forward(refined.projected, refined.combined, params.gformer)
     pooled = aggregate(trace, joint.mask)
     hidden = ad.relu(ad.linear(pooled, params.head_w1, params.head_b1))
-    return ad.linear(hidden, params.head_w2, params.head_b2)
+    logits = ad.linear(hidden, params.head_w2, params.head_b2)
+    # the one finiteness check of a forward pass: any non-finite layer
+    # output, padding rows included, reaches the pooled rows (NaN * 0 is
+    # NaN), and the head's ReLU can hide it from the logits
+    if not (np.isfinite(pooled.value).all()
+            and np.isfinite(logits.value).all()):
+        raise NonFiniteActivationError(
+            "non-finite activations in the forward pass")
+    return logits
 
 
 def forward_pair(g_i: FeaturedGraph, g_j: FeaturedGraph,
@@ -329,8 +333,13 @@ def batch_logits(pairs: list[tuple[FeaturedGraph, FeaturedGraph]],
 def predict(g_i: FeaturedGraph, g_j: FeaturedGraph,
             params: ModelParams) -> np.ndarray:
     """Class probability vector of length C; sums to 1."""
-    logits = forward_pair(g_i, g_j, params)
-    return np.exp(ad.log_softmax_rows(logits).value[0])
+    return np.exp(log_softmax(forward_pair(g_i, g_j, params).value)[0])
+
+
+def log_softmax(x: np.ndarray) -> np.ndarray:
+    """Row-wise log-softmax of a B x C array; exp never overflows."""
+    shifted = x - x.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
 def cross_entropy_from_logits(logits: Tensor, labels) -> Tensor:
@@ -347,10 +356,7 @@ def cross_entropy_from_logits(logits: Tensor, labels) -> Tensor:
     if outside.any():
         raise LabelOutOfRangeError(
             f"label {labels[outside][0]} outside [0, {logits.cols})")
-    if not np.all(np.isfinite(logits.value)):
-        raise NonFiniteInputError("cross entropy received non-finite logits")
-    shifted = logits.value - logits.value.max(axis=1, keepdims=True)
-    log_p = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    log_p = log_softmax(logits.value)
     rows = np.arange(labels.size)
 
     def backward(grad):

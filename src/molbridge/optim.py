@@ -1,6 +1,7 @@
 """AdamW with decoupled weight decay.
 
-Update per step t (1-based), matching the decoupled formulation:
+Update per step t (1-based), matching the decoupled formulation with
+beta1 = 0.9, beta2 = 0.999 and eps = 1e-8:
 
     value *= 1 - lr * weight_decay
     m = beta1 * m + (1 - beta1) * grad
@@ -21,8 +22,8 @@ from .errors import ShapeMismatchError
 
 
 def adamw_step(params: Sequence[np.ndarray], grads: Sequence[np.ndarray],
-               state: dict, *, lr: float, betas: tuple[float, float] = (0.9, 0.999),
-               eps: float = 1e-8, weight_decay: float = 0.0, t: int) -> None:
+               state: dict, *, lr: float, weight_decay: float = 0.0,
+               t: int) -> None:
     """One in-place AdamW update over parallel lists of arrays.
 
     state is a dict carrying first/second moments under "m" and "v";
@@ -35,7 +36,7 @@ def adamw_step(params: Sequence[np.ndarray], grads: Sequence[np.ndarray],
     if not state:
         state["m"] = [np.zeros_like(p) for p in params]
         state["v"] = [np.zeros_like(p) for p in params]
-    beta1, beta2 = betas
+    beta1, beta2 = 0.9, 0.999
     for p, g, m, v in zip(params, grads, state["m"], state["v"]):
         if p.shape != g.shape:
             raise ShapeMismatchError(
@@ -47,19 +48,16 @@ def adamw_step(params: Sequence[np.ndarray], grads: Sequence[np.ndarray],
         v += (1.0 - beta2) * (g * g)
         m_hat = m / (1.0 - beta1 ** t)
         v_hat = v / (1.0 - beta2 ** t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        p -= lr * m_hat / (np.sqrt(v_hat) + 1e-8)
 
 
 class AdamW:
     """Stateful wrapper binding adamw_step to a fixed list of Params."""
 
     def __init__(self, params: Sequence[Param], lr: float = 0.005,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
                  weight_decay: float = 0.01):
         self.params = list(params)
         self.lr = lr
-        self.betas = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         self.state: dict = {}
@@ -68,7 +66,7 @@ class AdamW:
         self.t += 1
         adamw_step([p.value for p in self.params],
                    [p.grad for p in self.params],
-                   self.state, lr=self.lr, betas=self.betas, eps=self.eps,
+                   self.state, lr=self.lr,
                    weight_decay=self.weight_decay, t=self.t)
 
     def zero_grad(self) -> None:

@@ -31,12 +31,7 @@ from . import model as m
 from . import parallel as par
 from .autodiff import Tensor, zero_grads
 from .data import DDISample, featurize_samples
-from .errors import (
-    EmptySplitError,
-    NonFiniteActivationError,
-    NonFiniteInputError,
-    TrainingAbortedError,
-)
+from .errors import EmptySplitError, TrainingAbortedError
 from .metrics import METRIC_KEYS, accumulate, macro_metrics
 from .model import ModelConfig, ModelParams
 from .optim import AdamW
@@ -193,8 +188,7 @@ def train(samples: list[DDISample], plan: SplitPlan,
                         else:                           # a helper's chunk
                             for p, g in zip(plist, loss_or_grads):
                                 p._add_grad(g)
-                except (NonFiniteActivationError, NonFiniteInputError,
-                        FloatingPointError) as exc:
+                except FloatingPointError as exc:   # NonFiniteActivationError
                     raise TrainingAbortedError(
                         f"epoch {epoch} batch {batch_no}: {exc}") from exc
                 opt.step()

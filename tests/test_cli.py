@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from molbridge.checkpoint import load_checkpoint, save_checkpoint
 from molbridge.cli import main, read_config_file
 from molbridge.data import dataset_digest
 from molbridge.errors import MolBridgeError
@@ -202,6 +203,19 @@ class TestTrainCommand:
         assert capsys.readouterr().err == f"error: {cfg}:2: {message}\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("key, text", [
+        ("weight_decay", "nan"), ("lr", "-1"), ("lr", "inf")])
+    def test_config_file_rate_checked_like_flag(self, key, text, data_path,
+                                                tmp_path, capsys):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(f"epochs = 2\n{key} = {text}\n")
+        assert main(["train", "--data", str(data_path), "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg}:2: {key}: must be finite and non-negative, "
+            f"got {float(text)}\n")
+        assert not (tmp_path / "o").exists()
+
     def test_config_lines_break_only_at_newlines(self, tmp_path, capsys):
         # a form feed inside a comment does not start a new line
         cfg = tmp_path / "train.cfg"
@@ -364,6 +378,30 @@ class TestPredictCommand:
         assert "position" in capsys.readouterr().err
 
 
+class TestNonFiniteForward:
+    """A checkpoint of finite weights whose forward pass overflows ends
+    in one error line and exit 1, whichever command scores with it."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("name, command", [
+        ("proj.weight", "eval"), ("proj.weight", "predict"),
+        ("head.w2", "eval")])
+    def test_overflow_is_runtime_error(self, name, command, run_dir,
+                                       data_path, tmp_path, capsys):
+        params, extra = load_checkpoint(run_dir / "best.ckpt")
+        dict(params.named())[name].value[...] *= 1e307
+        ckpt = tmp_path / "scaled.ckpt"
+        save_checkpoint(ckpt, params, extra)
+        # head.w2 overflows the logits of only some pairs: score them all
+        argv = (["eval", "--checkpoint", str(ckpt), "--data", str(data_path),
+                 "--split", "all"] if command == "eval" else
+                ["predict", "--checkpoint", str(ckpt), "CCO", "CCN"])
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: non-finite activations in the forward pass\n"
+
+
 class TestAnalyzeCommands:
     def test_oversmooth_report(self, tmp_path, capsys):
         out = tmp_path / "os"
@@ -449,6 +487,15 @@ class TestParsing:
         assert "error:" in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--lr", "inf"), ("--lr", "-1"), ("--weight-decay", "nan")])
+    def test_bad_rate_flag_is_named(self, flag, value, tmp_path, monkeypatch,
+                                    capsys):
+        monkeypatch.chdir(tmp_path)          # nothing may be written
+        assert main(["train", "--data", "d.csv", flag, value]) == 2
+        assert f"argument {flag}: must be finite and non-negative, got " \
+            f"{float(value)}\n" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flag, value, choices", [
         ("--mode", "s3", "'transductive', 's1', 's2'"),

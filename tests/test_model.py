@@ -221,6 +221,16 @@ class TestAggregate:
         assert np.allclose(out.value, [both[0:2].sum(axis=0),
                                        both[3:6].sum(axis=0)], atol=1e-12)
 
+    def test_nan_in_padding_row_reaches_pooled_row(self):
+        # padding rows are masked by a product with 0, and NaN * 0 is NaN,
+        # so forward_chunk's check of the pooled rows sees them
+        value = np.ones((4, 3))
+        value[1, 2] = np.nan                 # block 0's padding row
+        mask = np.array([[True, False], [True, True]])
+        out = mb.aggregate([Tensor(value)], mask).value
+        assert np.isfinite(out).tolist() == [[True, True, False],
+                                             [True, True, True]]
+
     def test_padding_rows_get_no_gradient(self):
         trace = [Param(np.ones((4, 3)), "f0"), Param(np.ones((4, 3)), "f1")]
         mask = np.array([[True, False], [True, True]])

@@ -23,7 +23,7 @@ class TestAdamwStep:
     def test_single_step_closed_form(self):
         p = np.array([[1.0]])
         g = np.array([[0.5]])
-        adamw_step([p], [g], {}, lr=0.1, betas=(0.9, 0.999), eps=1e-8, t=1)
+        adamw_step([p], [g], {}, lr=0.1, t=1)
         # bias-corrected moments cancel the (1 - beta) factors at t=1:
         # m_hat = g, v_hat = g^2, so the step is lr * g / (|g| + eps)
         expected = 1.0 - 0.1 * 0.5 / (np.sqrt(0.25) + 1e-8)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from molbridge import model as m
+from molbridge.data import DDISample, featurize_samples
 from molbridge.errors import NonFiniteActivationError, TrainingAbortedError
 from molbridge.splits import SplitPlan, make_splits
 from molbridge.synthetic import make_two_class_dataset
@@ -133,6 +134,49 @@ class TestTraining:
         with pytest.raises(TrainingAbortedError,
                            match=r"epoch 0 batch 0"):
             train(dataset, plan, small_config(max_epochs=1))
+
+
+class TestFinitenessGate:
+    # one chunk of two pairs of 2 and 7 atoms: block 0 holds the smaller
+    # pair, so of its rows 0-6 only 0 and 1 are real
+    SAMPLES = [DDISample("C", "C", 0), DDISample("CCCC", "CCO", 1)]
+
+    @staticmethod
+    def plant(monkeypatch, layer, row):
+        """Make GFormer layer `layer`'s output hold inf in row `row`."""
+        run = m.gformer_layer
+
+        def planted(f_prev, adjacency, p):
+            out = run(f_prev, adjacency, p)
+            if p.w1.name == f"layer{layer}.ffn.w1":
+                out.value[row, 0] = np.inf
+            return out
+
+        monkeypatch.setattr(m, "gformer_layer", planted)
+
+    # in the last layer's padding row, the head's ReLU turns the pooled
+    # NaN into 0, so only the pooled rows show it
+    WHERE = pytest.mark.parametrize("layer, row", [(0, 0), (0, 6), (1, 6)],
+                                    ids=["real row", "padding row",
+                                         "last layer"])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @WHERE
+    def test_batch_logits_raises(self, layer, row, monkeypatch):
+        self.plant(monkeypatch, layer, row)
+        params = m.init_params(small_config().model_config(2))
+        with pytest.raises(NonFiniteActivationError):
+            m.batch_logits(featurize_samples(self.SAMPLES), params)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @WHERE
+    def test_train_aborts(self, layer, row, monkeypatch):
+        self.plant(monkeypatch, layer, row)
+        plan = SplitPlan("transductive", 0, 0, train=[0, 1], val=[], test=[])
+        with pytest.raises(TrainingAbortedError, match=(
+                "^epoch 0 batch 0: non-finite activations in the forward "
+                "pass$")):
+            train(self.SAMPLES, plan, small_config(max_epochs=1))
 
 
 class TestEvalHelpers:
