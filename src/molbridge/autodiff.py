@@ -1,4 +1,8 @@
-"""Dense rank-2 reverse-mode autodiff on float64 numpy arrays.
+"""Dense rank-2 reverse-mode autodiff on numpy arrays whose dtype
+follows the inputs: ``Tensor(...)`` keeps a float32 array and makes
+anything else float64, and every op, forward and backward, computes in
+its inputs' dtype, so a float32 graph is not promoted by anything an op
+adds (the loss seed, a mask's zeros).
 
 Every value is a matrix (rows, cols). Ops record a backward closure and
 their parent nodes; ``backward()`` on a 1x1 loss walks the graph in
@@ -42,7 +46,8 @@ class Tensor:
     __slots__ = ("value", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, value, requires_grad: bool = False):
-        arr = np.asarray(value, dtype=np.float64)
+        arr = np.asarray(value)
+        arr = arr if arr.dtype == np.float32 else np.asarray(arr, np.float64)
         if arr.ndim == 1:
             arr = arr.reshape(1, -1)
         if arr.ndim != 2:
@@ -154,7 +159,7 @@ class Tensor:
         for node in topo:
             if not isinstance(node, Param):
                 node.grad = None
-        self._add_grad(np.ones((1, 1)))
+        self._add_grad(np.ones((1, 1), self.value.dtype))
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward(node.grad)

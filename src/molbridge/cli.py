@@ -46,8 +46,9 @@ def main(argv: list[str]) -> int:
     if not hasattr(args, "func"):
         parser.print_usage(sys.stderr)
         return 2
-    try:
-        return args.func(args)
+    try:    # the forward pass gate reports an overflow, not numpy's warnings
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except SmilesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -414,6 +415,7 @@ def cmd_edges(args) -> int:
     joint = build_joint(g1, g2)
     refined = refine(joint, params.proj_w, params.proj_b, params.w_q,
                      params.w_k, params.config.heads, params.theta)
+    model.require_finite(refined.combined.value)
     k = min(args.k, joint.boundary * (joint.adjacency.shape[0] - joint.boundary))
     edges = analysis.top_edges(refined.combined.value, k, joint.boundary)
 

@@ -83,11 +83,11 @@ def build_joint(g_i: FeaturedGraph, g_j: FeaturedGraph) -> JointGraph:
     return JointGraph(features, adjacency, n_i)
 
 
-def stack_joints(joints: list[JointGraph]) -> JointChunk:
-    """Pad every joint graph to the largest and stack them as one chunk."""
+def stack_joints(joints: list[JointGraph], dtype) -> JointChunk:
+    """Pad every joint graph to the largest and stack them in dtype."""
     n = max(j.adjacency.shape[0] for j in joints)
-    features = np.zeros((len(joints) * n, joints[0].features.shape[1]))
-    adjacency = np.zeros((len(joints) * n, n))
+    features = np.zeros((len(joints) * n, joints[0].features.shape[1]), dtype)
+    adjacency = np.zeros((len(joints) * n, n), dtype)
     mask = np.zeros((len(joints), n), dtype=bool)
     for b, joint in enumerate(joints):
         size = joint.adjacency.shape[0]
@@ -142,7 +142,7 @@ def cross_attention(h: Tensor, w_q: Param, w_k: Param, heads: int,
     probs = q @ k.transpose(0, 1, 3, 2)
     probs *= scale
     if not mask.all():
-        probs += np.where(mask, 0.0, -np.inf)[:, None, None, :]
+        probs += np.where(mask, 0.0, -np.inf).astype(probs.dtype)[:, None, None]
     probs -= probs.max(axis=3, keepdims=True)
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=3, keepdims=True)

@@ -19,6 +19,7 @@ batch_logits cuts the chunks into slices of about equal cost
 
 from __future__ import annotations
 
+import contextlib
 import functools
 from dataclasses import dataclass, field
 
@@ -41,6 +42,11 @@ from .smiles import FEATURE_DIM, FeaturedGraph
 # 128 rows paid more per-op overhead, and 2048 rows more padding and
 # cache traffic.
 CHUNK_ROWS = 512
+
+# Least total chunk_costs at which batch_logits forks its own helpers. On
+# 3-50-atom drug pairs (default model, 1 BLAS thread, 2 cores) a helper's
+# fork cost about 10 ms and paid off from 250k; larger processes fork slower.
+FORK_COST = 300_000
 
 
 @dataclass
@@ -231,7 +237,7 @@ def aggregate(trace: list[Tensor], mask: np.ndarray | None = None) -> Tensor:
         raise ShapeMismatchError(
             f"mask {mask.shape} does not cover layer outputs {trace[0].shape}")
     keep = mask[:, :, None]
-    total = np.zeros((blocks, dim))
+    total = np.zeros((blocks, dim), trace[0].value.dtype)
     for layer_out in trace:
         total += (layer_out.value.reshape(blocks, n, dim) * keep).sum(axis=1)
 
@@ -273,7 +279,8 @@ def forward_chunk(pairs: list[tuple[FeaturedGraph, FeaturedGraph]],
                   params: ModelParams) -> Tensor:
     """Full pipeline up to class logits (B x C, row b for pairs[b]) on
     the pairs padded to one chunk."""
-    joint = jg.stack_joints([jg.build_joint(g_i, g_j) for g_i, g_j in pairs])
+    joint = jg.stack_joints([jg.build_joint(g_i, g_j) for g_i, g_j in pairs],
+                            params.proj_w.value.dtype)
     refined = jg.refine(joint, params.proj_w, params.proj_b,
                         params.w_q, params.w_k, params.config.heads,
                         params.theta)
@@ -281,14 +288,17 @@ def forward_chunk(pairs: list[tuple[FeaturedGraph, FeaturedGraph]],
     pooled = aggregate(trace, joint.mask)
     hidden = ad.relu(ad.linear(pooled, params.head_w1, params.head_b1))
     logits = ad.linear(hidden, params.head_w2, params.head_b2)
-    # the one finiteness check of a forward pass: any non-finite layer
-    # output, padding rows included, reaches the pooled rows (NaN * 0 is
-    # NaN), and the head's ReLU can hide it from the logits
-    if not (np.isfinite(pooled.value).all()
-            and np.isfinite(logits.value).all()):
+    # a non-finite layer output, padding rows too, reaches the pooled rows
+    # (NaN * 0 is NaN); the head's ReLU can hide it from the logits
+    require_finite(pooled.value, logits.value)
+    return logits
+
+
+def require_finite(*arrays: np.ndarray) -> None:
+    """The one finiteness check of a forward pass, on its outputs."""
+    if not all(np.isfinite(a).all() for a in arrays):
         raise NonFiniteActivationError(
             "non-finite activations in the forward pass")
-    return logits
 
 
 def forward_pair(g_i: FeaturedGraph, g_j: FeaturedGraph,
@@ -315,18 +325,18 @@ def batch_logits(pairs: list[tuple[FeaturedGraph, FeaturedGraph]],
 
     Chunks after the first slice run on helper processes (see
     parallel.py): given ones, whose "logits" task must score these same
-    pairs, or else ones forked for this call alone.
+    pairs, or else ones forked for this call alone if its chunks cost
+    at least FORK_COST.
     """
-    run = functools.partial(chunk_logits, pairs, params)
-    if helpers is None:
-        with par.Helpers(params.all(), {"logits": run}) as helpers:
-            return batch_logits(pairs, params, helpers)
     sizes = joint_sizes(pairs)
     chunks = plan_chunks(sizes)
-    out = np.zeros((len(pairs), params.config.classes))
-    for chunk, logits in zip(chunks, helpers.run(
-            "logits", chunks, chunk_costs(sizes, chunks), run)):
-        out[chunk] = logits
+    costs = chunk_costs(sizes, chunks)
+    own = par.Helpers(params.all(), {"logits": functools.partial(
+        chunk_logits, pairs, params)}, sum(costs) >= FORK_COST)
+    with (own if helpers is None else contextlib.nullcontext(helpers)) as pool:
+        out = np.zeros((len(pairs), params.config.classes))
+        for chunk, logits in zip(chunks, pool.run("logits", chunks, costs)):
+            out[chunk] = logits
     return out
 
 

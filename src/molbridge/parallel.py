@@ -6,12 +6,12 @@ one. Helpers are forked on first use and serve a whole training run or
 scoring call: a request carries the parameter values and the slice's
 chunks; pairs and labels are inherited at the fork.
 
-Determinism: results come back per chunk and are taken in chunk order,
-so a caller that folds each as it comes (a loss into a running sum, a
-gradient into Param.grad) does the serial loop's float operations in
-its order. A helper computes each chunk's gradient from zeroed buffers,
-and one backward pass gives every Param exactly one contribution, so
-0 + g is g and the sums are bit for bit those of one process.
+Determinism: every chunk, the caller's own included, runs the same
+task, so a training chunk's gradient is always computed from zeroed
+buffers. Results come back per chunk and are taken in chunk order, so a
+caller that folds each as it comes (a loss into a running sum, a
+gradient into Param.grad) does the same float operations in the same
+order whatever the number of helpers.
 
 Death: a helper's exception is re-raised in the caller at its chunk's
 place, with its class and message. A helper that dies, or whose reply
@@ -58,12 +58,14 @@ def split(costs, parts: int) -> list[range]:
 
 
 class Helpers:
-    """processes() - 1 helpers for one run, as a context manager. tasks
-    maps a name to a function of one chunk, which a helper runs after
-    copying the request's parameter values into params."""
+    """processes() - 1 helpers for one run, as a context manager, or none
+    if not fork. tasks maps a name to a function of one chunk, which a
+    helper runs after copying the request's parameter values into
+    params."""
 
-    def __init__(self, params, tasks: dict):
-        self.params, self.tasks, self.procs = params, tasks, None
+    def __init__(self, params, tasks: dict, fork: bool = True):
+        self.params, self.tasks = params, tasks
+        self.procs = None if fork else []
 
     def __enter__(self):
         return self
@@ -119,9 +121,9 @@ class Helpers:
         finally:
             os._exit(0)
 
-    def run(self, key: str, chunks: list, costs: list, local):
-        """Yield a result per chunk in chunk order: local(chunk) on the
-        first slice, then the helpers' task `key` on the later ones. A
+    def run(self, key: str, chunks: list, costs: list):
+        """Yield task `key`'s result per chunk in chunk order: this
+        process runs the first slice, the helpers the later ones. A
         caller that stops early leaves replies unread, which would answer
         later requests, so that ends the helpers."""
         if self.procs is None and len(chunks) > 1:
@@ -137,7 +139,7 @@ class Helpers:
                     pickle.dump((key, values, part), send)
                     send.flush()
             for i in slices[0]:
-                yield local(chunks[i])
+                yield self.tasks[key](chunks[i])
             while asked:
                 pid, _, recv, _ = asked.pop(0)
                 with _death_is_error(pid):

@@ -132,13 +132,6 @@ class Molecule:
                 raise ValueError(f"duplicate bond between atoms {key}")
             seen.add(key)
 
-    def degrees(self) -> list[int]:
-        deg = [0] * len(self.atoms)
-        for bond in self.bonds:
-            deg[bond.a] += 1
-            deg[bond.b] += 1
-        return deg
-
     def neighbor_lists(self) -> list[list[int]]:
         adj: list[list[int]] = [[] for _ in self.atoms]
         for bond in self.bonds:

@@ -1,25 +1,27 @@
 """Mini-batch training with validation-based model selection.
 
 A batch's pairs are sorted by joint graph size and cut into chunks
-(model.plan_chunks); each chunk is padded to its largest pair and runs
-as one forward pass and one backward pass, its mean cross-entropy
-weighted by its share of the batch. Parameter gradients add up across
-the chunks, so only one chunk's tape is alive at a time, and the batch
-gets one AdamW step on the gradient of its mean loss. After every epoch
-the validation metrics are computed and the best parameters (by the
-configured selection metric, earliest epoch on ties) are kept.
+(model.plan_chunks). Each chunk is padded to its largest pair and runs
+one forward and one backward pass on a float32 copy of the parameters,
+all in float32: its mean cross-entropy, weighted by its share of the
+batch, and that loss's gradient from zero. The float64 master Params add the
+chunks' gradients up in chunk order, so only one chunk's tape is alive
+at a time, and the batch gets one float64 AdamW step on the gradient of
+its mean loss, after which the copy is refreshed from the masters.
+After every epoch the validation metrics are computed on the masters
+and the best parameters (by the configured selection metric, earliest
+epoch on ties) are kept.
 
 The chunks are cut into contiguous slices of about equal cost
-(parallel.py). This process runs the first slice as above; helpers
-forked once per train() call run the later ones, each chunk's
-gradient from zero, and their losses and gradients are added in chunk
-order after the first slice's, with the loss check after every chunk:
-the same float operations in the same order as one process. Validation
-is split the same way on the same helpers.
+(parallel.py): this process runs the first, helpers forked once per
+train() call the later ones, with the same chunk function everywhere,
+so the results do not depend on the number of helpers. Validation is
+split the same way on the same helpers.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
 import functools
 import math
@@ -29,7 +31,7 @@ import numpy as np
 
 from . import model as m
 from . import parallel as par
-from .autodiff import Tensor, zero_grads
+from .autodiff import zero_grads
 from .data import DDISample, featurize_samples
 from .errors import EmptySplitError, TrainingAbortedError
 from .metrics import METRIC_KEYS, accumulate, macro_metrics
@@ -133,6 +135,11 @@ def train(samples: list[DDISample], plan: SplitPlan,
 
     params = m.init_params(config.model_config(n_classes))
     plist = params.all()
+    fast = copy.deepcopy(params)    # the float32 copy every chunk runs on
+    flist = fast.all()
+    for f in flist:
+        f.value = f.value.astype(np.float32)
+        f.grad = np.zeros_like(f.value)
     opt = AdamW(plist, lr=config.lr, weight_decay=config.weight_decay)
     rng = np.random.default_rng(config.seed)
     record = RunRecord(config=config)
@@ -140,29 +147,22 @@ def train(samples: list[DDISample], plan: SplitPlan,
     val_labels = [labels[i] for i in plan.val]
     best_values: dict[str, np.ndarray] | None = None
 
-    def chunk_loss(work) -> Tensor:
+    def chunk_grads(work) -> tuple[float, list[np.ndarray]]:
+        """A chunk's loss and, if finite, its float32 gradient from zero."""
         rows, share = work
-        logits = m.forward_chunk([pairs[i] for i in rows], params)
-        return m.cross_entropy_from_logits(
+        logits = m.forward_chunk([pairs[i] for i in rows], fast)
+        loss = m.cross_entropy_from_logits(
             logits, [labels[i] for i in rows]) * share
-
-    def local(work) -> tuple[float, Tensor]:
-        loss = chunk_loss(work)
-        return loss.item(), loss
-
-    def helper_grads(work) -> tuple[float, list[np.ndarray]]:
-        """A helper's chunk: its loss, and unless that is not finite (the
-        parent stops there) its gradient from zero."""
-        loss = chunk_loss(work)
-        zero_grads(plist)
+        zero_grads(flist)
         if np.isfinite(loss.item()):
             loss.backward()
-        return loss.item(), [p.grad.copy() for p in plist]
+        return loss.item(), [f.grad.copy() for f in flist]
 
-    tasks = {"grads": helper_grads,
+    # requests refresh a helper's float32 copy; validation scores masters
+    tasks = {"grads": chunk_grads,
              "logits": functools.partial(m.chunk_logits, val_pairs, params)}
     train_idx = np.array(plan.train)
-    with par.Helpers(plist, tasks) as helpers:
+    with par.Helpers(plist + flist, tasks) as helpers:
         for epoch in range(config.max_epochs):
             order = train_idx[rng.permutation(len(train_idx))]
             loss_sum = 0.0
@@ -176,22 +176,20 @@ def train(samples: list[DDISample], plan: SplitPlan,
                 opt.zero_grad()
                 value = 0.0
                 try:
-                    for loss_value, loss_or_grads in helpers.run(
-                            "grads", work, costs, local):
+                    for loss_value, grads in helpers.run("grads", work, costs):
                         value += loss_value
                         if not np.isfinite(value):
                             raise TrainingAbortedError(
                                 f"non-finite loss at epoch {epoch} "
                                 f"batch {batch_no}")
-                        if isinstance(loss_or_grads, Tensor):
-                            loss_or_grads.backward()    # the parent's chunk
-                        else:                           # a helper's chunk
-                            for p, g in zip(plist, loss_or_grads):
-                                p._add_grad(g)
+                        for p, g in zip(plist, grads):
+                            p._add_grad(g)
                 except FloatingPointError as exc:   # NonFiniteActivationError
                     raise TrainingAbortedError(
                         f"epoch {epoch} batch {batch_no}: {exc}") from exc
                 opt.step()
+                for f, p in zip(flist, plist):
+                    f.value[...] = p.value
                 loss_sum += value * len(batch)
 
             val = evaluate(params, val_pairs, val_labels, n_classes, helpers) \

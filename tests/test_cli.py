@@ -82,8 +82,8 @@ class TestTrainCommand:
         out2 = tmp_path / "again"
         assert main(["train", "--data", str(data_path), *TRAIN_FLAGS,
                      "--out", str(out2)]) == 0
-        assert (out2 / "runrecord.csv").read_bytes() == \
-            (run_dir / "runrecord.csv").read_bytes()
+        for name in ("runrecord.csv", "best.ckpt"):
+            assert (out2 / name).read_bytes() == (run_dir / name).read_bytes()
 
     def test_flag_beats_config_file(self, data_path, tmp_path):
         cfg = tmp_path / "train.cfg"
@@ -380,26 +380,55 @@ class TestPredictCommand:
 
 class TestNonFiniteForward:
     """A checkpoint of finite weights whose forward pass overflows ends
-    in one error line and exit 1, whichever command scores with it."""
+    in one error line and exit 1, whichever command scores with it, and
+    numpy warns of nothing (a RuntimeWarning fails the suite)."""
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("name, command", [
-        ("proj.weight", "eval"), ("proj.weight", "predict"),
-        ("head.w2", "eval")])
-    def test_overflow_is_runtime_error(self, name, command, run_dir,
-                                       data_path, tmp_path, capsys):
+    ERROR = "error: non-finite activations in the forward pass\n"
+
+    @staticmethod
+    def argv(command, name, run_dir, data_path, tmp_path) -> list[str]:
+        """command's arguments on the checkpoint whose `name` is scaled
+        by 1e307, writing any report under tmp_path / "out"."""
         params, extra = load_checkpoint(run_dir / "best.ckpt")
         dict(params.named())[name].value[...] *= 1e307
         ckpt = tmp_path / "scaled.ckpt"
         save_checkpoint(ckpt, params, extra)
         # head.w2 overflows the logits of only some pairs: score them all
-        argv = (["eval", "--checkpoint", str(ckpt), "--data", str(data_path),
-                 "--split", "all"] if command == "eval" else
-                ["predict", "--checkpoint", str(ckpt), "CCO", "CCN"])
-        assert main(argv) == 1
+        return {
+            "eval": ["eval", "--checkpoint", str(ckpt), "--data",
+                     str(data_path), "--split", "all"],
+            "predict": ["predict", "--checkpoint", str(ckpt), "CCO", "CCN"],
+            "edges": ["analyze", "edges", "--checkpoint", str(ckpt), "CCO",
+                      "CCN", "--out", str(tmp_path / "out")],
+        }[command]
+
+    @pytest.mark.parametrize("name, command", [
+        ("proj.weight", "eval"), ("proj.weight", "predict"),
+        ("proj.weight", "edges"), ("head.w2", "eval")])
+    def test_overflow_is_runtime_error(self, name, command, run_dir,
+                                       data_path, tmp_path, capsys):
+        assert main(self.argv(command, name, run_dir, data_path,
+                              tmp_path)) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == "error: non-finite activations in the forward pass\n"
+        assert err == self.ERROR
+        assert not (tmp_path / "out" / "edges.csv").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "predict", "edges"])
+    def test_stderr_is_one_error_line(self, command, run_dir, data_path,
+                                      tmp_path):
+        # in a fresh process, where numpy's warnings would reach stderr
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "molbridge",
+             *self.argv(command, "proj.weight", run_dir, data_path,
+                        tmp_path)],
+            capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stdout, proc.stderr) == \
+            (1, "", self.ERROR)
+        assert not (tmp_path / "out" / "edges.csv").exists()
 
 
 class TestAnalyzeCommands:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from molbridge import model as m
+from molbridge.autodiff import Tensor
 from molbridge.data import DDISample, featurize_samples
 from molbridge.errors import NonFiniteActivationError, TrainingAbortedError
 from molbridge.splits import SplitPlan, make_splits
@@ -210,3 +211,59 @@ class TestRunRecordCsv:
             "epoch,train_loss,accuracy,macro_precision,macro_recall,macro_f1"
         assert lines[1].startswith("0,0.5,0.75,0.5,0.25,")
         assert repr(1 / 3) in lines[1]
+
+
+def tape_dtypes(root) -> set:
+    """The dtypes of every value (and gradient, where one is held) in the
+    graph below root, root included."""
+    seen, stack, dtypes = {id(root)}, [root], set()
+    while stack:
+        node = stack.pop()
+        dtypes.add(node.value.dtype)
+        if node.grad is not None:
+            dtypes.add(node.grad.dtype)
+        for parent in node._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return dtypes
+
+
+class TestPrecisionSplit:
+    """Training chunks compute in float32; the master parameters, their
+    gradients and every scoring path stay float64."""
+
+    def test_training_tapes_are_float32(self, dataset, plan, monkeypatch):
+        losses = []
+        backward = Tensor.backward
+
+        def kept(self):
+            losses.append(self)
+            backward(self)
+
+        monkeypatch.setattr(Tensor, "backward", kept)
+        params, _ = train(dataset, plan, small_config(max_epochs=2))
+        assert len(losses) >= 2                 # a chunk per epoch at least
+        for loss in losses:
+            assert tape_dtypes(loss) == {np.dtype(np.float32)}
+        for p in params.all():
+            assert p.value.dtype == p.grad.dtype == np.float64, p.name
+
+    def test_scoring_is_float64(self, dataset, monkeypatch):
+        params = m.init_params(small_config().model_config(2))
+        pairs = featurize_samples(dataset[:6])
+        logits = []
+        forward = m.forward_chunk
+
+        def kept(chunk_pairs, chunk_params):
+            logits.append(forward(chunk_pairs, chunk_params))
+            return logits[-1]
+
+        monkeypatch.setattr(m, "forward_chunk", kept)
+        assert m.forward_pair(*pairs[0], params).value.dtype == np.float64
+        assert m.batch_logits(pairs, params).dtype == np.float64
+        assert m.predict(*pairs[0], params).dtype == np.float64
+        evaluate(params, pairs, [s.label for s in dataset[:6]], 2)
+        assert len(logits) >= 4
+        for out in logits:
+            assert tape_dtypes(out) == {np.dtype(np.float64)}
