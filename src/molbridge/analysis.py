@@ -5,6 +5,9 @@ block-diagonal graphs: symmetric degree-normalized propagation (the
 classic averaging operator, no residuals) versus randomly initialized
 GFormer layers. Collapse is measured as mean pairwise cosine similarity
 of node rows at each depth.
+
+Path lengths are one BFS over a featured graph's neighbor lists; distance
+strata take them from the scored split's graphs, once per graph object.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from . import model as m
 from .autodiff import Tensor
 from .errors import KExceedsEdgesError
 from .metrics import stratified_metrics
-from .smiles import Molecule
+from .smiles import FeaturedGraph, Molecule, featurize
 
 
 # ---------------------------------------------------------------------- #
@@ -31,12 +34,14 @@ def avg_shortest_path(mol: Molecule) -> float:
     Disconnected molecules average within-component pairs only; a single
     atom (or no reachable pairs at all) gives 0.
     """
-    n = len(mol.atoms)
-    if n == 1:
-        return 0.0
-    adj = mol.neighbor_lists()
-    total = 0
-    pairs = 0
+    return graph_path_mean(featurize(mol))
+
+
+def graph_path_mean(g: FeaturedGraph) -> float:
+    """avg_shortest_path of a featured graph: BFS over its neighbor lists."""
+    adj = [np.flatnonzero(row).tolist() for row in g.adjacency]
+    n = len(adj)
+    total = pairs = 0
     for src in range(n):
         dist = [-1] * n
         dist[src] = 0
@@ -66,17 +71,18 @@ class DistanceStrata:
     per_stratum: list[dict[str, float] | None]  # None for empty strata
 
 
-def pair_distance_statistic(mol_1: Molecule, mol_2: Molecule,
-                            combine: str = "pair_mean") -> float:
-    """Per-sample path-length statistic.
+def pair_distance_statistic(g_1: FeaturedGraph, g_2: FeaturedGraph,
+                            combine: str = "pair_mean",
+                            path_mean=graph_path_mean) -> float:
+    """Per-sample path-length statistic, path_mean giving each drug's.
 
     pair_mean averages the two drugs' values; first uses only drug one,
     for checking how sensitive strata are to that choice.
     """
     if combine == "pair_mean":
-        return 0.5 * (avg_shortest_path(mol_1) + avg_shortest_path(mol_2))
+        return 0.5 * (path_mean(g_1) + path_mean(g_2))
     if combine == "first":
-        return avg_shortest_path(mol_1)
+        return path_mean(g_1)
     raise ValueError(f"unknown combine rule {combine!r}")
 
 
@@ -96,14 +102,21 @@ def assign_stratum(value: float, boundaries: np.ndarray) -> int:
     return len(boundaries)
 
 
-def stratify_by_distance(mols: list[tuple[Molecule, Molecule]],
+def stratify_by_distance(pairs: list[tuple[FeaturedGraph, FeaturedGraph]],
                          preds: list[int], labels: list[int],
                          n_classes: int, quantiles: int = 5,
                          combine: str = "pair_mean") -> DistanceStrata:
     """Quintile the samples by path-length statistic and score each
     stratum with the macro metrics over the labels it contains."""
-    stats = np.array([pair_distance_statistic(m1, m2, combine)
-                      for m1, m2 in mols])
+    known: dict[int, float] = {}    # by graph object, one per SMILES
+
+    def path_mean(g: FeaturedGraph) -> float:
+        if id(g) not in known:
+            known[id(g)] = graph_path_mean(g)
+        return known[id(g)]
+
+    stats = np.array([pair_distance_statistic(g1, g2, combine, path_mean)
+                      for g1, g2 in pairs])
     boundaries = quantile_boundaries(stats, quantiles)
     assignments = np.array([assign_stratum(v, boundaries) for v in stats])
     per_stratum: list[dict[str, float] | None] = []

@@ -26,9 +26,9 @@ import numpy as np
 from . import analysis, model
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import dataset_digest, featurize_samples, load_dataset, read_utf8
-from .errors import MolBridgeError, SmilesError
+from .errors import LabelOutOfRangeError, MolBridgeError, SmilesError
 from .metrics import accumulate, format_metrics, macro_metrics, stratified_metrics
-from .smiles import featurize_smiles, parse_smiles
+from .smiles import featurize_smiles
 from .splits import MODES, N_FOLDS, make_splits
 from .train import SELECTION_METRICS, TrainConfig, predict_labels, train
 
@@ -52,11 +52,8 @@ def main(argv: list[str]) -> int:
     except SmilesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MolBridgeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (MolBridgeError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 
@@ -240,14 +237,20 @@ def _write_manifest(run_dir: Path, args, outputs: dict[str, str],
 
 
 def _score_split(args):
-    """Load the checkpoint, then the dataset; score the chosen split.
-    Returns the parameters, the split's samples and their predictions."""
+    """Load the checkpoint, then the dataset, and score the chosen split:
+    the parameters and the split's graph pairs, labels and predictions."""
     params, _ = load_checkpoint(args.checkpoint)
     samples = load_dataset(args.data).samples
     if args.split != "all":
         plan = make_splits(samples, args.mode, args.fold, args.seed)
         samples = [samples[i] for i in getattr(plan, args.split)]
-    return params, samples, predict_labels(params, featurize_samples(samples))
+    labels = [s.label for s in samples]
+    if max(labels, default=0) >= params.config.classes:
+        raise LabelOutOfRangeError(
+            f"label {max(labels)} is outside the checkpoint's "
+            f"{params.config.classes} classes")
+    pairs = featurize_samples(samples)
+    return params, pairs, labels, predict_labels(params, pairs)
 
 
 def _pair_graphs(args):
@@ -336,8 +339,7 @@ def cmd_eval(args) -> int:
                   "comma-separated integers", file=sys.stderr)
             return 2
 
-    params, chosen, preds = _score_split(args)
-    labels = [s.label for s in chosen]
+    params, _, labels, preds = _score_split(args)
     n_classes = params.config.classes
     if subset is None:
         values = macro_metrics(accumulate(preds, labels, n_classes))
@@ -380,12 +382,9 @@ def cmd_oversmooth(args) -> int:
 
 
 def cmd_distance(args) -> int:
-    params, chosen, preds = _score_split(args)
-    labels = [s.label for s in chosen]
-    mols = [(parse_smiles(s.smiles_1), parse_smiles(s.smiles_2))
-            for s in chosen]
+    params, pairs, labels, preds = _score_split(args)
     strata = analysis.stratify_by_distance(
-        mols, preds, labels, params.config.classes,
+        pairs, preds, labels, params.config.classes,
         quantiles=args.quantiles, combine=args.combine)
 
     run_dir = _resolve_out(args.out, "distance")
@@ -412,12 +411,11 @@ def cmd_distance(args) -> int:
 def cmd_edges(args) -> int:
     params, g1, g2 = _pair_graphs(args)
     from .joint import build_joint, refine
-    joint = build_joint(g1, g2)
-    refined = refine(joint, params.proj_w, params.proj_b, params.w_q,
-                     params.w_k, params.config.heads, params.theta)
+    refined = refine(build_joint(g1, g2), params.proj_w, params.proj_b,
+                     params.w_q, params.w_k, params.config.heads, params.theta)
     model.require_finite(refined.combined.value)
-    k = min(args.k, joint.boundary * (joint.adjacency.shape[0] - joint.boundary))
-    edges = analysis.top_edges(refined.combined.value, k, joint.boundary)
+    k = min(args.k, g1.n_atoms * g2.n_atoms)
+    edges = analysis.top_edges(refined.combined.value, k, g1.n_atoms)
 
     run_dir = _resolve_out(args.out, "edges")
     path = run_dir / "edges.csv"

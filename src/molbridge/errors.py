@@ -54,7 +54,7 @@ class NonFiniteActivationError(MolBridgeError, FloatingPointError):
 # --- graph construction / model -------------------------------------- #
 
 class SizeCapExceededError(MolBridgeError, ValueError):
-    """Combined atom count of a drug pair exceeds the joint-graph cap."""
+    """A pair's joint graph, or the model a config implies, exceeds its cap."""
 
 
 class HeadsNotDividingError(MolBridgeError, ValueError):

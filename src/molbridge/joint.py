@@ -6,14 +6,14 @@ atom pairs with multi-head attention (weights only, no value path), and
 blend the attention matrix with the bonded adjacency through a learned
 scalar gate.
 
-Several pairs run together as a chunk: each pair's joint graph is padded
-to the chunk's largest size N and the blocks are stacked, so every value
-stays a matrix. For B pairs the features are (B*N) x d, each adjacency
-is (B*N) x N with rows [b*N, (b+1)*N) holding block b, and a B x N mask
-marks the real atoms. Padding rows have zero features and no bonds, and
-attention gives them no weight, so a real atom never reads a padding
-row. A single pair is the chunk with B = 1 and no padding: n x d
-features and an n x n adjacency.
+Pairs run together as a chunk, written straight from their featured
+graphs: each pair's joint graph, drug one's atoms first, is padded to the
+chunk's largest size N. For B pairs the features are (B*N) x d, each
+adjacency is (B*N) x N with rows [b*N, (b+1)*N) holding block b, and a
+B x N mask marks the real atoms. Padding rows have zero features and no
+bonds, and attention gives them no weight, so a real atom never reads a
+padding row. A single pair (build_joint) is the chunk with B = 1 and no
+padding: n x d features and an n x n adjacency.
 """
 
 from __future__ import annotations
@@ -30,24 +30,6 @@ from .smiles import FeaturedGraph
 
 # Joint graph size cap: two drugs of at most 50 atoms each.
 SIZE_CAP = 100
-
-
-@dataclass
-class JointGraph:
-    """Stacked features, block-diagonal adjacency, and the block boundary.
-
-    boundary is the index of the first atom of the second drug, so rows
-    [0, boundary) belong to drug one and [boundary, N) to drug two.
-    """
-
-    features: np.ndarray
-    adjacency: np.ndarray
-    boundary: int
-
-    @property
-    def mask(self) -> np.ndarray:
-        """1 x N, all real atoms: one pair is a chunk with no padding."""
-        return np.ones((1, self.adjacency.shape[0]), dtype=bool)
 
 
 @dataclass
@@ -69,31 +51,28 @@ class RefinedAdjacency:
     alpha: Tensor           # 1x1, in (0, 1)
 
 
-def build_joint(g_i: FeaturedGraph, g_j: FeaturedGraph) -> JointGraph:
-    """Stack two featured graphs into one block-diagonal joint graph."""
-    n_i, n_j = g_i.n_atoms, g_j.n_atoms
-    if n_i + n_j > SIZE_CAP:
+def build_joint(g_i: FeaturedGraph, g_j: FeaturedGraph) -> JointChunk:
+    """One pair's block-diagonal joint graph: the chunk of that pair alone."""
+    return stack_joints([(g_i, g_j)], np.float64)
+
+
+def stack_joints(pairs: list[tuple[FeaturedGraph, FeaturedGraph]],
+                 dtype) -> JointChunk:
+    """Pad every pair's joint graph to the largest and stack them in dtype."""
+    sizes = [g_i.n_atoms + g_j.n_atoms for g_i, g_j in pairs]
+    n = max(sizes)
+    if n > SIZE_CAP:
         raise SizeCapExceededError(
-            f"joint graph has {n_i + n_j} atoms, cap is {SIZE_CAP}")
-    features = np.vstack([g_i.features, g_j.features])
-    n = n_i + n_j
-    adjacency = np.zeros((n, n), dtype=np.float64)
-    adjacency[:n_i, :n_i] = g_i.adjacency
-    adjacency[n_i:, n_i:] = g_j.adjacency
-    return JointGraph(features, adjacency, n_i)
-
-
-def stack_joints(joints: list[JointGraph], dtype) -> JointChunk:
-    """Pad every joint graph to the largest and stack them in dtype."""
-    n = max(j.adjacency.shape[0] for j in joints)
-    features = np.zeros((len(joints) * n, joints[0].features.shape[1]), dtype)
-    adjacency = np.zeros((len(joints) * n, n), dtype)
-    mask = np.zeros((len(joints), n), dtype=bool)
-    for b, joint in enumerate(joints):
-        size = joint.adjacency.shape[0]
-        features[b * n:b * n + size] = joint.features
-        adjacency[b * n:b * n + size, :size] = joint.adjacency
-        mask[b, :size] = True
+            f"joint graph has {n} atoms, cap is {SIZE_CAP}")
+    features = np.zeros((len(pairs) * n, pairs[0][0].features.shape[1]), dtype)
+    adjacency = np.zeros((len(pairs) * n, n), dtype)
+    mask = np.arange(n) < np.array(sizes)[:, None]
+    for b, ((g_i, g_j), size) in enumerate(zip(pairs, sizes)):
+        top, k = b * n, g_i.n_atoms
+        features[top:top + k] = g_i.features
+        features[top + k:top + size] = g_j.features
+        adjacency[top:top + k, :k] = g_i.adjacency
+        adjacency[top + k:top + size, k:size] = g_j.adjacency
     return JointChunk(features, adjacency, mask)
 
 
@@ -203,13 +182,10 @@ def integrate(a_prime: Tensor, a_r: Tensor, theta: Param) -> tuple[Tensor, Tenso
     return combined, alpha
 
 
-def refine(joint: JointGraph | JointChunk, proj_w: Param, proj_b: Param,
-           w_q: Param, w_k: Param, heads: int,
-           theta: Param) -> RefinedAdjacency:
-    """Run projection, attention, and integration on one joint graph or
-    on a chunk of them."""
-    features = Tensor(joint.features)
-    h = project(features, proj_w, proj_b)
+def refine(joint: JointChunk, proj_w: Param, proj_b: Param, w_q: Param,
+           w_k: Param, heads: int, theta: Param) -> RefinedAdjacency:
+    """Run projection, attention, and integration on a chunk."""
+    h = project(Tensor(joint.features), proj_w, proj_b)
     a_r = cross_attention(h, w_q, w_k, heads, joint.mask)
     combined, alpha = integrate(Tensor(joint.adjacency), a_r, theta)
     return RefinedAdjacency(h, a_r, combined, alpha)

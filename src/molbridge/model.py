@@ -34,6 +34,7 @@ from .errors import (
     LabelOutOfRangeError,
     NonFiniteActivationError,
     ShapeMismatchError,
+    SizeCapExceededError,
 )
 from .smiles import FEATURE_DIM, FeaturedGraph
 
@@ -47,6 +48,11 @@ CHUNK_ROWS = 512
 # 3-50-atom drug pairs (default model, 1 BLAS thread, 2 cores) a helper's
 # fork cost about 10 ms and paid off from 250k; larger processes fork slower.
 FORK_COST = 300_000
+
+# Most values a ModelConfig may imply: its parameters plus one chunk's layer
+# outputs (0.16M for the default model). Training keeps several arrays of
+# each, so 2^24 keeps a run to a few GB; more is refused before allocating.
+MAX_MODEL_VALUES = 2 ** 24
 
 
 @dataclass
@@ -69,6 +75,13 @@ class ModelConfig:
         if self.dim % self.heads != 0:
             raise HeadsNotDividingError(
                 f"{self.heads} heads do not divide dim {self.dim}")
+        d, h = self.dim, self.d_hid
+        size = (self.feature_dim + 2 * d + 1) * d + 1 \
+            + (d + 1) * (d + self.classes) \
+            + self.layers * (2 * d * h + h + 5 * d + CHUNK_ROWS * (d + h))
+        if size > MAX_MODEL_VALUES:
+            raise SizeCapExceededError(
+                f"the model implies {size} values, cap is {MAX_MODEL_VALUES}")
 
 
 @dataclass
@@ -279,8 +292,7 @@ def forward_chunk(pairs: list[tuple[FeaturedGraph, FeaturedGraph]],
                   params: ModelParams) -> Tensor:
     """Full pipeline up to class logits (B x C, row b for pairs[b]) on
     the pairs padded to one chunk."""
-    joint = jg.stack_joints([jg.build_joint(g_i, g_j) for g_i, g_j in pairs],
-                            params.proj_w.value.dtype)
+    joint = jg.stack_joints(pairs, params.proj_w.value.dtype)
     refined = jg.refine(joint, params.proj_w, params.proj_b,
                         params.w_q, params.w_k, params.config.heads,
                         params.theta)

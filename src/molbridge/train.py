@@ -130,10 +130,10 @@ def train(samples: list[DDISample], plan: SplitPlan,
             f"the train split of {len(samples)} samples is empty; "
             "nothing to train on")
     n_classes = 1 + max(s.label for s in samples)
+    params = m.init_params(config.model_config(n_classes))
     pairs = featurize_samples(samples)
     labels = [s.label for s in samples]
 
-    params = m.init_params(config.model_config(n_classes))
     plist = params.all()
     fast = copy.deepcopy(params)    # the float32 copy every chunk runs on
     flist = fast.all()

@@ -1,10 +1,16 @@
 import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import hypothesis
 import numpy as np
 import pytest
 
 from molbridge.autodiff import Tensor
+
+ROOT = Path(__file__).resolve().parents[1]
 
 hypothesis.settings.register_profile(
     "ci", derandomize=True, deadline=None, max_examples=25)
@@ -59,3 +65,27 @@ def probe_loss(x: Tensor, probe) -> Tensor:
         x._add_grad(probe * grad)
 
     return Tensor._result((x.value * probe).sum(keepdims=True), (x,), backward)
+
+
+def run_cli(*argv: str, memory_cap: int | None = None):
+    """`python -m molbridge *argv` in a fresh interpreter, with src on
+    PYTHONPATH as test_scripts.run_script sets it; returns the completed
+    process with text stdout and stderr.
+
+    memory_cap (bytes) caps the child's address space, so a run that
+    asks for a huge array fails fast instead of allocating gigabytes.
+    BLAS then runs one thread: each extra thread reserves tens of MB.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    limit = None
+    if memory_cap is not None:
+        env["OPENBLAS_NUM_THREADS"] = "1"
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (memory_cap, memory_cap))
+
+    return subprocess.run([sys.executable, "-m", "molbridge", *argv],
+                          capture_output=True, text=True, env=env,
+                          preexec_fn=limit)

@@ -159,7 +159,7 @@ def test_criterion_3_structural_invariants():
         i, j = rng.choice(len(graphs), 2)
         g1, g2 = graphs[i], graphs[j]
         joint = build_joint(g1, g2)
-        b = joint.boundary
+        b = g1.n_atoms
         if np.any(joint.adjacency[:b, b:]) or np.any(joint.adjacency[b:, :b]):
             block_ok = False
         refined = refine(joint, params.proj_w, params.proj_b, params.w_q,

@@ -11,7 +11,7 @@ from molbridge.analysis import (
     top_edges,
 )
 from molbridge.errors import KExceedsEdgesError
-from molbridge.smiles import parse_smiles
+from molbridge.smiles import featurize_smiles, parse_smiles
 
 from conftest import CORPUS
 
@@ -75,34 +75,49 @@ class TestQuantiles:
         assert assign_stratum(9.0, boundaries) == 4
 
     def test_identical_statistics_collapse_to_stratum_zero(self):
-        mols = [(parse_smiles("CC"), parse_smiles("CC")) for _ in range(6)]
-        strata = stratify_by_distance(mols, [0] * 6, [0] * 6, 2)
+        pairs = [(featurize_smiles("CC"), featurize_smiles("CC"))
+                 for _ in range(6)]
+        strata = stratify_by_distance(pairs, [0] * 6, [0] * 6, 2)
         assert np.all(strata.assignments == 0)
         assert strata.per_stratum[0] is not None
         assert all(s is None for s in strata.per_stratum[1:])
 
     def test_five_distinct_statistics_one_per_stratum(self):
         texts = ["CC", "CCC", "CCCC", "CCCCC", "CCCCCC"]
-        mols = [(parse_smiles(t), parse_smiles(t)) for t in texts]
-        strata = stratify_by_distance(mols, [0] * 5, [0] * 5, 1)
+        pairs = [(featurize_smiles(t), featurize_smiles(t)) for t in texts]
+        strata = stratify_by_distance(pairs, [0] * 5, [0] * 5, 1)
         assert sorted(strata.assignments.tolist()) == [0, 1, 2, 3, 4]
 
     def test_partition_covers_all_samples(self):
         rng = np.random.default_rng(3)
         texts = [CORPUS[i] for i in rng.integers(0, len(CORPUS), 20)]
-        mols = [(parse_smiles(t), parse_smiles(texts[(i + 1) % 20]))
-                for i, t in enumerate(texts)]
+        pairs = [(featurize_smiles(t), featurize_smiles(texts[(i + 1) % 20]))
+                 for i, t in enumerate(texts)]
         preds = rng.integers(0, 2, 20).tolist()
         labels = rng.integers(0, 2, 20).tolist()
-        strata = stratify_by_distance(mols, preds, labels, 2)
+        strata = stratify_by_distance(pairs, preds, labels, 2)
         counts = [int((strata.assignments == k).sum()) for k in range(5)]
         assert sum(counts) == 20
 
+    @pytest.mark.parametrize("combine", ["pair_mean", "first"])
+    def test_statistics_equal_avg_shortest_path_on_corpus(self, combine):
+        texts = list(zip(CORPUS, CORPUS[1:] + CORPUS[:1]))
+        graphs = {text: featurize_smiles(text) for text in CORPUS}
+        pairs = [(graphs[a], graphs[b]) for a, b in texts]
+        strata = stratify_by_distance(pairs, [0] * len(pairs),
+                                      [0] * len(pairs), 2, combine=combine)
+        for (a, b), stat in zip(texts, strata.statistics):
+            p1 = avg_shortest_path(parse_smiles(a))
+            p2 = avg_shortest_path(parse_smiles(b))
+            assert stat == (0.5 * (p1 + p2) if combine == "pair_mean"
+                            else p1), (a, b)
+
     def test_pair_mean_vs_first_statistic(self):
-        m1, m2 = parse_smiles("CCCC"), parse_smiles("C")
+        g1, g2 = featurize_smiles("CCCC"), featurize_smiles("C")
         from molbridge.analysis import pair_distance_statistic
-        pm = pair_distance_statistic(m1, m2, "pair_mean")
-        first = pair_distance_statistic(m1, m2, "first")
+        pm = pair_distance_statistic(g1, g2, "pair_mean")
+        first = pair_distance_statistic(g1, g2, "first")
+        m1 = parse_smiles("CCCC")
         assert pm == pytest.approx(0.5 * avg_shortest_path(m1))
         assert first == pytest.approx(avg_shortest_path(m1))
 

@@ -109,6 +109,10 @@ MALFORMED = {
         raw, lambda h: h["model_config"].update(dim=8.5)),
     "zero_heads": lambda raw: _edit_header(
         raw, lambda h: h["model_config"].update(heads=0)),
+    # refused before any allocation; the 954 GiB request fails at once
+    # even if that regresses
+    "huge_d_hid": lambda raw: _edit_header(
+        raw, lambda h: h["model_config"].update(d_hid=4_000_000_000)),
     "missing_params": lambda raw: _edit_header(
         raw, lambda h: h.pop("params")),
     "negative_offset": lambda raw: _edit_header(

@@ -1,21 +1,18 @@
 import json
-import os
 import struct
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import pytest
 
+from molbridge import analysis, cli
 from molbridge.checkpoint import load_checkpoint, save_checkpoint
 from molbridge.cli import main, read_config_file
-from molbridge.data import dataset_digest
+from molbridge.data import dataset_digest, load_dataset
 from molbridge.errors import MolBridgeError
 from molbridge.synthetic import make_two_class_dataset, write_dataset
 from molbridge.train import TrainConfig
 
-ROOT = Path(__file__).resolve().parents[1]
+from conftest import run_cli
 
 TRAIN_FLAGS = ["--epochs", "2", "--dim", "8", "--heads", "2",
                "--batch", "16", "--layers", "2", "--d-hid", "16"]
@@ -339,6 +336,24 @@ class TestEvalCommand:
             "dataset_digest": dataset_digest(data_path), "split": "val",
             "mode": "s2", "fold": 3, "seed": 5, "labels": "0,1"})
 
+    @pytest.mark.parametrize("command", [["eval"], ["analyze", "distance"]],
+                             ids=["eval", "distance"])
+    def test_label_past_checkpoint_classes_fails_before_scoring(
+            self, command, run_dir, data_path, tmp_path, monkeypatch, capsys):
+        wide = tmp_path / "wide.csv"
+        wide.write_text(data_path.read_text() + "CCO,CCN,85\nCC,CO,7\n")
+
+        def scored(*args, **kwargs):
+            raise AssertionError("the split was scored")
+
+        monkeypatch.setattr(cli, "predict_labels", scored)
+        assert main([*command, "--checkpoint", str(run_dir / "best.ckpt"),
+                     "--data", str(wide), "--split", "all",
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == \
+            "error: label 85 is outside the checkpoint's 2 classes\n"
+        assert not (tmp_path / "out").exists()
+
     def test_bad_checkpoint_path(self, data_path, tmp_path, capsys):
         code = main(["eval", "--checkpoint", str(tmp_path / "no.ckpt"),
                      "--data", str(data_path)])
@@ -418,14 +433,8 @@ class TestNonFiniteForward:
     def test_stderr_is_one_error_line(self, command, run_dir, data_path,
                                       tmp_path):
         # in a fresh process, where numpy's warnings would reach stderr
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-m", "molbridge",
-             *self.argv(command, "proj.weight", run_dir, data_path,
-                        tmp_path)],
-            capture_output=True, text=True, env=env)
+        proc = run_cli(*self.argv(command, "proj.weight", run_dir, data_path,
+                                  tmp_path))
         assert (proc.returncode, proc.stdout, proc.stderr) == \
             (1, "", self.ERROR)
         assert not (tmp_path / "out" / "edges.csv").exists()
@@ -459,6 +468,26 @@ class TestAnalyzeCommands:
             "mode": "transductive", "fold": 0, "seed": 42, "quantiles": 5,
             "combine": "pair_mean"})
 
+    def test_distance_path_length_once_per_drug(self, run_dir, data_path,
+                                                tmp_path, monkeypatch,
+                                                capsys):
+        seen = []
+        path_mean = analysis.graph_path_mean
+
+        def counted(g):
+            seen.append(id(g))
+            return path_mean(g)
+
+        monkeypatch.setattr(analysis, "graph_path_mean", counted)
+        rows = load_dataset(data_path).samples
+        drugs = {s for row in rows for s in (row.smiles_1, row.smiles_2)}
+        assert len(drugs) < 2 * len(rows)       # the rows repeat drugs
+        assert main(["analyze", "distance", "--checkpoint",
+                     str(run_dir / "best.ckpt"), "--data", str(data_path),
+                     "--split", "all", "--out", str(tmp_path / "dist")]) == 0
+        capsys.readouterr()
+        assert len(seen) == len(set(seen)) == len(drugs)
+
     def test_edges_report(self, run_dir, tmp_path, capsys):
         out = tmp_path / "edges"
         code = main(["analyze", "edges", "--checkpoint",
@@ -480,6 +509,56 @@ class TestAnalyzeCommands:
                      "2", "--trials", "2"])
         assert code == 0
         assert (tmp_path / "oversmooth-3" / "oversmooth.csv").is_file()
+
+
+def assert_one_error(proc, code: int, text: str) -> None:
+    """A fresh CLI process failed with code, one `error:` line holding
+    text, and no traceback."""
+    errors = [line for line in proc.stderr.splitlines()
+              if line.startswith("error:")]
+    assert proc.returncode == code, proc.stderr
+    assert len(errors) == 1 and text in errors[0], proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+class TestHugeSizes:
+    """Sizes no host could hold end in one error line. Each runs in a
+    fresh process capped at 1 GiB of address space, so a regression that
+    allocates fails fast instead of taking the host's memory."""
+
+    CAP = 2 ** 30
+
+    @pytest.mark.parametrize("flags", [
+        ["--d-hid", "4000000000"], ["--dim", "20000"],
+        ["--layers", "1000000000000"]], ids=["d_hid", "dim", "layers"])
+    def test_train_model_size(self, flags, data_path, tmp_path):
+        proc = run_cli("train", "--data", str(data_path), *flags,
+                       "--out", str(tmp_path / "run"), memory_cap=self.CAP)
+        assert_one_error(proc, 1, "values, cap is 16777216")
+        assert not (tmp_path / "run").exists()
+
+    def test_checkpoint_header_model_size(self, run_dir, tmp_path):
+        raw = (run_dir / "best.ckpt").read_bytes()
+        (size,) = struct.unpack("<I", raw[12:16])
+        header = json.loads(raw[16:16 + size])
+        header["model_config"]["d_hid"] = 4_000_000_000
+        body = json.dumps(header, sort_keys=True).encode("utf-8")
+        ckpt = tmp_path / "huge.ckpt"
+        ckpt.write_bytes(raw[:12] + struct.pack("<I", len(body)) + body
+                         + raw[16 + size:])
+        proc = run_cli("predict", "--checkpoint", str(ckpt), "CCO", "CCN",
+                       memory_cap=self.CAP)
+        assert_one_error(proc, 1, "bad model_config: the model implies")
+
+    @pytest.mark.parametrize("flags", [
+        ["--trials", "1000000000000"],
+        ["--depth", "1000000000000", "--trials", "1"]],
+        ids=["trials", "depth"])
+    def test_oversmooth_out_of_memory(self, flags, tmp_path):
+        proc = run_cli("analyze", "oversmooth", *flags,
+                       "--out", str(tmp_path / "os"), memory_cap=self.CAP)
+        assert_one_error(proc, 1, "Unable to allocate")
+        assert not (tmp_path / "os").exists()
 
 
 BAD_NUMBERS = [
@@ -567,11 +646,7 @@ class TestParsing:
             read_config_file(path)
 
     def test_module_entry_help(self):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-m", "molbridge", "--help"],
-            capture_output=True, text=True, env=env)
+        proc = run_cli("--help")
         assert proc.returncode == 0
         assert "train" in proc.stdout
+        assert "Traceback" not in proc.stderr

@@ -17,6 +17,7 @@ from molbridge.joint import (
     cross_attention,
     integrate,
     project,
+    stack_joints,
 )
 from molbridge.smiles import FEATURE_DIM, FeaturedGraph, featurize, parse_smiles
 
@@ -29,11 +30,12 @@ def graph(text):
 
 class TestBuildJoint:
     def test_two_single_atoms(self):
-        joint = build_joint(graph("C"), graph("O"))
+        g1 = graph("C")
+        joint = build_joint(g1, graph("O"))
         assert joint.adjacency.shape == (2, 2)
         assert np.all(joint.adjacency == 0.0)
         assert joint.features.shape == (2, FEATURE_DIM)
-        assert joint.boundary == 1
+        assert g1.n_atoms == 1
 
     def test_hand_placed_blocks(self):
         joint = build_joint(graph("CCO"), graph("C"))
@@ -53,8 +55,9 @@ class TestBuildJoint:
         rng = np.random.default_rng(0)
         for _ in range(100):
             a, b = rng.choice(len(CORPUS), size=2)
-            joint = build_joint(graph(CORPUS[a]), graph(CORPUS[b]))
-            k = joint.boundary
+            g1 = graph(CORPUS[a])
+            joint = build_joint(g1, graph(CORPUS[b]))
+            k = g1.n_atoms
             assert np.all(joint.adjacency[:k, k:] == 0.0)
             assert np.all(joint.adjacency[k:, :k] == 0.0)
 
@@ -63,6 +66,41 @@ class TestBuildJoint:
         with pytest.raises(SizeCapExceededError):
             build_joint(big, big)
         assert 2 * 60 > SIZE_CAP
+
+
+class TestStackJoints:
+    PAIRS = [("CCO", "C"), ("c1ccccc1", "CC(=O)O"), ("N", "O"),
+             ("CCCCCCCCCCCC", "C1CC1"), ("CC(C)C", "CC(C)C")]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_mixed_sizes(self, dtype):
+        pairs = [(graph(a), graph(b)) for a, b in self.PAIRS]
+        sizes = [g1.n_atoms + g2.n_atoms for g1, g2 in pairs]
+        n = max(sizes)
+        chunk = stack_joints(pairs, dtype)
+        assert chunk.features.shape == (len(pairs) * n, FEATURE_DIM)
+        assert chunk.adjacency.shape == (len(pairs) * n, n)
+        assert chunk.features.dtype == chunk.adjacency.dtype == dtype
+        for b, ((g1, g2), size) in enumerate(zip(pairs, sizes)):
+            one = build_joint(g1, g2)
+            assert np.array_equal(one.features,
+                                  np.vstack([g1.features, g2.features]))
+            block = chunk.adjacency[b * n:(b + 1) * n]
+            real = slice(b * n, b * n + size)
+            assert np.array_equal(chunk.features[real], one.features)
+            assert np.array_equal(block[:size, :size], one.adjacency)
+            assert not chunk.features[b * n + size:(b + 1) * n].any()
+            assert not block[size:].any() and not block[:, size:].any()
+            assert chunk.mask[b].tolist() == \
+                [True] * size + [False] * (n - size)
+
+    def test_oversized_pair_names_its_size(self):
+        big = FeaturedGraph(np.zeros((90, FEATURE_DIM)), np.zeros((90, 90)))
+        pairs = [(graph("CC"), graph("O")), (big, graph("CCCCCCCCCCCC")),
+                 (graph("N"), graph("C"))]
+        with pytest.raises(SizeCapExceededError, match=f"joint graph has "
+                           f"102 atoms, cap is {SIZE_CAP}"):
+            stack_joints(pairs, np.float64)
 
 
 class TestProject:

@@ -10,7 +10,9 @@ from molbridge.autodiff import Param, Tensor
 from molbridge.errors import (
     HeadsNotDividingError,
     LabelOutOfRangeError,
+    MolBridgeError,
     ShapeMismatchError,
+    SizeCapExceededError,
 )
 from molbridge.smiles import FEATURE_DIM, FeaturedGraph, featurize, parse_smiles
 
@@ -409,6 +411,34 @@ class TestConfig:
     def test_heads_must_divide(self):
         with pytest.raises(HeadsNotDividingError):
             mb.ModelConfig(dim=10, heads=4)
+
+    @pytest.mark.parametrize("fields", [
+        {"d_hid": 4_000_000_000}, {"dim": 20_000},
+        {"layers": 1_000_000_000_000}, {"classes": 10**9},
+        {"feature_dim": 10**9}],
+        ids=["d_hid", "dim", "layers", "classes", "feature_dim"])
+    def test_size_cap(self, fields):
+        with pytest.raises(SizeCapExceededError,
+                           match="values, cap is 16777216") as info:
+            mb.ModelConfig(**fields)
+        assert isinstance(info.value, MolBridgeError)
+        assert isinstance(info.value, ValueError)
+
+    @pytest.mark.parametrize("fields", [
+        {}, {"dim": 8, "heads": 2, "layers": 2, "d_hid": 16, "classes": 5},
+        {"layers": 1, "d_hid": 7, "classes": 86}])
+    def test_size_is_params_and_one_chunk(self, fields, monkeypatch):
+        config = mb.ModelConfig(**fields)
+        size = sum(p.value.size for p in mb.init_params(config).all()) \
+            + mb.CHUNK_ROWS * config.layers * (config.dim + config.d_hid)
+        monkeypatch.setattr(mb, "MAX_MODEL_VALUES", size)
+        mb.ModelConfig(**fields)
+        monkeypatch.setattr(mb, "MAX_MODEL_VALUES", size - 1)
+        with pytest.raises(SizeCapExceededError, match=f"implies {size} "):
+            mb.ModelConfig(**fields)
+
+    def test_large_model_within_cap(self):
+        mb.ModelConfig(dim=256, heads=8, layers=6, d_hid=1024, classes=86)
 
     def test_d_hid_default(self):
         assert mb.ModelConfig(dim=16, heads=4).d_hid == 32
