@@ -46,7 +46,6 @@ VERSION = 2
 def save_checkpoint(path, params: ModelParams, extra: dict | None = None) -> None:
     entries = []
     offset = 0
-    chunks = []
     for name, p in params.named():
         if not np.all(np.isfinite(p.value)):
             # the loader refuses such a file, so none is written
@@ -54,7 +53,6 @@ def save_checkpoint(path, params: ModelParams, extra: dict | None = None) -> Non
         rows, cols = p.shape
         entries.append({"name": name, "rows": rows, "cols": cols,
                         "offset": offset})
-        chunks.append(np.ascontiguousarray(p.value, dtype="<f8").tobytes())
         offset += rows * cols
     header = {
         "model_config": dataclasses.asdict(params.config),
@@ -68,8 +66,7 @@ def save_checkpoint(path, params: ModelParams, extra: dict | None = None) -> Non
         fh.write(struct.pack("<I", VERSION))
         fh.write(struct.pack("<I", len(header_bytes)))
         fh.write(header_bytes)
-        for chunk in chunks:
-            fh.write(chunk)
+        fh.write(params.values.astype("<f8").tobytes())
 
 
 def _reject_constant(token: str):

@@ -26,8 +26,10 @@ import numpy as np
 from . import analysis, model
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import dataset_digest, featurize_samples, load_dataset, read_utf8
-from .errors import LabelOutOfRangeError, MolBridgeError, SmilesError
-from .metrics import accumulate, format_metrics, macro_metrics, stratified_metrics
+from .errors import (
+    LabelOutOfRangeError, MalformedRowError, MolBridgeError, SmilesError)
+from .metrics import (
+    accumulate, check_subset, format_metrics, macro_metrics, stratified_metrics)
 from .smiles import featurize_smiles
 from .splits import MODES, N_FOLDS, make_splits
 from .train import SELECTION_METRICS, TrainConfig, predict_labels, train
@@ -236,9 +238,10 @@ def _write_manifest(run_dir: Path, args, outputs: dict[str, str],
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _score_split(args):
+def _score_split(args, subset=()):
     """Load the checkpoint, then the dataset, and score the chosen split:
-    the parameters and the split's graph pairs, labels and predictions."""
+    the parameters and the split's graph pairs, labels and predictions.
+    Labels and subset classes past the checkpoint's are refused first."""
     params, _ = load_checkpoint(args.checkpoint)
     samples = load_dataset(args.data).samples
     if args.split != "all":
@@ -249,6 +252,7 @@ def _score_split(args):
         raise LabelOutOfRangeError(
             f"label {max(labels)} is outside the checkpoint's "
             f"{params.config.classes} classes")
+    check_subset(subset, params.config.classes)
     pairs = featurize_samples(samples)
     return params, pairs, labels, predict_labels(params, pairs)
 
@@ -283,15 +287,17 @@ def cmd_train(args) -> int:
 
     # an unknown config key is a usage error, and config file values pass
     # the flags' checks too; a bad one, named by its line, or a setting
-    # TrainConfig refuses, is a usage error as well
+    # TrainConfig or the model refuses, is a usage error as well, before
+    # the dataset is read (train() checks the model at its class count)
     try:
         file_cfg = read_config_file(args.config) if args.config else {}
         given = {key: pick(key, kind) for key, kind, _ in TRAIN_SETTINGS}
         config = TrainConfig(**{
             field: given[key] for key, _, field in TRAIN_SETTINGS
             if field and given[key] is not None})
-    except MolBridgeError:
-        raise               # a config file that is not key=value text: exit 1
+        config.model_config(2)      # the fewest classes a dataset has
+    except MalformedRowError:
+        raise               # a config file that is not UTF-8 text: exit 1
     except (ValueError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -339,7 +345,7 @@ def cmd_eval(args) -> int:
                   "comma-separated integers", file=sys.stderr)
             return 2
 
-    params, _, labels, preds = _score_split(args)
+    params, _, labels, preds = _score_split(args, subset or ())
     n_classes = params.config.classes
     if subset is None:
         values = macro_metrics(accumulate(preds, labels, n_classes))

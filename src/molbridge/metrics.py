@@ -76,15 +76,20 @@ def macro_metrics(cm: ConfusionMatrix) -> dict[str, float]:
     return _metrics(cm)
 
 
+def check_subset(label_subset: Iterable[int], n_classes: int) -> None:
+    """Refuse a subset class outside [0, n_classes), the smallest first."""
+    for c in sorted(set(label_subset)):
+        if not 0 <= c < n_classes:
+            raise IndexOutOfRangeError(f"subset class {c} outside [0, {n_classes})")
+
+
 def stratified_metrics(preds: Sequence[int], labels: Sequence[int],
                        n_classes: int,
                        label_subset: Iterable[int]) -> dict[str, float]:
     subset = sorted(set(label_subset))
     if not subset:
         raise EmptySubsetError("label subset is empty")
-    for c in subset:
-        if not 0 <= c < n_classes:
-            raise IndexOutOfRangeError(f"subset class {c} outside [0, {n_classes})")
+    check_subset(subset, n_classes)
     keep = [i for i, t in enumerate(labels) if t in set(subset)]
     if not keep:
         raise NoMatchingSamplesError(

@@ -20,6 +20,7 @@ batch_logits cuts the chunks into slices of about equal cost
 from __future__ import annotations
 
 import contextlib
+import copy
 import functools
 from dataclasses import dataclass, field
 
@@ -102,6 +103,10 @@ class GFormerLayerParams:
 
 @dataclass
 class ModelParams:
+    """Every Param's value and grad are views into the one `values` and
+    `grads` vector, in all() order, so whole-model updates are single
+    array ops. Write a Param's value or grad in place; never rebind it."""
+
     config: ModelConfig
     proj_w: Param
     proj_b: Param
@@ -113,6 +118,26 @@ class ModelParams:
     head_b1: Param
     head_w2: Param
     head_b2: Param
+    values: np.ndarray = field(init=False, repr=False)
+    grads: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._lay_out(np.concatenate([p.value.ravel() for p in self.all()]))
+
+    def _lay_out(self, values: np.ndarray) -> None:
+        """Make every Param a view into values and into zeroed grads."""
+        self.values, self.grads = values, np.zeros_like(values)
+        params = self.all()
+        cuts = np.cumsum([p.value.size for p in params])[:-1]
+        for p, v, g in zip(params, np.split(values, cuts),
+                           np.split(self.grads, cuts)):
+            p.value, p.grad = v.reshape(p.shape), g.reshape(p.shape)
+
+    def astype(self, dtype) -> ModelParams:
+        """A copy in dtype, laid out alike, sharing no memory with self."""
+        twin = copy.deepcopy(self)
+        twin._lay_out(self.values.astype(dtype))
+        return twin
 
     def all(self) -> list[Param]:
         out = [self.proj_w, self.proj_b, self.w_q, self.w_k, self.theta]
@@ -343,7 +368,7 @@ def batch_logits(pairs: list[tuple[FeaturedGraph, FeaturedGraph]],
     sizes = joint_sizes(pairs)
     chunks = plan_chunks(sizes)
     costs = chunk_costs(sizes, chunks)
-    own = par.Helpers(params.all(), {"logits": functools.partial(
+    own = par.Helpers([params.values], {"logits": functools.partial(
         chunk_logits, pairs, params)}, sum(costs) >= FORK_COST)
     with (own if helpers is None else contextlib.nullcontext(helpers)) as pool:
         out = np.zeros((len(pairs), params.config.classes))

@@ -3,15 +3,15 @@
 A call's chunks are cut into contiguous slices of about equal estimated
 cost. The caller runs the first slice and one helper process each later
 one. Helpers are forked on first use and serve a whole training run or
-scoring call: a request carries the parameter values and the slice's
-chunks; pairs and labels are inherited at the fork.
+scoring call: a request carries the caller's parameter vectors and the
+slice's chunks; pairs and labels are inherited at the fork.
 
 Determinism: every chunk, the caller's own included, runs the same
 task, so a training chunk's gradient is always computed from zeroed
 buffers. Results come back per chunk and are taken in chunk order, so a
 caller that folds each as it comes (a loss into a running sum, a
-gradient into Param.grad) does the same float operations in the same
-order whatever the number of helpers.
+gradient into the gradient vector) does the same float operations in
+the same order whatever the number of helpers.
 
 Death: a helper's exception is re-raised in the caller at its chunk's
 place, with its class and message. A helper that dies, or whose reply
@@ -60,11 +60,11 @@ def split(costs, parts: int) -> list[range]:
 class Helpers:
     """processes() - 1 helpers for one run, as a context manager, or none
     if not fork. tasks maps a name to a function of one chunk, which a
-    helper runs after copying the request's parameter values into
-    params."""
+    helper runs after copying the caller's arrays, as they stand at the
+    request, into its own."""
 
-    def __init__(self, params, tasks: dict, fork: bool = True):
-        self.params, self.tasks = params, tasks
+    def __init__(self, arrays: list, tasks: dict, fork: bool = True):
+        self.arrays, self.tasks = arrays, tasks
         self.procs = None if fork else []
 
     def __enter__(self):
@@ -108,8 +108,8 @@ class Helpers:
         try:
             while True:
                 key, values, chunks = pickle.load(recv)
-                for p, value in zip(self.params, values):
-                    p.value[...] = value
+                for array, value in zip(self.arrays, values):
+                    array[...] = value
                 results, error = [], None
                 try:
                     for chunk in chunks:
@@ -129,14 +129,13 @@ class Helpers:
         if self.procs is None and len(chunks) > 1:
             self._start()
         slices = split(costs, 1 + len(self.procs or ()))
-        values = [p.value for p in self.params]
         asked = [(pid, send, recv, [chunks[i] for i in part]) for
                  (pid, send, recv), part in zip(self.procs or (), slices[1:])
                  if part]
         try:
             for pid, send, _, part in asked:
                 with _death_is_error(pid):
-                    pickle.dump((key, values, part), send)
+                    pickle.dump((key, self.arrays, part), send)
                     send.flush()
             for i in slices[0]:
                 yield self.tasks[key](chunks[i])

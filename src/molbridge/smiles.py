@@ -132,13 +132,6 @@ class Molecule:
                 raise ValueError(f"duplicate bond between atoms {key}")
             seen.add(key)
 
-    def neighbor_lists(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in self.atoms]
-        for bond in self.bonds:
-            adj[bond.a].append(bond.b)
-            adj[bond.b].append(bond.a)
-        return adj
-
 
 def _parse_charge(token: str | None) -> int:
     if token is None:

@@ -4,13 +4,14 @@ A batch's pairs are sorted by joint graph size and cut into chunks
 (model.plan_chunks). Each chunk is padded to its largest pair and runs
 one forward and one backward pass on a float32 copy of the parameters,
 all in float32: its mean cross-entropy, weighted by its share of the
-batch, and that loss's gradient from zero. The float64 master Params add the
-chunks' gradients up in chunk order, so only one chunk's tape is alive
-at a time, and the batch gets one float64 AdamW step on the gradient of
-its mean loss, after which the copy is refreshed from the masters.
-After every epoch the validation metrics are computed on the masters
-and the best parameters (by the configured selection metric, earliest
-epoch on ties) are kept.
+batch, and that loss's gradient vector from zero. The float64 masters
+add the chunks' gradient vectors up in chunk order, so only one chunk's
+tape is alive at a time, and the batch gets one float64 AdamW step on
+the gradient of its mean loss, after which the copy is refreshed from
+the masters. Each of these is one array op on the parameter vectors
+(ModelParams.values and .grads). After every epoch the validation
+metrics are computed on the masters and the best parameter vector (by
+the configured selection metric, earliest epoch on ties) is kept.
 
 The chunks are cut into contiguous slices of about equal cost
 (parallel.py): this process runs the first, helpers forked once per
@@ -21,7 +22,6 @@ split the same way on the same helpers.
 
 from __future__ import annotations
 
-import copy
 import csv
 import functools
 import math
@@ -31,7 +31,6 @@ import numpy as np
 
 from . import model as m
 from . import parallel as par
-from .autodiff import zero_grads
 from .data import DDISample, featurize_samples
 from .errors import EmptySplitError, TrainingAbortedError
 from .metrics import METRIC_KEYS, accumulate, macro_metrics
@@ -134,35 +133,31 @@ def train(samples: list[DDISample], plan: SplitPlan,
     pairs = featurize_samples(samples)
     labels = [s.label for s in samples]
 
-    plist = params.all()
-    fast = copy.deepcopy(params)    # the float32 copy every chunk runs on
-    flist = fast.all()
-    for f in flist:
-        f.value = f.value.astype(np.float32)
-        f.grad = np.zeros_like(f.value)
-    opt = AdamW(plist, lr=config.lr, weight_decay=config.weight_decay)
+    fast = params.astype(np.float32)    # the copy every chunk runs on
+    opt = AdamW(params.values, params.grads, lr=config.lr,
+                weight_decay=config.weight_decay)
     rng = np.random.default_rng(config.seed)
     record = RunRecord(config=config)
     val_pairs = [pairs[i] for i in plan.val]
     val_labels = [labels[i] for i in plan.val]
-    best_values: dict[str, np.ndarray] | None = None
+    best_values: np.ndarray | None = None
 
-    def chunk_grads(work) -> tuple[float, list[np.ndarray]]:
+    def chunk_grads(work) -> tuple[float, np.ndarray]:
         """A chunk's loss and, if finite, its float32 gradient from zero."""
         rows, share = work
         logits = m.forward_chunk([pairs[i] for i in rows], fast)
         loss = m.cross_entropy_from_logits(
             logits, [labels[i] for i in rows]) * share
-        zero_grads(flist)
+        fast.grads[...] = 0.0
         if np.isfinite(loss.item()):
             loss.backward()
-        return loss.item(), [f.grad.copy() for f in flist]
+        return loss.item(), fast.grads.copy()
 
     # requests refresh a helper's float32 copy; validation scores masters
     tasks = {"grads": chunk_grads,
              "logits": functools.partial(m.chunk_logits, val_pairs, params)}
     train_idx = np.array(plan.train)
-    with par.Helpers(plist + flist, tasks) as helpers:
+    with par.Helpers([params.values, fast.values], tasks) as helpers:
         for epoch in range(config.max_epochs):
             order = train_idx[rng.permutation(len(train_idx))]
             loss_sum = 0.0
@@ -182,14 +177,12 @@ def train(samples: list[DDISample], plan: SplitPlan,
                             raise TrainingAbortedError(
                                 f"non-finite loss at epoch {epoch} "
                                 f"batch {batch_no}")
-                        for p, g in zip(plist, grads):
-                            p._add_grad(g)
+                        params.grads += grads
                 except FloatingPointError as exc:   # NonFiniteActivationError
                     raise TrainingAbortedError(
                         f"epoch {epoch} batch {batch_no}: {exc}") from exc
                 opt.step()
-                for f, p in zip(flist, plist):
-                    f.value[...] = p.value
+                fast.values[...] = params.values
                 loss_sum += value * len(batch)
 
             val = evaluate(params, val_pairs, val_labels, n_classes, helpers) \
@@ -199,10 +192,8 @@ def train(samples: list[DDISample], plan: SplitPlan,
             if val_pairs and val[config.selection] > record.best_value:
                 record.best_value = val[config.selection]
                 record.best_epoch = epoch
-                best_values = {name: p.value.copy()
-                               for name, p in params.named()}
+                best_values = params.values.copy()
 
     if best_values is not None:
-        for name, p in params.named():
-            p.value[...] = best_values[name]
+        params.values[...] = best_values
     return params, record

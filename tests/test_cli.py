@@ -145,6 +145,25 @@ class TestTrainCommand:
         assert "quarantined line 42" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flags, text", [
+        (["--dim", "30", "--heads", "4"], "4 heads do not divide dim 30"),
+        (["--d-hid", "4000000000"], "values, cap is 16777216"),
+        (["--config", "model.cfg"], "4 heads do not divide dim 30")],
+        ids=["heads", "d_hid", "config"])
+    def test_bad_model_is_usage_error_before_data_is_read(
+            self, flags, text, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "model.cfg").write_text("dim=30\nheads=4\n")
+        write_dataset(make_two_class_dataset(40, seed=1), "pairs.csv")
+        with open("pairs.csv", "a", encoding="utf-8") as fh:
+            fh.write("C\u00b2,CCO,1\n")            # quarantined if read
+        assert main(["train", "--data", "pairs.csv", *flags,
+                     "--out", "run"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and text in err
+        assert "quarantined" not in err
+        assert not (tmp_path / "run").exists()
+
     def test_config_file_value_checked_like_flag(self, data_path, tmp_path,
                                                  capsys):
         cfg = tmp_path / "train.cfg"
@@ -354,6 +373,20 @@ class TestEvalCommand:
             "error: label 85 is outside the checkpoint's 2 classes\n"
         assert not (tmp_path / "out").exists()
 
+    def test_subset_past_checkpoint_classes_fails_before_scoring(
+            self, run_dir, data_path, tmp_path, monkeypatch, capsys):
+        def scored(*args, **kwargs):
+            raise AssertionError("the split was featurized or scored")
+
+        monkeypatch.setattr(cli, "featurize_samples", scored)
+        monkeypatch.setattr(cli, "predict_labels", scored)
+        assert main(["eval", "--checkpoint", str(run_dir / "best.ckpt"),
+                     "--data", str(data_path), "--split", "all",
+                     "--labels", "1,9,3", "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == \
+            "error: subset class 3 outside [0, 2)\n"
+        assert not (tmp_path / "out").exists()
+
     def test_bad_checkpoint_path(self, data_path, tmp_path, capsys):
         code = main(["eval", "--checkpoint", str(tmp_path / "no.ckpt"),
                      "--data", str(data_path)])
@@ -534,7 +567,7 @@ class TestHugeSizes:
     def test_train_model_size(self, flags, data_path, tmp_path):
         proc = run_cli("train", "--data", str(data_path), *flags,
                        "--out", str(tmp_path / "run"), memory_cap=self.CAP)
-        assert_one_error(proc, 1, "values, cap is 16777216")
+        assert_one_error(proc, 2, "values, cap is 16777216")
         assert not (tmp_path / "run").exists()
 
     def test_checkpoint_header_model_size(self, run_dir, tmp_path):

@@ -468,3 +468,52 @@ class TestConfig:
             blocks = [rng.normal(0.0, 1.0 / np.sqrt(8), (8, 4))
                       for _ in range(2)]
             assert np.array_equal(fused.value, np.concatenate(blocks, axis=1))
+
+
+def assert_laid_out(params, dtype):
+    """Each Param's value and grad view the model's values and grads at
+    the offset all() implies; the vectors hold nothing else."""
+    for vector in (params.values, params.grads):
+        assert vector.dtype == dtype and vector.ndim == 1
+        assert vector.flags.c_contiguous and vector.flags.owndata
+    offset = 0
+    for p in params.all():
+        for view, vector in ((p.value, params.values), (p.grad, params.grads)):
+            assert view.shape == p.shape and view.dtype == dtype, p.name
+            start = vector.ctypes.data + offset * vector.itemsize
+            assert view.ctypes.data == start, p.name
+            assert view.flags.c_contiguous, p.name
+            assert np.shares_memory(view, vector), p.name
+        offset += p.value.size
+    assert offset == params.values.size
+    assert not params.grads.any()
+
+
+class TestLayout:
+    def test_init_params(self):
+        params = tiny_params()
+        assert_laid_out(params, np.float64)
+        params.values[...] = np.arange(params.values.size)
+        assert params.proj_w.value[0, 1] == 1.0
+        assert params.head_b2.value[0, -1] == params.values.size - 1
+
+    def test_load_checkpoint(self, tmp_path):
+        from molbridge.checkpoint import load_checkpoint, save_checkpoint
+        saved = tiny_params(seed=3)
+        save_checkpoint(tmp_path / "m.ckpt", saved)
+        loaded, _ = load_checkpoint(tmp_path / "m.ckpt")
+        assert_laid_out(loaded, np.float64)
+        assert np.array_equal(loaded.values, saved.values)
+
+    def test_astype_float32_is_a_separate_copy(self):
+        params = tiny_params()
+        params.grads[...] = 1.0
+        fast = params.astype(np.float32)
+        assert_laid_out(fast, np.float32)
+        assert fast.config == params.config
+        assert np.array_equal(fast.values, params.values.astype(np.float32))
+        for a in (fast.values, fast.grads):
+            for b in (params.values, params.grads):
+                assert not np.shares_memory(a, b)
+        for (name, p), (fast_name, f) in zip(params.named(), fast.named()):
+            assert name == fast_name and p is not f
