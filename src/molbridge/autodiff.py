@@ -204,18 +204,17 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         if w.requires_grad:
             w._add_grad(x.value.T @ grad)
         if b.requires_grad:
-            b._add_grad(grad.sum(axis=0, keepdims=True))
+            b._add_grad(col_sums(grad))
 
     return Tensor._result(value, (x, w, b), backward)
 
 
 def relu(x: Tensor) -> Tensor:
-    mask = x.value > 0.0
-
+    """max(x, 0) elementwise; a NaN passes through."""
     def backward(grad):
-        x._add_grad(grad * mask)
+        x._add_grad(grad * (x.value > 0.0))
 
-    return Tensor._result(np.where(mask, x.value, 0.0), (x,), backward)
+    return Tensor._result(np.maximum(x.value, 0.0), (x,), backward)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -230,9 +229,39 @@ def sigmoid(x: Tensor) -> Tensor:
     return Tensor._result(value, (x,), backward)
 
 
-def _row_dot(a: Array, b: Array) -> Array:
-    """Dot product of each row of a with the same row of b, as a column."""
-    return np.einsum("ij,ij->i", a, b)[:, None]
+def row_sums(x: Array) -> Array:
+    """Each row's sum as a column, by a matrix-vector product (several
+    times faster than sum(axis=1) on a few dozen columns)."""
+    return x @ np.ones((x.shape[-1], 1), x.dtype)
+
+
+def col_sums(x: Array) -> Array:
+    """Each column's sum as a row, by a vector-matrix product."""
+    return np.ones((1, x.shape[0]), x.dtype) @ x
+
+
+def norm_rows(x: Array) -> tuple[Array, Array]:
+    """(xhat, inv): each row of x less its mean, times inv, the column of
+    1 / sqrt(row variance + 1e-5). The layer norm before gain and bias."""
+    d = x.shape[1]
+    xhat = x - row_sums(x) / d
+    inv = 1.0 / np.sqrt(row_sums(xhat * xhat) / d + 1e-5)
+    xhat *= inv
+    return xhat, inv
+
+
+def norm_rows_backward(dxhat: Array, xhat: Array, inv: Array) -> Array:
+    """The gradient of x from the gradient of norm_rows(x)'s xhat:
+    (inv / d) (d dxhat - rowsum(dxhat) - xhat rowdot(dxhat, xhat)).
+    Writes into dxhat, which it returns."""
+    d = xhat.shape[1]
+    row_sum = row_sums(dxhat)
+    row_dot = row_sums(dxhat * xhat)
+    dxhat *= d
+    dxhat -= row_sum
+    dxhat -= xhat * row_dot
+    dxhat *= inv / d
+    return dxhat
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -245,28 +274,17 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         raise ShapeMismatchError(
             f"layer_norm gain/bias must be 1x{x.cols}, "
             f"got {gain.shape} and {bias.shape}")
-    d = x.cols
-    xhat = x.value - x.value.sum(axis=1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(_row_dot(xhat, xhat) / d + 1e-5)
-    xhat *= inv
+    xhat, inv = norm_rows(x.value)
     value = xhat * gain.value
     value += bias.value
 
     def backward(g):
         if gain.requires_grad:
-            gain._add_grad(np.einsum("ij,ij->j", g, xhat)[None, :])
+            gain._add_grad(col_sums(g * xhat))
         if bias.requires_grad:
-            bias._add_grad(g.sum(axis=0, keepdims=True))
+            bias._add_grad(col_sums(g))
         if x.requires_grad:
-            # dx = (inv / d) (d dxhat - rowsum(dxhat) - xhat rowdot(dxhat, xhat))
-            dx = g * gain.value
-            row_sum = dx.sum(axis=1, keepdims=True)
-            row_dot = _row_dot(dx, xhat)
-            dx *= d
-            dx -= row_sum
-            dx -= xhat * row_dot
-            dx *= inv / d
-            x._add_grad(dx)
+            x._add_grad(norm_rows_backward(g * gain.value, xhat, inv))
 
     return Tensor._result(value, (x, gain, bias), backward)
 

@@ -241,7 +241,8 @@ def _write_manifest(run_dir: Path, args, outputs: dict[str, str],
 def _score_split(args, subset=()):
     """Load the checkpoint, then the dataset, and score the chosen split:
     the parameters and the split's graph pairs, labels and predictions.
-    Labels and subset classes past the checkpoint's are refused first."""
+    Labels and subset classes past the checkpoint's, and a subset no
+    label of the split is in, are refused first."""
     params, _ = load_checkpoint(args.checkpoint)
     samples = load_dataset(args.data).samples
     if args.split != "all":
@@ -252,7 +253,8 @@ def _score_split(args, subset=()):
         raise LabelOutOfRangeError(
             f"label {max(labels)} is outside the checkpoint's "
             f"{params.config.classes} classes")
-    check_subset(subset, params.config.classes)
+    if subset:
+        check_subset(subset, params.config.classes, labels)
     pairs = featurize_samples(samples)
     return params, pairs, labels, predict_labels(params, pairs)
 

@@ -8,9 +8,9 @@ the load; structurally broken rows (missing fields, non-integer labels)
 and bytes that are not UTF-8 text or not CSV abort it with a
 MalformedRowError naming the file and line.
 
-Loading only validates each SMILES with the one-pass scanner of
-:mod:`molbridge.smiles` and keeps nothing per row but the strings: only
-the rows a command goes on to use are featurized, by
+Loading only validates each distinct SMILES, once, with the one-pass
+scanner of :mod:`molbridge.smiles` and keeps nothing per row but the
+strings: only the rows a command goes on to use are featurized, by
 :func:`featurize_samples`, which scans each distinct SMILES among them
 once more, straight into arrays.
 """
@@ -98,6 +98,19 @@ def load_dataset(path) -> LoadResult:
 
     samples: list[DDISample] = []
     quarantined: list[QuarantinedRow] = []
+    verdicts: dict[str, str | None] = {}
+
+    def verdict(smiles: str) -> str | None:
+        """The scanner's error text for smiles, or None; each distinct
+        string is scanned once per call."""
+        if smiles not in verdicts:
+            try:
+                scan_smiles(smiles)
+                verdicts[smiles] = None
+            except SmilesError as exc:
+                verdicts[smiles] = str(exc)
+        return verdicts[smiles]
+
     for line_no, row in reader:
         if not row or all(not f.strip() for f in row):
             continue
@@ -118,11 +131,11 @@ def load_dataset(path) -> LoadResult:
             raise MalformedRowError(
                 f"{path}:{line_no}: label {label} is not below the class "
                 f"cap {MAX_CLASSES}")
-        try:
-            scan_smiles(s1)
-            scan_smiles(s2)
-        except SmilesError as exc:
-            quarantined.append(QuarantinedRow(line_no, str(exc)))
+        reason = verdict(s1)
+        if reason is None:
+            reason = verdict(s2)
+        if reason is not None:
+            quarantined.append(QuarantinedRow(line_no, reason))
             continue
         samples.append(DDISample(s1, s2, label))
 

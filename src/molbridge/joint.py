@@ -115,29 +115,32 @@ def cross_attention(h: Tensor, w_q: Param, w_k: Param, heads: int,
     def merge(x: np.ndarray) -> np.ndarray:
         return x.transpose(0, 2, 1, 3).reshape(rows, dim)
 
-    q = split(h.value @ w_q.value)
+    # the score scale goes on the rows x dim query, not the score buffer
+    q = h.value @ w_q.value
+    q *= scale
+    q = split(q)
     k = split(h.value @ w_k.value)
-    # scores, then softmax over keys, in place on one (B, heads, N, N) buffer
+    # scores, then softmax over keys, in place on one (B, heads, N, N)
+    # buffer; row sums are products with a ones column, as in autodiff
     probs = q @ k.transpose(0, 1, 3, 2)
-    probs *= scale
     if not mask.all():
         probs += np.where(mask, 0.0, -np.inf).astype(probs.dtype)[:, None, None]
     probs -= probs.max(axis=3, keepdims=True)
     np.exp(probs, out=probs)
-    probs /= probs.sum(axis=3, keepdims=True)
+    probs /= ad.row_sums(probs)
 
     def backward(grad):
         # softmax pullback probs * (g - rowdot(g, probs)) in one buffer;
         # the head mean and the score scale go on the (B*N) x dim results
         g = grad.reshape(blocks, 1, n, n)
         d_scores = g * probs
-        row_dot = d_scores.sum(axis=3, keepdims=True)
+        row_dot = ad.row_sums(d_scores)
         np.subtract(g, row_dot, out=d_scores)
         d_scores *= probs
         d_q = merge(d_scores @ k)
         d_q *= scale / heads
         d_k = merge(d_scores.transpose(0, 1, 3, 2) @ q)
-        d_k *= scale / heads
+        d_k *= 1.0 / heads
         if w_q.requires_grad:
             w_q._add_grad(h.value.T @ d_q)
         if w_k.requires_grad:

@@ -76,11 +76,21 @@ def macro_metrics(cm: ConfusionMatrix) -> dict[str, float]:
     return _metrics(cm)
 
 
-def check_subset(label_subset: Iterable[int], n_classes: int) -> None:
-    """Refuse a subset class outside [0, n_classes), the smallest first."""
-    for c in sorted(set(label_subset)):
+def check_subset(label_subset: Iterable[int], n_classes: int,
+                 labels: Sequence[int]) -> list[int]:
+    """The indices of the labels in the subset. Refuses a subset class
+    outside [0, n_classes), the smallest first, then a subset that no
+    label falls in."""
+    subset = sorted(set(label_subset))
+    for c in subset:
         if not 0 <= c < n_classes:
             raise IndexOutOfRangeError(f"subset class {c} outside [0, {n_classes})")
+    wanted = set(subset)
+    keep = [i for i, t in enumerate(labels) if t in wanted]
+    if not keep:
+        raise NoMatchingSamplesError(
+            f"no samples with true label in {subset}")
+    return keep
 
 
 def stratified_metrics(preds: Sequence[int], labels: Sequence[int],
@@ -89,11 +99,7 @@ def stratified_metrics(preds: Sequence[int], labels: Sequence[int],
     subset = sorted(set(label_subset))
     if not subset:
         raise EmptySubsetError("label subset is empty")
-    check_subset(subset, n_classes)
-    keep = [i for i, t in enumerate(labels) if t in set(subset)]
-    if not keep:
-        raise NoMatchingSamplesError(
-            f"no samples with true label in {subset}")
+    keep = check_subset(subset, n_classes, labels)
     cm = accumulate([preds[i] for i in keep], [labels[i] for i in keep],
                     n_classes)
     return _metrics(cm, np.array(subset))

@@ -1,10 +1,10 @@
 """The full predictor: GFormer stack, multi-scale aggregation, classifier.
 
-A GFormer layer is graph propagation (A + I) F followed by layer
-normalization and a residual, then a two-layer ReLU feed-forward block,
-again normalized with a residual. Layer outputs from every depth
-(including the projected input) are summed over atoms and depths into a
-single vector per pair before the classifier head.
+A GFormer layer, one tape node, is graph propagation (A + I) F followed
+by layer normalization and a residual, then a two-layer ReLU
+feed-forward block, again normalized with a residual. Layer outputs from
+every depth (including the projected input) are summed over atoms and
+depths into a single vector per pair before the classifier head.
 
 Pairs run in chunks laid out as in joint.py: B joint graphs padded to N
 atoms, features (B*N) x d, adjacency (B*N) x N, and a B x N mask of real
@@ -216,40 +216,88 @@ def init_params(config: ModelConfig) -> ModelParams:
 # layers
 # ---------------------------------------------------------------------- #
 
-def gcn_propagate(features: Tensor, adjacency: Tensor) -> Tensor:
-    """Neighborhood aggregation (A + I) F, computed as A F + F per block:
-    no weights, no degree normalization. adjacency is (B*N) x N stacked
-    blocks over (B*N) x d features; one tape node."""
+def _blocks(features: Tensor, adjacency: Tensor):
+    """(A, F): the (B*N) x N stacked adjacency and the (B*N) x d features
+    as B x N x N and B x N x d arrays, once their shapes are checked."""
     rows, n = adjacency.shape
     if rows != features.rows or rows % n != 0:
         raise ShapeMismatchError(
             f"adjacency {adjacency.shape} does not match features "
             f"{features.shape}")
-    blocks, dim = rows // n, features.cols
-    a = adjacency.value.reshape(blocks, n, n)
-    f = features.value.reshape(blocks, n, dim)
+    return (adjacency.value.reshape(rows // n, n, n),
+            features.value.reshape(rows // n, n, features.cols))
+
+
+def gcn_propagate(features: Tensor, adjacency: Tensor) -> Tensor:
+    """Neighborhood aggregation (A + I) F, computed as A F + F per block:
+    no weights, no degree normalization. adjacency is (B*N) x N stacked
+    blocks over (B*N) x d features; one tape node."""
+    a, f = _blocks(features, adjacency)
 
     def backward(grad):
-        g = grad.reshape(blocks, n, dim)
+        g = grad.reshape(f.shape)
         if adjacency.requires_grad:
-            adjacency._add_grad((g @ f.transpose(0, 2, 1)).reshape(rows, n))
+            adjacency._add_grad(
+                (g @ f.transpose(0, 2, 1)).reshape(adjacency.shape))
         if features.requires_grad:
-            d_f = (a.transpose(0, 2, 1) @ g).reshape(rows, dim)
+            d_f = (a.transpose(0, 2, 1) @ g).reshape(features.shape)
             d_f += grad
             features._add_grad(d_f)
 
-    return Tensor._result((a @ f).reshape(rows, dim) + features.value,
+    return Tensor._result((a @ f).reshape(features.shape) + features.value,
                           (features, adjacency), backward)
 
 
 def gformer_layer(f_prev: Tensor, adjacency: Tensor,
                   p: GFormerLayerParams) -> Tensor:
-    """One propagation block: X = LN((A+I)F) + F; out = LN(FFN(X) + X)."""
-    x = ad.layer_norm(gcn_propagate(f_prev, adjacency), p.ln1_gain, p.ln1_bias) \
-        + f_prev
-    hidden = ad.relu(ad.linear(x, p.w1, p.b1))
-    ffn = ad.linear(hidden, p.w2, p.b2)
-    return ad.layer_norm(ffn + x, p.ln2_gain, p.ln2_bias)
+    """One propagation block: X = LN((A+I)F) + F; out = LN(FFN(X) + X)
+    with FFN(X) = relu(X W1 + b1) W2 + b2. One tape node whose parents
+    are f_prev, the adjacency and the layer's 8 Params, with the
+    backward written out; the same values as gcn_propagate, layer_norm,
+    linear and relu composed op by op, up to rounding."""
+    a, f = _blocks(f_prev, adjacency)
+    prop = (a @ f).reshape(f_prev.shape)
+    prop += f_prev.value
+    xhat1, inv1 = ad.norm_rows(prop)
+    x = xhat1 * p.ln1_gain.value
+    x += p.ln1_bias.value
+    x += f_prev.value
+    hidden = x @ p.w1.value
+    hidden += p.b1.value
+    np.maximum(hidden, 0.0, out=hidden)
+    s = hidden @ p.w2.value
+    s += p.b2.value
+    s += x
+    xhat2, inv2 = ad.norm_rows(s)
+    value = xhat2 * p.ln2_gain.value
+    value += p.ln2_bias.value
+
+    def backward(grad):
+        p.ln2_gain._add_grad(ad.col_sums(grad * xhat2))
+        p.ln2_bias._add_grad(ad.col_sums(grad))
+        d_s = ad.norm_rows_backward(grad * p.ln2_gain.value, xhat2, inv2)
+        p.w2._add_grad(hidden.T @ d_s)
+        p.b2._add_grad(ad.col_sums(d_s))
+        d_z = d_s @ p.w2.value.T
+        d_z *= hidden > 0.0
+        p.w1._add_grad(x.T @ d_z)
+        p.b1._add_grad(ad.col_sums(d_z))
+        d_x = d_z @ p.w1.value.T
+        d_x += d_s
+        p.ln1_gain._add_grad(ad.col_sums(d_x * xhat1))
+        p.ln1_bias._add_grad(ad.col_sums(d_x))
+        d_prop = ad.norm_rows_backward(d_x * p.ln1_gain.value, xhat1, inv1)
+        g = d_prop.reshape(f.shape)
+        if adjacency.requires_grad:
+            adjacency._add_grad(
+                (g @ f.transpose(0, 2, 1)).reshape(adjacency.shape))
+        if f_prev.requires_grad:
+            d_f = (a.transpose(0, 2, 1) @ g).reshape(f_prev.shape)
+            d_f += d_prop
+            d_f += d_x
+            f_prev._add_grad(d_f)
+
+    return Tensor._result(value, (f_prev, adjacency, *p.all()), backward)
 
 
 def scm_forward(h: Tensor, adjacency: Tensor,
@@ -326,7 +374,8 @@ def forward_chunk(pairs: list[tuple[FeaturedGraph, FeaturedGraph]],
     hidden = ad.relu(ad.linear(pooled, params.head_w1, params.head_b1))
     logits = ad.linear(hidden, params.head_w2, params.head_b2)
     # a non-finite layer output, padding rows too, reaches the pooled rows
-    # (NaN * 0 is NaN); the head's ReLU can hide it from the logits
+    # (NaN * 0 is NaN); the head's ReLU (np.maximum) passes a NaN on, but
+    # turns a -inf into 0, so the pooled rows are checked as well
     require_finite(pooled.value, logits.value)
     return logits
 

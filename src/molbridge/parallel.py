@@ -22,6 +22,7 @@ and reaps every helper and closes its pipes, however it is left.
 from __future__ import annotations
 
 import contextlib
+import fcntl
 import os
 import pickle
 
@@ -30,6 +31,11 @@ import numpy as np
 from .errors import MolBridgeError
 
 MAX_PROCESSES = 4
+
+# Bytes each helper pipe holds. A training helper's reply (its chunks'
+# gradient vectors) runs to about 1 MB; through the 64 KiB default it
+# crosses in a dozen hand-offs, each waking the other process.
+PIPE_BYTES = 1 << 20
 
 
 def processes() -> int:
@@ -88,6 +94,9 @@ class Helpers:
         self.procs = []
         for _ in range(processes() - 1):
             (down_r, down_w), (up_r, up_w) = os.pipe(), os.pipe()
+            for fd in (down_w, up_w):
+                with contextlib.suppress(OSError):  # keep the default size
+                    fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, PIPE_BYTES)
             try:
                 pid = os.fork()
             except OSError:         # go on with the helpers forked so far

@@ -298,7 +298,10 @@ class TestSurface:
                   if callable(value) and not name.startswith("_")
                   and getattr(value, "__module__", None) == ad.__name__}
         assert public == {"Tensor", "Param", "linear", "relu", "sigmoid",
-                          "layer_norm", "zero_grads", "grad_check"}
+                          "layer_norm", "zero_grads", "grad_check",
+                          # array kernels the fused GFormer layer shares
+                          "row_sums", "col_sums", "norm_rows",
+                          "norm_rows_backward"}
 
 
 class TestMisc:

@@ -387,6 +387,24 @@ class TestEvalCommand:
             "error: subset class 3 outside [0, 2)\n"
         assert not (tmp_path / "out").exists()
 
+    def test_subset_no_row_is_in_fails_before_scoring(
+            self, run_dir, tmp_path, monkeypatch, capsys):
+        one_class = tmp_path / "zeros.csv"
+        one_class.write_text("smiles_1,smiles_2,label\n"
+                             "CCO,CCN,0\nCC,CO,0\nCCC,C=O,0\n")
+
+        def scored(*args, **kwargs):
+            raise AssertionError("the split was featurized or scored")
+
+        monkeypatch.setattr(cli, "featurize_samples", scored)
+        monkeypatch.setattr(cli, "predict_labels", scored)
+        assert main(["eval", "--checkpoint", str(run_dir / "best.ckpt"),
+                     "--data", str(one_class), "--split", "all",
+                     "--labels", "1", "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == \
+            "error: no samples with true label in [1]\n"
+        assert not (tmp_path / "out").exists()
+
     def test_bad_checkpoint_path(self, data_path, tmp_path, capsys):
         code = main(["eval", "--checkpoint", str(tmp_path / "no.ckpt"),
                      "--data", str(data_path)])

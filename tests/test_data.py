@@ -1,7 +1,11 @@
+import random
+
 import pytest
 
+from molbridge import data
 from molbridge.data import (
     MAX_CLASSES,
+    QuarantinedRow,
     dataset_digest,
     featurize_samples,
     load_dataset,
@@ -10,7 +14,11 @@ from molbridge.errors import (
     EmptyDatasetError,
     MalformedRowError,
     MissingColumnError,
+    SmilesError,
 )
+from molbridge.smiles import scan_smiles
+
+from conftest import CORPUS
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -81,6 +89,53 @@ class TestLoad:
     def test_blank_lines_skipped(self, tmp_path):
         result = load_dataset(write(tmp_path, WELL_FORMED + "\n\n"))
         assert len(result.samples) == 3
+
+
+class TestScanOnce:
+    # a pool of 12 valid and 4 invalid strings drawn into 300 rows, so
+    # every string, the invalid ones too, recurs on many rows
+    POOL = CORPUS[:12] + ["C1CC", "C(C", "Xx", "CC)"]
+
+    def pooled(self, tmp_path):
+        rng = random.Random(5)
+        rows = [(rng.choice(self.POOL), rng.choice(self.POOL),
+                 rng.randrange(3)) for _ in range(300)]
+        text = "smiles_1,smiles_2,label\n" + "".join(
+            f"{a},{b},{c}\n" for a, b, c in rows)
+        return rows, write(tmp_path, text)
+
+    def test_each_distinct_string_scanned_once(self, tmp_path, monkeypatch):
+        rows, path = self.pooled(tmp_path)
+        scanned = []
+
+        def counting(smiles):
+            scanned.append(smiles)
+            return scan_smiles(smiles)
+
+        monkeypatch.setattr(data, "scan_smiles", counting)
+        load_dataset(path)
+        assert sorted(scanned) == sorted(set(scanned))
+        assert set(scanned) <= set(self.POOL)
+        assert len(scanned) > 12
+
+    def test_report_equals_row_by_row_scan(self, tmp_path):
+        rows, path = self.pooled(tmp_path)
+        result = load_dataset(path)
+        # the row-by-row scan: each row is quarantined with the error of
+        # its first failing SMILES, or kept
+        want, kept = [], []
+        for line, (s1, s2, label) in enumerate(rows, start=2):
+            try:
+                scan_smiles(s1)
+                scan_smiles(s2)
+            except SmilesError as exc:
+                want.append(QuarantinedRow(line, str(exc)))
+                continue
+            kept.append((s1, s2, label))
+        assert result.quarantined == want
+        assert len(want) > 100
+        assert [(s.smiles_1, s.smiles_2, s.label)
+                for s in result.samples] == kept
 
 
 class TestLoadErrors:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import molbridge.autodiff as ad
+import molbridge.joint as jg
 import molbridge.model as mb
 from molbridge.autodiff import Param, Tensor
 from molbridge.errors import (
@@ -167,6 +168,73 @@ class TestGFormerLayer:
             return probe_loss(mb.gformer_layer(f, a, layer), 1.0)
 
         assert ad.grad_check(f_loss, layer.all()) < 1e-4
+
+
+# a chunk of three pairs padded to the largest (3, 8 and 3 atoms), and
+# one of three 5-atom pairs with no padding
+LAYER_CHUNKS = pytest.mark.parametrize("texts", [
+    [("CCO", "C"), ("c1ccccc1", "CN"), ("CN", "O")],
+    [("CCO", "CN"), ("CCC", "CO"), ("CC", "CCO")],
+], ids=["padded", "unpadded"])
+
+
+def layer_inputs(texts, seed=3, dim=4, d_hid=8):
+    """Params for one fused layer's inputs on the chunk of `texts`:
+    features, the chunk's bonds mixed with random weights on each
+    block's real atoms (as attention mixes them in), layer weights with
+    gains and biases moved off 1 and 0, and a probe for the loss."""
+    rng = np.random.default_rng(seed)
+    joint = jg.stack_joints([(graph(a), graph(b)) for a, b in texts],
+                            np.float64)
+    rows, n = joint.adjacency.shape
+    keys = np.repeat(joint.mask, n, axis=0)
+    f = Param(rng.normal(size=(rows, dim)), "f_prev")
+    a = Param(0.7 * joint.adjacency + 0.3 * rng.random((rows, n)) * keys,
+              "adjacency")
+    layer = mb.init_layer(rng, 0, dim, d_hid)
+    for p in layer.all():
+        p.value[...] += rng.normal(0.0, 0.3, p.shape)
+    return f, a, layer, rng.normal(size=(rows, dim))
+
+
+def composed_layer(f, a, p):
+    """The GFormer layer op by op, one tape node per op."""
+    x = ad.layer_norm(mb.gcn_propagate(f, a), p.ln1_gain, p.ln1_bias) + f
+    hidden = ad.relu(ad.linear(x, p.w1, p.b1))
+    return ad.layer_norm(ad.linear(hidden, p.w2, p.b2) + x,
+                         p.ln2_gain, p.ln2_bias)
+
+
+class TestFusedLayer:
+    @LAYER_CHUNKS
+    def test_gradients_against_finite_differences(self, texts):
+        f, a, layer, probe = layer_inputs(texts)
+
+        def loss():
+            return probe_loss(mb.gformer_layer(f, a, layer), probe)
+
+        assert ad.grad_check(loss, [f, a, *layer.all()]) < 1e-6
+
+    @LAYER_CHUNKS
+    def test_equals_op_by_op_composition(self, texts):
+        f, a, layer, probe = layer_inputs(texts)
+        wrt = [f, a, *layer.all()]
+        results = []
+        for run in (mb.gformer_layer, composed_layer):
+            ad.zero_grads(wrt)
+            out = run(f, a, layer)
+            probe_loss(out, probe).backward()
+            results.append((out.value, [p.grad.copy() for p in wrt]))
+        (fused, fused_grads), (plain, plain_grads) = results
+        assert np.max(np.abs(fused - plain)) <= 1e-12
+        for p, got, want in zip(wrt, fused_grads, plain_grads):
+            assert np.max(np.abs(got - want)) <= 1e-12, p.name
+            assert np.any(want != 0.0), p.name
+
+    def test_one_tape_node(self):
+        f, a, layer, _ = layer_inputs([("CCO", "C")])
+        out = mb.gformer_layer(f, a, layer)
+        assert out._parents == (f, a, *layer.all())
 
 
 class TestScmForward:

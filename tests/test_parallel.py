@@ -1,6 +1,8 @@
 """Chunk-parallel training and scoring: the same bits for any number of
 helper processes, serial error order, and no process left behind."""
 
+import errno
+import fcntl
 import os
 import signal
 from collections import Counter
@@ -156,6 +158,65 @@ class TestHelpers:
             assert_no_child()
             assert list(pool.run("double", [5, 6, 7], [1] * 3)) \
                 == [10, 12, 14]
+
+
+class TestTransport:
+    MIB = 2 ** 20
+
+    def test_reply_larger_than_a_pipe(self, monkeypatch):
+        # the helper takes chunks 2 and 3: a 3 MiB reply
+        helpers(monkeypatch, 1)
+        size = 3 * self.MIB // 8 // 2
+
+        def block(chunk):
+            return os.getpid(), np.arange(size, dtype=np.float64) + chunk
+
+        with par.Helpers([], {"block": block}) as pool:
+            got = list(pool.run("block", [0, 1, 2, 3], [1] * 4))
+        assert [pid == os.getpid() for pid, _ in got] == \
+            [True, True, False, False]
+        for chunk, (_, array) in enumerate(got):
+            assert np.array_equal(array, block(chunk)[1])
+
+    def test_helper_pipes_hold_a_mebibyte(self, monkeypatch):
+        r, w = os.pipe()
+        try:
+            fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, par.PIPE_BYTES)
+        except OSError:
+            pytest.skip("this system refuses 1 MiB pipes")
+        finally:
+            os.close(r)
+            os.close(w)
+        helpers(monkeypatch, 1)
+        with par.Helpers([], {"same": lambda x: x}) as pool:
+            assert list(pool.run("same", [1, 2], [1, 1])) == [1, 2]
+            for _, send, recv in pool.procs:
+                for pipe in (send, recv):
+                    assert fcntl.fcntl(pipe.fileno(), fcntl.F_GETPIPE_SZ) \
+                        >= self.MIB
+
+    def test_refused_resize_keeps_training_bits(self, data_path, tmp_path,
+                                                monkeypatch):
+        real, refused = fcntl.fcntl, []
+
+        def refuse(fd, cmd, *arg):
+            if cmd == fcntl.F_SETPIPE_SZ:
+                refused.append(fd)
+                raise PermissionError(errno.EPERM, "pipe size refused")
+            return real(fd, cmd, *arg)
+
+        helpers(monkeypatch, 1)
+        outputs = []
+        for run in range(2):
+            if run:
+                monkeypatch.setattr(fcntl, "fcntl", refuse)
+            out = tmp_path / f"run{run}"
+            assert main(["train", "--data", str(data_path), *FLAGS,
+                         "--out", str(out)]) == 0
+            outputs.append(((out / "runrecord.csv").read_bytes(),
+                            (out / "best.ckpt").read_bytes()))
+        assert len(refused) == 2
+        assert outputs[1] == outputs[0]
 
 
 class TestSameBits:
