@@ -31,6 +31,7 @@ operand type is a TypeError.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -229,15 +230,23 @@ def sigmoid(x: Tensor) -> Tensor:
     return Tensor._result(value, (x,), backward)
 
 
+@functools.lru_cache(maxsize=256)
+def _ones(shape: tuple[int, int], dtype: np.dtype) -> Array:
+    """A read-only array of ones, made once per shape and dtype."""
+    ones = np.ones(shape, dtype)
+    ones.flags.writeable = False
+    return ones
+
+
 def row_sums(x: Array) -> Array:
     """Each row's sum as a column, by a matrix-vector product (several
     times faster than sum(axis=1) on a few dozen columns)."""
-    return x @ np.ones((x.shape[-1], 1), x.dtype)
+    return x @ _ones((x.shape[-1], 1), x.dtype)
 
 
 def col_sums(x: Array) -> Array:
     """Each column's sum as a row, by a vector-matrix product."""
-    return np.ones((1, x.shape[0]), x.dtype) @ x
+    return _ones((1, x.shape[0]), x.dtype) @ x
 
 
 def norm_rows(x: Array) -> tuple[Array, Array]:

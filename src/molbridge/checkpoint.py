@@ -6,25 +6,21 @@ Layout, byte-exact:
     offset 8   4 bytes   format version, uint32 little-endian (currently 2)
     offset 12  4 bytes   header length in bytes, uint32 little-endian
     offset 16  header    UTF-8 JSON, keys sorted, no trailing newline
-    then       payload   all parameter values as float64 little-endian,
-                         row-major, in header order
+    then       payload   ModelParams.values as float64 little-endian
 
-The header object holds:
-    "model_config": the ModelConfig fields
-    "extra":        free-form run metadata (JSON-serializable)
-    "params":       list of {"name", "rows", "cols", "offset"} where
-                    offset counts float64 elements from payload start
-
-The header is strict JSON (no NaN or Infinity), the payload is exactly
-the declared values packed back to back, and every value is finite;
-anything else is rejected with CheckpointError, and save_checkpoint
-refuses non-finite parameters the same way. The attention
-projections are stored as "attn.q" and "attn.k", each dim x dim, with
-column block h (dim/heads columns) holding head h. Version 1 files held
-them per head and are rejected with VersionMismatchError.
-
-Identical params and config produce identical bytes, so checkpoints can
-be compared with a plain file hash.
+The header holds "model_config" (the ModelConfig fields), "extra"
+(free-form JSON run metadata) and "params", layout(params): one
+{"name", "rows", "cols", "offset"} per Param in all() order, offset
+counting float64 elements from payload start. The config implies that
+list, so the loader rebuilds it and refuses a header whose list differs
+in any entry, value or JSON type (8.0 or true is not 8). The header is
+strict JSON (no NaN or Infinity), the payload is exactly the config's
+values, and every value is finite; anything else is a CheckpointError,
+and save_checkpoint refuses non-finite parameters the same way.
+"attn.q" and "attn.k" are dim x dim, column block h (dim/heads columns)
+holding head h; version 1 files held them per head and are rejected
+with VersionMismatchError. Identical params and config produce identical
+bytes, so checkpoints can be compared with a plain file hash.
 """
 
 from __future__ import annotations
@@ -32,41 +28,51 @@ from __future__ import annotations
 import dataclasses
 import json
 import struct
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
 
 from .errors import CheckpointError, VersionMismatchError
-from .model import ModelConfig, ModelParams, init_params
+from .model import FEATURE_DIM, ModelConfig, ModelParams, init_params
 
 MAGIC = b"MOLBRIDG"
 VERSION = 2
 
 
-def save_checkpoint(path, params: ModelParams, extra: dict | None = None) -> None:
-    entries = []
-    offset = 0
+def layout(params: ModelParams) -> list[dict]:
+    """The header's params list: each Param's name, rows, cols and offset
+    into params.values, in all() order."""
+    entries, offset = [], 0
     for name, p in params.named():
-        if not np.all(np.isfinite(p.value)):
-            # the loader refuses such a file, so none is written
-            raise CheckpointError(f"{name} has non-finite values; not saved")
         rows, cols = p.shape
-        entries.append({"name": name, "rows": rows, "cols": cols,
-                        "offset": offset})
+        entries.append(dict(name=name, rows=rows, cols=cols, offset=offset))
         offset += rows * cols
+    return entries
+
+
+def _non_finite(params: ModelParams) -> str | None:
+    """The name of the first Param holding a NaN or infinity, if any."""
+    if np.isfinite(params.values).all():
+        return None
+    return next(name for name, p in params.named()
+                if not np.isfinite(p.value).all())
+
+
+def save_checkpoint(path, params: ModelParams, extra: dict | None = None) -> None:
+    if bad := _non_finite(params):
+        # the loader refuses such a file, so none is written
+        raise CheckpointError(f"{bad} has non-finite values; not saved")
     header = {
         "model_config": dataclasses.asdict(params.config),
         "extra": extra or {},
-        "params": entries,
+        "params": layout(params),
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":"),
                               allow_nan=False).encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<I", len(header_bytes)))
-        fh.write(header_bytes)
-        fh.write(params.values.astype("<f8").tobytes())
+        fh.write(MAGIC + struct.pack("<II", VERSION, len(header_bytes))
+                 + header_bytes + params.values.astype("<f8").tobytes())
 
 
 def _reject_constant(token: str):
@@ -77,11 +83,10 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
     raw = Path(path).read_bytes()
     if len(raw) < 16 or raw[:8] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file")
-    (version,) = struct.unpack("<I", raw[8:12])
+    version, header_len = struct.unpack("<II", raw[8:16])
     if version != VERSION:
         raise VersionMismatchError(
             f"{path}: format version {version}, expected {VERSION}")
-    (header_len,) = struct.unpack("<I", raw[12:16])
     if len(raw) < 16 + header_len:
         raise CheckpointError(f"{path}: truncated header")
     try:
@@ -95,48 +100,33 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
             f"{path}: header needs exactly model_config, extra and params")
 
     fields = header["model_config"]
-    if not isinstance(fields, dict) or \
-            not all(type(v) is int for v in fields.values()):
-        raise CheckpointError(f"{path}: model_config values must be integers")
     try:
-        params = init_params(ModelConfig(**fields))
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        if not isinstance(fields, dict) or \
+                not all(type(v) is int for v in fields.values()):
+            raise TypeError("values must be integers")
+        config = ModelConfig(**fields)
+        if config.feature_dim != FEATURE_DIM:
+            raise ValueError(f"feature_dim {config.feature_dim}, but atoms "
+                             f"have {FEATURE_DIM} features")
+        params = init_params(config)
+    except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: bad model_config: {exc}") from exc
-    by_name = dict(params.named())
 
-    entries = header["params"]
-    if not isinstance(entries, list) or not all(
-            isinstance(e, dict) and set(e) == {"name", "rows", "cols", "offset"}
-            and all(type(e[k]) is int for k in ("rows", "cols", "offset"))
-            for e in entries):
+    # JSON text tells 8 from 8.0 and true, so one comparison is type-strict
+    entries = header["params"] if isinstance(header["params"], list) else []
+    got, want = ([json.dumps(e, sort_keys=True) for e in x]
+                 for x in (entries, layout(params)))
+    if got != want:
+        i, a, b = next((i, a, b) for i, (a, b) in enumerate(
+            zip_longest(got, want, fillvalue="nothing")) if a != b)
         raise CheckpointError(
-            f"{path}: params must list name, rows, cols and integer offsets")
-    if sorted(str(e["name"]) for e in entries) != sorted(by_name):
-        raise CheckpointError(f"{path}: parameter names do not match config")
+            f"{path}: params entry {i} is {a}, model_config implies {b}")
 
     payload = raw[16 + header_len:]
-    declared = 8 * sum(e["rows"] * e["cols"] for e in entries)
-    if len(payload) != declared:
-        raise CheckpointError(
-            f"{path}: payload is {len(payload)} bytes, header declares "
-            f"{declared}")
-    offset = 0
-    for entry in entries:
-        p = by_name[entry["name"]]
-        rows, cols = entry["rows"], entry["cols"]
-        if p.shape != (rows, cols):
-            raise CheckpointError(
-                f"{path}: {entry['name']} has shape {rows}x{cols}, "
-                f"expected {p.shape[0]}x{p.shape[1]}")
-        if entry["offset"] != offset:
-            raise CheckpointError(
-                f"{path}: {entry['name']} at offset {entry['offset']}, "
-                f"expected {offset}")
-        end = offset + rows * cols
-        p.value[...] = np.frombuffer(
-            payload[8 * offset:8 * end], dtype="<f8").reshape(rows, cols)
-        if not np.all(np.isfinite(p.value)):
-            raise CheckpointError(
-                f"{path}: {entry['name']} has non-finite values")
-        offset = end
+    if len(payload) != 8 * params.values.size:
+        raise CheckpointError(f"{path}: payload is {len(payload)} bytes, "
+                              f"model_config implies {8 * params.values.size}")
+    params.values[...] = np.frombuffer(payload, dtype="<f8")
+    if bad := _non_finite(params):
+        raise CheckpointError(f"{path}: {bad} has non-finite values")
     return params, header["extra"]

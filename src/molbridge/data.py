@@ -66,11 +66,11 @@ def dataset_digest(path) -> str:
 
 
 def read_utf8(path) -> str:
-    """The file's text; bytes that are not UTF-8 raise a MalformedRowError
-    naming the file and the line they are on."""
+    """The file's text less one leading byte-order mark; bytes that are not
+    UTF-8 raise a MalformedRowError naming the file, line and offset."""
     raw = Path(path).read_bytes()
     try:
-        return raw.decode("utf-8")
+        return raw.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         line = raw.count(b"\n", 0, exc.start) + 1
         raise MalformedRowError(

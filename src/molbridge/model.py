@@ -69,8 +69,8 @@ class ModelConfig:
     def __post_init__(self):
         if self.d_hid == 0:
             self.d_hid = 2 * self.dim
-        if self.layers < 1:
-            raise ValueError("need at least one propagation layer")
+        if min(self.dim, self.heads, self.layers) < 1:
+            raise ValueError("dim, heads and layers must be at least 1")
         if self.classes < 2:
             raise ValueError("need at least two classes")
         if self.dim % self.heads != 0:

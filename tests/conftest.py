@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from molbridge.autodiff import Tensor
+from molbridge.checkpoint import save_checkpoint
+from molbridge.model import ModelConfig, init_params
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -65,6 +67,15 @@ def probe_loss(x: Tensor, probe) -> Tensor:
         x._add_grad(probe * grad)
 
     return Tensor._result((x.value * probe).sum(keepdims=True), (x,), backward)
+
+
+def save_unchecked(path, **fields) -> None:
+    """Save a small seeded model whose config fields are set past
+    ModelConfig's checks, as a file that no trainer here writes."""
+    config = ModelConfig(dim=8, heads=2, layers=2, d_hid=16, classes=3)
+    vars(config).update(fields)
+    with np.errstate(divide="ignore"):     # a dim-0 draw scales by 1/0
+        save_checkpoint(path, init_params(config))
 
 
 def run_cli(*argv: str, memory_cap: int | None = None):

@@ -12,7 +12,7 @@ from molbridge.errors import MolBridgeError
 from molbridge.synthetic import make_two_class_dataset, write_dataset
 from molbridge.train import TrainConfig
 
-from conftest import run_cli
+from conftest import run_cli, save_unchecked
 
 TRAIN_FLAGS = ["--epochs", "2", "--dim", "8", "--heads", "2",
                "--batch", "16", "--layers", "2", "--d-hid", "16"]
@@ -437,6 +437,13 @@ class TestPredictCommand:
         assert code == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 1
 
+    def test_zero_dim_checkpoint_is_one_error_line(self, tmp_path):
+        # a consistent file whose model divides by dim / heads = 0
+        ckpt = tmp_path / "dim0.ckpt"
+        save_unchecked(ckpt, dim=0, heads=1, d_hid=0)
+        proc = run_cli("predict", "--checkpoint", str(ckpt), "CCO", "CCN")
+        assert_one_error(proc, 1, "dim, heads and layers must be at least 1")
+
     def test_bad_smiles_is_usage_error(self, run_dir, capsys):
         code = main(["predict", "--checkpoint",
                      str(run_dir / "best.ckpt"), "C(", "CC"])
@@ -689,6 +696,14 @@ class TestParsing:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()
+
+    def test_config_file_byte_order_mark(self, tmp_path):
+        text = "epochs = 2\n# note\nlr = 0.01\n"
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert read_config_file(marked) == read_config_file(plain) == {
+            "epochs": ("2", 1), "lr": ("0.01", 3)}
 
     def test_config_file_rejects_bad_line(self, tmp_path):
         path = tmp_path / "bad.cfg"

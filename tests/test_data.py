@@ -27,6 +27,7 @@ def write(tmp_path, text, name="data.csv"):
     return path
 
 
+BOM = "\ufeff".encode("utf-8")
 WELL_FORMED = "smiles_1,smiles_2,label\nCCO,CN,0\nCC,CCN,1\nC,O,1\n"
 
 
@@ -174,6 +175,30 @@ class TestLoadErrors:
         with pytest.raises(MalformedRowError, match=r"data\.csv:3: not UTF-8 "
                                                     r"text \(byte 0xff"):
             load_dataset(path)
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        # as spreadsheet "CSV UTF-8" exports write it; one row quarantined
+        text = WELL_FORMED + "C1CC,CN,0\n"
+        plain = load_dataset(write(tmp_path, text))
+        marked = tmp_path / "bom.csv"
+        marked.write_bytes(BOM + text.encode("utf-8"))
+        assert load_dataset(marked) == plain
+        assert [q.line for q in plain.quarantined] == [5]
+
+    def test_non_utf8_byte_after_byte_order_mark(self, tmp_path):
+        raw = b"smiles_1,smiles_2,label\nCCO,CN,0\nCC,C\xff,1\n"
+        path = tmp_path / "data.csv"
+        path.write_bytes(BOM + raw)
+        offset = len(BOM) + raw.index(b"\xff")
+        with pytest.raises(MalformedRowError, match=rf"data\.csv:3: not UTF-8 "
+                           rf"text \(byte 0xff at offset {offset}\)"):
+            load_dataset(path)
+
+    def test_digest_hashes_the_byte_order_mark(self, tmp_path):
+        plain = write(tmp_path, WELL_FORMED)
+        marked = tmp_path / "bom.csv"
+        marked.write_bytes(BOM + WELL_FORMED.encode("utf-8"))
+        assert dataset_digest(marked) != dataset_digest(plain)
 
     def test_field_over_csv_limit_names_line(self, tmp_path):
         text = ("smiles_1,smiles_2,label\nCCO,CN,0\nCC,CO,1\n"
