@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model as m
-from .autodiff import Tensor
 from .errors import KExceedsEdgesError
 from .metrics import stratified_metrics
 from .smiles import FeaturedGraph, Molecule, featurize
@@ -213,11 +212,10 @@ def depth_probe(seed: int, max_depth: int = 8,
 
         layers = [m.init_layer(rng, depth, 16, 32)
                   for depth in range(max_depth)]
-        adj_t = Tensor(adj)
-        out = Tensor(features)
+        out = features
         for depth in range(max_depth):
-            out = m.gformer_layer(out, adj_t, layers[depth])
-            gformer[t, depth] = mean_pairwise_cosine(out.value)
+            out, _ = m.gformer_layer(out, adj, layers[depth])
+            gformer[t, depth] = mean_pairwise_cosine(out)
     return DepthProbeReport(np.arange(1, max_depth + 1), plain, gformer)
 
 

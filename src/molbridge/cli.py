@@ -27,7 +27,8 @@ from . import analysis, model
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import dataset_digest, featurize_samples, load_dataset, read_utf8
 from .errors import (
-    LabelOutOfRangeError, MalformedRowError, MolBridgeError, SmilesError)
+    EmptySplitError, LabelOutOfRangeError, MalformedRowError, MolBridgeError,
+    SmilesError)
 from .metrics import (
     accumulate, check_subset, format_metrics, macro_metrics, stratified_metrics)
 from .smiles import featurize_smiles
@@ -238,16 +239,42 @@ def _write_manifest(run_dir: Path, args, outputs: dict[str, str],
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
+def _write_report(args, default_name: str, name: str, header: list[str],
+                  rows) -> Path:
+    """Write a report CSV of header and rows, and the manifest, into the
+    run directory; returns the report's path."""
+    run_dir = _resolve_out(args.out, default_name)
+    path = run_dir / name
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    _write_manifest(run_dir, args, {"report": name})
+    return path
+
+
+def _load_samples(path):
+    """The dataset's samples; each quarantined row is reported on stderr."""
+    result = load_dataset(path)
+    for row in result.quarantined:
+        print(f"quarantined line {row.line}: {row.reason}", file=sys.stderr)
+    return result.samples
+
+
 def _score_split(args, subset=()):
     """Load the checkpoint, then the dataset, and score the chosen split:
     the parameters and the split's graph pairs, labels and predictions.
-    Labels and subset classes past the checkpoint's, and a subset no
-    label of the split is in, are refused first."""
+    An empty split, labels and subset classes past the checkpoint's, and
+    a subset no label of the split is in, are refused first."""
     params, _ = load_checkpoint(args.checkpoint)
-    samples = load_dataset(args.data).samples
+    samples = _load_samples(args.data)
     if args.split != "all":
         plan = make_splits(samples, args.mode, args.fold, args.seed)
         samples = [samples[i] for i in getattr(plan, args.split)]
+    if not samples:
+        raise EmptySplitError(
+            f"the {args.split} split of {args.data} ({args.mode}, fold "
+            f"{args.fold}) is empty; nothing to score")
     labels = [s.label for s in samples]
     if max(labels, default=0) >= params.config.classes:
         raise LabelOutOfRangeError(
@@ -306,11 +333,9 @@ def cmd_train(args) -> int:
 
     mode = given["mode"] or "transductive"
     fold = given["fold"] or 0
-    result = load_dataset(args.data)
-    for row in result.quarantined:
-        print(f"quarantined line {row.line}: {row.reason}", file=sys.stderr)
-    plan = make_splits(result.samples, mode, fold, config.seed)
-    params, record = train(result.samples, plan, config)
+    samples = _load_samples(args.data)
+    plan = make_splits(samples, mode, fold, config.seed)
+    params, record = train(samples, plan, config)
 
     run_dir = _resolve_out(args.out, f"train-{time.strftime('%Y%m%d-%H%M%S')}")
     ckpt_path = run_dir / "best.ckpt"
@@ -376,15 +401,12 @@ def cmd_predict(args) -> int:
 def cmd_oversmooth(args) -> int:
     report = analysis.depth_probe(args.seed, max_depth=args.depth,
                                   trials=args.trials)
-    run_dir = _resolve_out(args.out, f"oversmooth-{args.seed}")
-    path = run_dir / "oversmooth.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["depth", "plain_cosine", "gformer_cosine"])
-        for i, depth in enumerate(report.depths):
-            writer.writerow([int(depth), repr(float(report.plain_mean[i])),
-                             repr(float(report.gformer_mean[i]))])
-    _write_manifest(run_dir, args, {"report": "oversmooth.csv"})
+    path = _write_report(
+        args, f"oversmooth-{args.seed}", "oversmooth.csv",
+        ["depth", "plain_cosine", "gformer_cosine"],
+        ([int(depth), repr(float(plain)), repr(float(gformer))]
+         for depth, plain, gformer in zip(
+             report.depths, report.plain_mean, report.gformer_mean)))
     print(f"report: {path}")
     return 0
 
@@ -395,23 +417,19 @@ def cmd_distance(args) -> int:
         pairs, preds, labels, params.config.classes,
         quantiles=args.quantiles, combine=args.combine)
 
-    run_dir = _resolve_out(args.out, "distance")
-    path = run_dir / "distance.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["stratum", "upper_boundary", "count",
-                         "accuracy", "macro_f1"])
-        for k in range(args.quantiles):
-            count = int((strata.assignments == k).sum())
-            upper = (repr(float(strata.boundaries[k]))
-                     if k < len(strata.boundaries) else "")
-            row = strata.per_stratum[k]
-            writer.writerow([
-                k, upper, count,
-                repr(row["accuracy"]) if row else "",
-                repr(row["macro_f1"]) if row else "",
-            ])
-    _write_manifest(run_dir, args, {"report": "distance.csv"})
+    def row(k):
+        count = int((strata.assignments == k).sum())
+        upper = (repr(float(strata.boundaries[k]))
+                 if k < len(strata.boundaries) else "")
+        scores = strata.per_stratum[k]
+        return [k, upper, count,
+                repr(scores["accuracy"]) if scores else "",
+                repr(scores["macro_f1"]) if scores else ""]
+
+    path = _write_report(
+        args, "distance", "distance.csv",
+        ["stratum", "upper_boundary", "count", "accuracy", "macro_f1"],
+        (row(k) for k in range(args.quantiles)))
     print(f"report: {path}")
     return 0
 
@@ -421,18 +439,11 @@ def cmd_edges(args) -> int:
     from .joint import build_joint, refine
     refined = refine(build_joint(g1, g2), params.proj_w, params.proj_b,
                      params.w_q, params.w_k, params.config.heads, params.theta)
-    model.require_finite(refined.combined.value)
+    model.require_finite(refined.combined)
     k = min(args.k, g1.n_atoms * g2.n_atoms)
-    edges = analysis.top_edges(refined.combined.value, k, g1.n_atoms)
-
-    run_dir = _resolve_out(args.out, "edges")
-    path = run_dir / "edges.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["atom_1", "atom_2", "weight"])
-        for p, q, w in edges:
-            writer.writerow([p, q, repr(w)])
+    edges = analysis.top_edges(refined.combined, k, g1.n_atoms)
+    _write_report(args, "edges", "edges.csv", ["atom_1", "atom_2", "weight"],
+                  ([p, q, repr(w)] for p, q, w in edges))
     for p, q, w in edges[:10]:
         print(f"{p} -> {q}  {w:.6f}")
-    _write_manifest(run_dir, args, {"report": "edges.csv"})
     return 0

@@ -4,7 +4,9 @@ The pipeline here is: stack both drugs' features and adjacencies into one
 block-diagonal graph, project features to the working width, score all
 atom pairs with multi-head attention (weights only, no value path), and
 blend the attention matrix with the bonded adjacency through a learned
-scalar gate.
+scalar gate. Each stage is a function of numpy arrays that returns its
+value and a pullback (see autodiff.py); the features and the bonded
+adjacency are data and get no gradient.
 
 Pairs run together as a chunk, written straight from their featured
 graphs: each pair's joint graph, drug one's atoms first, is padded to the
@@ -20,11 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Param, Tensor
+from .autodiff import Param
 from .errors import HeadsNotDividingError, ShapeMismatchError, SizeCapExceededError
 from .smiles import FeaturedGraph
 
@@ -43,12 +46,13 @@ class JointChunk:
 
 @dataclass
 class RefinedAdjacency:
-    """Outputs of the refinement stage, kept as graph nodes for backprop."""
+    """Outputs of the refinement stage, and its pullback."""
 
-    projected: Tensor       # H, (B*N) x dim
-    attention: Tensor       # A_r, (B*N) x N, row-stochastic over real atoms
-    combined: Tensor        # A = (1-alpha) A' + alpha A_r
-    alpha: Tensor           # 1x1, in (0, 1)
+    projected: np.ndarray   # H, (B*N) x dim
+    attention: np.ndarray   # A_r, (B*N) x N, row-stochastic over real atoms
+    combined: np.ndarray    # A = (1-alpha) A' + alpha A_r, alpha in (0, 1)
+    # backward(dH, dA) adds the gradients of every refinement Param
+    backward: Callable[[np.ndarray, np.ndarray], None]
 
 
 def build_joint(g_i: FeaturedGraph, g_j: FeaturedGraph) -> JointChunk:
@@ -76,13 +80,28 @@ def stack_joints(pairs: list[tuple[FeaturedGraph, FeaturedGraph]],
     return JointChunk(features, adjacency, mask)
 
 
-def project(features: Tensor, weight: Param, bias: Param) -> Tensor:
-    """Affine map of stacked features to the working width (one node)."""
-    return ad.linear(features, weight, bias)
+def project(features: np.ndarray, weight: Param, bias: Param):
+    """Affine map features @ weight + bias of stacked features to the
+    working width; bias is a 1 x width row added to every row. Returns
+    (value, backward); backward(grad) adds the weight and bias gradients
+    and returns None, the features being data."""
+    rows, width = weight.shape
+    if features.shape[1] != rows or bias.shape != (1, width):
+        raise ShapeMismatchError(
+            f"project needs features @ weight + a 1x{width} bias, got "
+            f"{features.shape} x {weight.shape} + {bias.shape}")
+    value = features @ weight.value
+    value += bias.value
+
+    def backward(grad):
+        weight._add_grad(features.T @ grad)
+        bias._add_grad(ad.col_sums(grad))
+
+    return value, backward
 
 
-def cross_attention(h: Tensor, w_q: Param, w_k: Param, heads: int,
-                    mask: np.ndarray | None = None) -> Tensor:
+def cross_attention(h: np.ndarray, w_q: Param, w_k: Param, heads: int,
+                    mask: np.ndarray):
     """Mean over heads of softmax(Q K^T / sqrt(dim/heads)) on node features.
 
     w_q and w_k are dim x dim; column block h (head_dim = dim/heads
@@ -90,13 +109,12 @@ def cross_attention(h: Tensor, w_q: Param, w_k: Param, heads: int,
     used; there is no value projection, so the result is directly a
     row-stochastic adjacency over all atoms. h holds B blocks of N rows
     and the result is (B*N) x N, block b attending within itself; mask
-    (B x N, default one block with no padding) marks the real atoms, and
-    padding keys get zero weight. One tape node: the backward runs over
-    (B, heads, N, head_dim) arrays.
+    (B x N) marks the real atoms, and padding keys get zero weight.
+    Returns (value, backward); backward(grad) adds the W_Q and W_K
+    gradients and returns h's, running over (B, heads, N, head_dim)
+    arrays.
     """
     rows, dim = h.shape
-    if mask is None:
-        mask = np.ones((1, rows), dtype=bool)
     blocks, n = mask.shape
     if blocks * n != rows:
         raise ShapeMismatchError(
@@ -116,10 +134,10 @@ def cross_attention(h: Tensor, w_q: Param, w_k: Param, heads: int,
         return x.transpose(0, 2, 1, 3).reshape(rows, dim)
 
     # the score scale goes on the rows x dim query, not the score buffer
-    q = h.value @ w_q.value
+    q = h @ w_q.value
     q *= scale
     q = split(q)
-    k = split(h.value @ w_k.value)
+    k = split(h @ w_k.value)
     # scores, then softmax over keys, in place on one (B, heads, N, N)
     # buffer; row sums are products with a ones column, as in autodiff
     probs = q @ k.transpose(0, 1, 3, 2)
@@ -141,54 +159,51 @@ def cross_attention(h: Tensor, w_q: Param, w_k: Param, heads: int,
         d_q *= scale / heads
         d_k = merge(d_scores.transpose(0, 1, 3, 2) @ q)
         d_k *= 1.0 / heads
-        if w_q.requires_grad:
-            w_q._add_grad(h.value.T @ d_q)
-        if w_k.requires_grad:
-            w_k._add_grad(h.value.T @ d_k)
-        if h.requires_grad:
-            d_h = d_q @ w_q.value.T
-            d_h += d_k @ w_k.value.T
-            h._add_grad(d_h)
+        w_q._add_grad(h.T @ d_q)
+        w_k._add_grad(h.T @ d_k)
+        d_h = d_q @ w_q.value.T
+        d_h += d_k @ w_k.value.T
+        return d_h
 
     value = probs.sum(axis=1)
     value *= 1.0 / heads
-    return Tensor._result(value.reshape(rows, n), (h, w_q, w_k), backward)
+    return value.reshape(rows, n), backward
 
 
-def integrate(a_prime: Tensor, a_r: Tensor, theta: Param) -> tuple[Tensor, Tensor]:
+def integrate(a_prime: np.ndarray, a_r: np.ndarray, theta: Param):
     """Blend bonded and attention adjacencies: A = (1-alpha) A' + alpha A_r,
-    computed as A' + alpha (A_r - A') in one node.
-
-    alpha = logistic(theta) keeps the mix a convex combination.
-    Returns (A, alpha).
-    """
+    computed as A' + alpha (A_r - A'), with alpha = logistic(theta) (1x1)
+    so the mix is a convex combination. Returns (A, backward);
+    backward(grad) adds theta's gradient and returns A_r's."""
     if a_prime.shape != a_r.shape:
         raise ShapeMismatchError(
             f"adjacency shapes differ: {a_prime.shape} vs {a_r.shape}")
-    if theta.shape != (1, 1):
-        raise ShapeMismatchError("theta must be 1x1")
-    alpha = ad.sigmoid(theta)
-    a = alpha.value[0, 0]
-    diff = a_r.value - a_prime.value
+    # stable two-sided logistic
+    t = theta.value
+    gate = np.where(t >= 0, 1.0 / (1.0 + np.exp(-np.abs(t))),
+                    np.exp(-np.abs(t)) / (1.0 + np.exp(-np.abs(t))))
+    a = gate[0, 0]
+    diff = a_r - a_prime
     value = diff * a
-    value += a_prime.value
+    value += a_prime
 
     def backward(grad):
-        if a_prime.requires_grad:
-            a_prime._add_grad(grad * (1.0 - a))
-        if a_r.requires_grad:
-            a_r._add_grad(grad * a)
-        if alpha.requires_grad:
-            alpha._add_grad(np.full((1, 1), np.vdot(grad, diff)))
+        d_gate = np.full((1, 1), np.vdot(grad, diff))
+        theta._add_grad(d_gate * gate * (1.0 - gate))
+        return grad * a
 
-    combined = Tensor._result(value, (a_prime, a_r, alpha), backward)
-    return combined, alpha
+    return value, backward
 
 
 def refine(joint: JointChunk, proj_w: Param, proj_b: Param, w_q: Param,
            w_k: Param, heads: int, theta: Param) -> RefinedAdjacency:
     """Run projection, attention, and integration on a chunk."""
-    h = project(Tensor(joint.features), proj_w, proj_b)
-    a_r = cross_attention(h, w_q, w_k, heads, joint.mask)
-    combined, alpha = integrate(Tensor(joint.adjacency), a_r, theta)
-    return RefinedAdjacency(h, a_r, combined, alpha)
+    h, project_back = project(joint.features, proj_w, proj_b)
+    a_r, attention_back = cross_attention(h, w_q, w_k, heads, joint.mask)
+    combined, integrate_back = integrate(joint.adjacency, a_r, theta)
+
+    def backward(d_h, d_combined):
+        d_h = d_h + attention_back(integrate_back(d_combined))
+        project_back(d_h)
+
+    return RefinedAdjacency(h, a_r, combined, backward)

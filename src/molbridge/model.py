@@ -1,10 +1,15 @@
 """The full predictor: GFormer stack, multi-scale aggregation, classifier.
 
-A GFormer layer, one tape node, is graph propagation (A + I) F followed
-by layer normalization and a residual, then a two-layer ReLU
-feed-forward block, again normalized with a residual. Layer outputs from
-every depth (including the projected input) are summed over atoms and
-depths into a single vector per pair before the classifier head.
+A GFormer layer is graph propagation (A + I) F followed by layer
+normalization and a residual, then a two-layer ReLU feed-forward block,
+again normalized with a residual. Layer outputs from every depth
+(including the projected input) are summed over atoms and depths into a
+single vector per pair before the classifier head.
+
+Each stage here and in joint.py is a function of numpy arrays that
+returns its value and a pullback (see autodiff.py). forward_chunk runs
+them and the head, and returns the logits as the chunk's one tape node,
+whose backward calls the pullbacks in reverse.
 
 Pairs run in chunks laid out as in joint.py: B joint graphs padded to N
 atoms, features (B*N) x d, adjacency (B*N) x N, and a B x N mask of real
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import ctypes
 import functools
 from dataclasses import dataclass, field
 
@@ -44,6 +50,13 @@ from .smiles import FEATURE_DIM, FeaturedGraph
 # 128 rows paid more per-op overhead, and 2048 rows more padding and
 # cache traffic.
 CHUNK_ROWS = 512
+
+# glibc's malloc returns the heap's free top to the system past a threshold
+# that follows the largest block freed; a chunk's few MB straddle it, so
+# chunks page-faulted them back in. Pin both thresholds at their caps.
+with contextlib.suppress(OSError, AttributeError):
+    ctypes.CDLL(None).mallopt(-3, 32 << 20)     # M_MMAP_THRESHOLD
+    ctypes.CDLL(None).mallopt(-1, 64 << 20)     # M_TRIM_THRESHOLD
 
 # Least total chunk_costs at which batch_logits forks its own helpers. On
 # 3-50-atom drug pairs (default model, 1 BLAS thread, 2 cores) a helper's
@@ -216,66 +229,49 @@ def init_params(config: ModelConfig) -> ModelParams:
 # layers
 # ---------------------------------------------------------------------- #
 
-def _blocks(features: Tensor, adjacency: Tensor):
-    """(A, F): the (B*N) x N stacked adjacency and the (B*N) x d features
-    as B x N x N and B x N x d arrays, once their shapes are checked."""
+def gcn_propagate(features: np.ndarray, adjacency: np.ndarray):
+    """Neighborhood aggregation (A + I) F, computed as A F + F per block:
+    no weights, no degree normalization. adjacency is (B*N) x N stacked
+    blocks over (B*N) x d features. Returns (value, backward);
+    backward(grad) returns the features' and the adjacency's gradients."""
     rows, n = adjacency.shape
-    if rows != features.rows or rows % n != 0:
+    if rows != features.shape[0] or rows % n != 0:
         raise ShapeMismatchError(
             f"adjacency {adjacency.shape} does not match features "
             f"{features.shape}")
-    return (adjacency.value.reshape(rows // n, n, n),
-            features.value.reshape(rows // n, n, features.cols))
-
-
-def gcn_propagate(features: Tensor, adjacency: Tensor) -> Tensor:
-    """Neighborhood aggregation (A + I) F, computed as A F + F per block:
-    no weights, no degree normalization. adjacency is (B*N) x N stacked
-    blocks over (B*N) x d features; one tape node."""
-    a, f = _blocks(features, adjacency)
+    a = adjacency.reshape(rows // n, n, n)
+    f = features.reshape(rows // n, n, features.shape[1])
+    value = (a @ f).reshape(features.shape)
+    value += features
 
     def backward(grad):
         g = grad.reshape(f.shape)
-        if adjacency.requires_grad:
-            adjacency._add_grad(
-                (g @ f.transpose(0, 2, 1)).reshape(adjacency.shape))
-        if features.requires_grad:
-            d_f = (a.transpose(0, 2, 1) @ g).reshape(features.shape)
-            d_f += grad
-            features._add_grad(d_f)
+        d_f = (a.transpose(0, 2, 1) @ g).reshape(features.shape)
+        d_f += grad
+        return d_f, (g @ f.transpose(0, 2, 1)).reshape(adjacency.shape)
 
-    return Tensor._result((a @ f).reshape(features.shape) + features.value,
-                          (features, adjacency), backward)
+    return value, backward
 
 
-def gformer_layer(f_prev: Tensor, adjacency: Tensor,
-                  p: GFormerLayerParams) -> Tensor:
+def gformer_layer(f_prev: np.ndarray, adjacency: np.ndarray,
+                  p: GFormerLayerParams):
     """One propagation block: X = LN((A+I)F) + F; out = LN(FFN(X) + X)
-    with FFN(X) = relu(X W1 + b1) W2 + b2. One tape node whose parents
-    are f_prev, the adjacency and the layer's 8 Params, with the
-    backward written out; the same values as gcn_propagate, layer_norm,
-    linear and relu composed op by op, up to rounding."""
-    a, f = _blocks(f_prev, adjacency)
-    prop = (a @ f).reshape(f_prev.shape)
-    prop += f_prev.value
-    xhat1, inv1 = ad.norm_rows(prop)
-    x = xhat1 * p.ln1_gain.value
-    x += p.ln1_bias.value
-    x += f_prev.value
+    with FFN(X) = relu(X W1 + b1) W2 + b2. Returns (value, backward);
+    backward(grad) adds the layer's 8 Param gradients and returns the
+    gradients of f_prev and of the adjacency."""
+    prop, prop_back = gcn_propagate(f_prev, adjacency)
+    x, ln1_back = ad.layer_norm(prop, p.ln1_gain, p.ln1_bias)
+    x += f_prev
     hidden = x @ p.w1.value
     hidden += p.b1.value
     np.maximum(hidden, 0.0, out=hidden)
     s = hidden @ p.w2.value
     s += p.b2.value
     s += x
-    xhat2, inv2 = ad.norm_rows(s)
-    value = xhat2 * p.ln2_gain.value
-    value += p.ln2_bias.value
+    value, ln2_back = ad.layer_norm(s, p.ln2_gain, p.ln2_bias)
 
     def backward(grad):
-        p.ln2_gain._add_grad(ad.col_sums(grad * xhat2))
-        p.ln2_bias._add_grad(ad.col_sums(grad))
-        d_s = ad.norm_rows_backward(grad * p.ln2_gain.value, xhat2, inv2)
+        d_s = ln2_back(grad)
         p.w2._add_grad(hidden.T @ d_s)
         p.b2._add_grad(ad.col_sums(d_s))
         d_z = d_s @ p.w2.value.T
@@ -284,57 +280,32 @@ def gformer_layer(f_prev: Tensor, adjacency: Tensor,
         p.b1._add_grad(ad.col_sums(d_z))
         d_x = d_z @ p.w1.value.T
         d_x += d_s
-        p.ln1_gain._add_grad(ad.col_sums(d_x * xhat1))
-        p.ln1_bias._add_grad(ad.col_sums(d_x))
-        d_prop = ad.norm_rows_backward(d_x * p.ln1_gain.value, xhat1, inv1)
-        g = d_prop.reshape(f.shape)
-        if adjacency.requires_grad:
-            adjacency._add_grad(
-                (g @ f.transpose(0, 2, 1)).reshape(adjacency.shape))
-        if f_prev.requires_grad:
-            d_f = (a.transpose(0, 2, 1) @ g).reshape(f_prev.shape)
-            d_f += d_prop
-            d_f += d_x
-            f_prev._add_grad(d_f)
+        d_f, d_a = prop_back(ln1_back(d_x))
+        d_f += d_x
+        return d_f, d_a
 
-    return Tensor._result(value, (f_prev, adjacency, *p.all()), backward)
+    return value, backward
 
 
-def scm_forward(h: Tensor, adjacency: Tensor,
-                layers: list[GFormerLayerParams]) -> list[Tensor]:
-    """Run the layer stack; returns [F0, F1, ..., FL] with F0 = h itself."""
-    trace = [h]
-    for p in layers:
-        trace.append(gformer_layer(trace[-1], adjacency, p))
-    return trace
-
-
-def aggregate(trace: list[Tensor], mask: np.ndarray | None = None) -> Tensor:
+def aggregate(trace: list[np.ndarray], mask: np.ndarray):
     """Sum every layer's features over each pair's real atoms: B x dim,
-    row b for block b. mask is B x N (default one block, no padding);
-    one tape node."""
-    if not trace:
-        raise ShapeMismatchError("aggregate needs a nonempty trace")
+    row b for block b, for a B x N mask of real atoms.
+    Returns (value, backward); backward(grad) returns the one gradient
+    every layer output gets."""
     rows, dim = trace[0].shape
-    if mask is None:
-        mask = np.ones((1, rows), dtype=bool)
     blocks, n = mask.shape
     if blocks * n != rows or any(t.shape != (rows, dim) for t in trace):
         raise ShapeMismatchError(
             f"mask {mask.shape} does not cover layer outputs {trace[0].shape}")
     keep = mask[:, :, None]
-    total = np.zeros((blocks, dim), trace[0].value.dtype)
+    total = np.zeros((blocks, dim), trace[0].dtype)
     for layer_out in trace:
-        total += (layer_out.value.reshape(blocks, n, dim) * keep).sum(axis=1)
+        total += (layer_out.reshape(blocks, n, dim) * keep).sum(axis=1)
 
     def backward(grad):
-        # every layer output gets the same array; none writes into it
-        g = (grad[:, None, :] * keep).reshape(rows, dim)
-        for layer_out in trace:
-            if layer_out.requires_grad:
-                layer_out._add_grad(g)
+        return (grad[:, None, :] * keep).reshape(rows, dim)
 
-    return Tensor._result(total, tuple(trace), backward)
+    return total, backward
 
 
 # ---------------------------------------------------------------------- #
@@ -364,20 +335,46 @@ def joint_sizes(pairs: list[tuple[FeaturedGraph, FeaturedGraph]]) -> list[int]:
 def forward_chunk(pairs: list[tuple[FeaturedGraph, FeaturedGraph]],
                   params: ModelParams) -> Tensor:
     """Full pipeline up to class logits (B x C, row b for pairs[b]) on
-    the pairs padded to one chunk."""
+    the pairs padded to one chunk: one tape node whose parents are the
+    Params and whose backward runs the stages' pullbacks in reverse."""
     joint = jg.stack_joints(pairs, params.proj_w.value.dtype)
     refined = jg.refine(joint, params.proj_w, params.proj_b,
                         params.w_q, params.w_k, params.config.heads,
                         params.theta)
-    trace = scm_forward(refined.projected, refined.combined, params.gformer)
-    pooled = aggregate(trace, joint.mask)
-    hidden = ad.relu(ad.linear(pooled, params.head_w1, params.head_b1))
-    logits = ad.linear(hidden, params.head_w2, params.head_b2)
+    trace, layer_backs = [refined.projected], []
+    for p in params.gformer:
+        out, back = gformer_layer(trace[-1], refined.combined, p)
+        trace.append(out)
+        layer_backs.append(back)
+    pooled, pool_back = aggregate(trace, joint.mask)
+    z = pooled @ params.head_w1.value
+    z += params.head_b1.value
+    hidden = np.maximum(z, 0.0)
+    logits = hidden @ params.head_w2.value
+    logits += params.head_b2.value
     # a non-finite layer output, padding rows too, reaches the pooled rows
     # (NaN * 0 is NaN); the head's ReLU (np.maximum) passes a NaN on, but
     # turns a -inf into 0, so the pooled rows are checked as well
-    require_finite(pooled.value, logits.value)
-    return logits
+    require_finite(pooled, logits)
+
+    def backward(grad):
+        params.head_w2._add_grad(hidden.T @ grad)
+        params.head_b2._add_grad(ad.col_sums(grad))
+        d_z = grad @ params.head_w2.value.T
+        d_z *= z > 0.0
+        params.head_w1._add_grad(pooled.T @ d_z)
+        params.head_b1._add_grad(ad.col_sums(d_z))
+        # every layer output, the projection too, gets the pooled rows'
+        # gradient g; F_l gets layer l+1's input gradient as well
+        g = pool_back(d_z @ params.head_w1.value.T)
+        d_f, d_a = g, None
+        for back in reversed(layer_backs):
+            d_f, d_layer = back(d_f)
+            d_f += g
+            d_a = d_layer if d_a is None else d_a + d_layer
+        refined.backward(d_f, d_a)
+
+    return Tensor._result(logits, tuple(params.all()), backward)
 
 
 def require_finite(*arrays: np.ndarray) -> None:
@@ -438,28 +435,32 @@ def log_softmax(x: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def cross_entropy_from_logits(logits: Tensor, labels) -> Tensor:
-    """Mean over rows of -log(softmax(logits)[row, label]) as a 1x1 loss.
+def cross_entropy_from_logits(logits: Tensor, labels,
+                              weight: float = 1.0) -> Tensor:
+    """weight times the mean over rows of -log(softmax(logits)[row, label])
+    as a 1x1 loss.
 
-    logits are B x C and labels a length-B sequence (an int for B = 1).
-    Fused with the log-softmax for stability; one tape node.
+    logits are B x C and labels a length-B sequence (an int for B = 1);
+    a chunk's weight is its share of the batch. Fused with the
+    log-softmax for stability; one tape node.
     """
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
-    if labels.size != logits.rows:
+    n, classes = logits.shape
+    if labels.size != n:
         raise ShapeMismatchError(
-            f"{labels.size} labels for {logits.rows} rows of logits")
-    outside = (labels < 0) | (labels >= logits.cols)
+            f"{labels.size} labels for {n} rows of logits")
+    outside = (labels < 0) | (labels >= classes)
     if outside.any():
         raise LabelOutOfRangeError(
-            f"label {labels[outside][0]} outside [0, {logits.cols})")
+            f"label {labels[outside][0]} outside [0, {classes})")
     log_p = log_softmax(logits.value)
-    rows = np.arange(labels.size)
+    rows = np.arange(n)
 
     def backward(grad):
         d = np.exp(log_p)
         d[rows, labels] -= 1.0
-        d *= grad[0, 0] / labels.size
+        d *= grad[0, 0] * weight / labels.size
         logits._add_grad(d)
 
-    return Tensor._result(-log_p[rows, labels].mean().reshape(1, 1),
+    return Tensor._result(-log_p[rows, labels].mean().reshape(1, 1) * weight,
                           (logits,), backward)

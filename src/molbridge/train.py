@@ -147,7 +147,7 @@ def train(samples: list[DDISample], plan: SplitPlan,
         rows, share = work
         logits = m.forward_chunk([pairs[i] for i in rows], fast)
         loss = m.cross_entropy_from_logits(
-            logits, [labels[i] for i in rows]) * share
+            logits, [labels[i] for i in rows], share)
         fast.grads[...] = 0.0
         if np.isfinite(loss.item()):
             loss.backward()

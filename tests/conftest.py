@@ -8,7 +8,7 @@ import hypothesis
 import numpy as np
 import pytest
 
-from molbridge.autodiff import Tensor
+from molbridge.autodiff import Param, Tensor, grad_check
 from molbridge.checkpoint import save_checkpoint
 from molbridge.model import ModelConfig, init_params
 
@@ -67,6 +67,66 @@ def probe_loss(x: Tensor, probe) -> Tensor:
         x._add_grad(probe * grad)
 
     return Tensor._result((x.value * probe).sum(keepdims=True), (x,), backward)
+
+
+# Tape nodes for graphs built in the tests: the library's tensors have
+# no operators, and its model chunk is a single node.
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    def backward(grad):
+        a._add_grad(grad)
+        b._add_grad(grad)
+
+    return Tensor._result(a.value + b.value, (a, b), backward)
+
+
+def scale(x: Tensor, c: float) -> Tensor:
+    return Tensor._result(x.value * c, (x,), lambda grad: x._add_grad(c * grad))
+
+
+def positive_part(x: Tensor) -> Tensor:
+    return Tensor._result(np.maximum(x.value, 0.0), (x,),
+                          lambda grad: x._add_grad(grad * (x.value > 0.0)))
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    def backward(grad):
+        x._add_grad(grad @ w.value.T)
+        w._add_grad(x.value.T @ grad)
+        b._add_grad(grad.sum(axis=0, keepdims=True))
+
+    return Tensor._result(x.value @ w.value + b.value, (x, w, b), backward)
+
+
+def stage_node(stage, *inputs: Tensor, params=()) -> Tensor:
+    """A model stage (arrays in, (value, backward) out) as a tape node over
+    Tensor inputs. backward(grad) must add each Param's gradient and
+    return the inputs' gradients (one array, a tuple in input order, or
+    None without inputs), and must leave grad as it was."""
+    value, backward = stage(*(x.value for x in inputs))
+
+    def pullback(grad):
+        handed = grad.copy()
+        got = backward(grad)
+        assert np.array_equal(grad, handed), "the pullback wrote into grad"
+        got = () if got is None else got if isinstance(got, tuple) else (got,)
+        assert len(got) == len(inputs)
+        for x, g in zip(inputs, got):
+            assert g.shape == x.shape
+            x._add_grad(g)
+
+    return Tensor._result(value, (*inputs, *params), pullback)
+
+
+def check_pullback(stage, inputs, params, probe) -> float:
+    """grad_check's worst relative error for a stage's pullback (see
+    stage_node), with the loss sum(value * probe): central differences
+    run over every entry of the input arrays and of the Params."""
+    leaves = [Param(np.array(x, dtype=np.float64), f"input{i}")
+              for i, x in enumerate(inputs)]
+    return grad_check(
+        lambda: probe_loss(stage_node(stage, *leaves, params=params), probe),
+        [*leaves, *params])
 
 
 def save_unchecked(path, **fields) -> None:

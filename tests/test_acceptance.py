@@ -164,7 +164,7 @@ def test_criterion_3_structural_invariants():
             block_ok = False
         refined = refine(joint, params.proj_w, params.proj_b, params.w_q,
                          params.w_k, params.config.heads, params.theta)
-        rows = refined.attention.value.sum(axis=1)
+        rows = refined.attention.sum(axis=1)
         if np.max(np.abs(rows - 1.0)) > 1e-9:
             attn_ok = False
         probs = m.predict(g1, g2, params)

@@ -7,11 +7,17 @@ from hypothesis import given, settings, strategies as st
 
 import molbridge.autodiff as ad
 from molbridge.autodiff import Param, Tensor
-from molbridge.joint import cross_attention, integrate
-from molbridge.model import gcn_propagate, log_softmax
+from molbridge.joint import cross_attention, integrate, project
+from molbridge.model import log_softmax
 from molbridge.errors import NonScalarLossError, ShapeMismatchError
 
-from conftest import probe_loss
+from conftest import add, check_pullback, positive_part, probe_loss, scale
+
+
+def logistic(x: Tensor) -> Tensor:
+    value = 1.0 / (1.0 + np.exp(-x.value))
+    return Tensor._result(value, (x,),
+                          lambda grad: x._add_grad(grad * value * (1.0 - value)))
 
 
 class TestConstruction:
@@ -24,31 +30,30 @@ class TestConstruction:
 
 
 class TestLinear:
+    # x @ w + b with a 1xd bias row: joint.project, the affine stage
     def test_equals_matmul_plus_bias(self):
         rng = np.random.default_rng(3)
-        x, w, b = (Tensor(rng.normal(size=shape))
-                   for shape in ((5, 4), (4, 3), (1, 3)))
-        assert np.array_equal(ad.linear(x, w, b).value,
-                              x.value @ w.value + b.value)
+        x = rng.normal(size=(5, 4))
+        w = Param(rng.normal(size=(4, 3)), "w")
+        b = Param(rng.normal(size=(1, 3)), "b")
+        value, _ = project(x, w, b)
+        assert np.array_equal(value, x @ w.value + b.value)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
-            ad.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4))),
-                      Tensor(np.zeros((1, 3))))
+            project(np.zeros((2, 3)), Param(np.zeros((3, 4)), "w"),
+                    Param(np.zeros((1, 3)), "b"))
 
     @settings(max_examples=20)
     @given(st.integers(0, 10**6))
     def test_gradients(self, seed):
         rng = np.random.default_rng(seed)
-        x = Param(rng.normal(size=(5, 4)), "x")
+        x = rng.normal(size=(5, 4))
         w = Param(rng.normal(size=(4, 3)), "w")
         b = Param(rng.normal(size=(1, 3)), "b")
         probe = rng.normal(size=(5, 3))
-
-        def f():
-            return probe_loss(ad.linear(x, w, b), probe)
-
-        assert ad.grad_check(f, [x, w, b]) < 1e-6
+        assert check_pullback(lambda: project(x, w, b), [], [w, b],
+                              probe) < 1e-6
 
 
 class TestSoftmax:
@@ -88,40 +93,50 @@ class TestLayerNorm:
     def test_constant_row_collapses(self):
         gain = Param(np.ones((1, 3)), "g")
         bias = Param(np.zeros((1, 3)), "b")
-        out = ad.layer_norm(Tensor([[5.0, 5.0, 5.0]]), gain, bias)
-        assert np.allclose(out.value, 0.0, atol=1e-9)
+        out, _ = ad.layer_norm(np.array([[5.0, 5.0, 5.0]]), gain, bias)
+        assert np.allclose(out, 0.0, atol=1e-9)
 
     def test_two_point_row(self):
         gain = Param(np.ones((1, 2)), "g")
         bias = Param(np.zeros((1, 2)), "b")
-        out = ad.layer_norm(Tensor([[1.0, 3.0]]), gain, bias)
+        out, _ = ad.layer_norm(np.array([[1.0, 3.0]]), gain, bias)
         expected = 1.0 / math.sqrt(1.0 + 1e-5)
-        assert np.allclose(out.value, [[-expected, expected]], atol=1e-12)
-        assert np.allclose(out.value, [[-1.0, 1.0]], atol=1e-4)
+        assert np.allclose(out, [[-expected, expected]], atol=1e-12)
+        assert np.allclose(out, [[-1.0, 1.0]], atol=1e-4)
 
     def test_zero_gain_gives_bias(self):
         gain = Param(np.zeros((1, 2)), "g")
         bias = Param(np.array([[7.0, -2.0]]), "b")
-        out = ad.layer_norm(Tensor([[1.0, 3.0], [0.0, 9.0]]), gain, bias)
-        assert np.array_equal(out.value, [[7.0, -2.0], [7.0, -2.0]])
+        out, _ = ad.layer_norm(np.array([[1.0, 3.0], [0.0, 9.0]]), gain, bias)
+        assert np.array_equal(out, [[7.0, -2.0], [7.0, -2.0]])
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
-            ad.layer_norm(Tensor(np.zeros((2, 3))),
-                          Param(np.ones((1, 2)), "g"),
+            ad.layer_norm(np.zeros((2, 3)), Param(np.ones((1, 2)), "g"),
                           Param(np.zeros((1, 3)), "b"))
+
+    @settings(max_examples=20)
+    @given(st.integers(0, 10**6))
+    def test_gradients(self, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(4, 5))
+        gain = Param(rng.normal(size=(1, 5)), "gain")
+        bias = Param(rng.normal(size=(1, 5)), "bias")
+        probe = rng.normal(size=(4, 5))
+        assert check_pullback(lambda x: ad.layer_norm(x, gain, bias), [x],
+                              [gain, bias], probe) < 1e-6
 
 
 class TestBackward:
     def test_requires_scalar(self):
         p = Param(np.ones((2, 2)), "p")
         with pytest.raises(NonScalarLossError):
-            (p * 2.0).backward()
+            scale(p, 2.0).backward()
 
     def test_unreachable_param_zero(self):
         used = Param(np.ones((1, 1)), "used")
         unused = Param(np.ones((1, 1)), "unused")
-        (used * 3.0).backward()
+        scale(used, 3.0).backward()
         assert used.grad[0, 0] == 3.0
         assert unused.grad[0, 0] == 0.0
 
@@ -135,58 +150,69 @@ class TestBackward:
 
     def test_shared_subexpression(self):
         p = Param(np.array([[3.0]]), "p")
-        q = p * 2.0
-        loss = probe_loss(q + q, 1.0)     # d/dp (4p) = 4
+        q = scale(p, 2.0)
+        loss = probe_loss(add(q, q), 1.0)     # d/dp (4p) = 4
         loss.backward()
         assert p.grad[0, 0] == 4.0
 
     def test_broadcast_bias_grad(self):
-        # linear adds its 1xd bias to every row, so the bias gradient sums
-        # the rows
+        # project adds its 1xd bias to every row, so the bias gradient
+        # sums the rows
         bias = Param(np.zeros((1, 3)), "b")
-        x = Tensor(np.ones((4, 3)))
-        probe_loss(ad.linear(x, Tensor(np.eye(3)), bias), 1.0).backward()
+        _, backward = project(np.ones((4, 3)), Param(np.eye(3), "w"), bias)
+        backward(np.ones((4, 3)))
         assert bias.grad.tolist() == [[4.0, 4.0, 4.0]]
 
     def test_graph_freed_without_cycle_collector(self):
-        # closures do not refer to their own node, so dropping the loss
-        # frees the whole graph by reference counting alone
+        # closures do not refer to their own node, nor a chunk's pullbacks
+        # to the node that holds them, so dropping the loss frees the
+        # whole graph by reference counting alone
+        from molbridge import model as m
+        from molbridge.smiles import featurize_smiles
+        params = m.init_params(m.ModelConfig(dim=8, heads=2, layers=2,
+                                             classes=3))
+        pairs = [(featurize_smiles("CCO"), featurize_smiles("c1ccccc1")),
+                 (featurize_smiles("CN"), featurize_smiles("O"))]
         rng = np.random.default_rng(2)
         w = Param(rng.normal(size=(3, 3)), "w")
-        x = Tensor(rng.normal(size=(4, 3)))
         gc.collect()
         gc.disable()
         try:
-            hidden = ad.relu(ad.linear(x, w, Tensor(np.zeros((1, 3)))))
-            loss = probe_loss(ad.sigmoid(hidden) * 2.0 + hidden, 1.0)
+            hidden = positive_part(scale(w, 2.0))
+            loss = probe_loss(add(scale(hidden, 2.0), hidden), 1.0)
             loss.backward()
-            del hidden, loss
+            chunk = m.cross_entropy_from_logits(
+                m.forward_chunk(pairs, params), [0, 2])
+            chunk.backward()
+            del hidden, loss, chunk
             assert gc.collect() == 0
         finally:
             gc.enable()
 
-    @pytest.mark.parametrize("op", ["add", "linear", "layer_norm",
-                                    "gcn_propagate", "integrate",
-                                    "cross_attention"])
+    @pytest.mark.parametrize("op", ["linear", "integrate"])
     def test_constant_inputs_get_no_gradient(self, op):
+        # the features (projected by the linear stage) and the bonded
+        # adjacency are data: their stages' pullbacks return no gradient
+        # for them and write into no input
         rng = np.random.default_rng(4)
-        c = Tensor(rng.normal(size=(4, 4)))
-        c_row = Tensor(rng.normal(size=(1, 4)))
+        c = rng.normal(size=(4, 4))
+        r = rng.dirichlet(np.ones(4), size=4)
         p = Param(rng.normal(size=(4, 4)), "p")
         p_row = Param(rng.normal(size=(1, 4)), "p_row")
-        out = {
-            "add": lambda: c + p,
-            "linear": lambda: ad.linear(c, p, c_row),
-            "layer_norm": lambda: ad.layer_norm(c, p_row, c_row),
-            "gcn_propagate": lambda: gcn_propagate(p, c),
-            "integrate": lambda: integrate(c, p, Param(np.zeros((1, 1)), "t"))[0],
-            "cross_attention": lambda: cross_attention(c, p, p, heads=2),
+        theta = Param(np.array([[0.3]]), "t")
+        inputs = [c.copy(), r.copy()]
+        value, backward = {
+            "linear": lambda: project(inputs[0], p, p_row),
+            "integrate": lambda: integrate(inputs[0], inputs[1], theta),
         }[op]()
-        constants = (c, c_row)
-        before = [t.grad for t in constants]
-        probe_loss(out, 2.0 * out.value).backward()
-        assert [t.grad for t in constants] == before == [None] * 2
-        assert np.any(p.grad != 0.0) or np.any(p_row.grad != 0.0)
+        got = backward(2.0 * value)
+        if op == "linear":
+            assert got is None
+            assert np.any(p.grad != 0.0) and np.any(p_row.grad != 0.0)
+        else:
+            assert got.shape == r.shape and np.any(got != 0.0)
+            assert theta.grad[0, 0] != 0.0
+        assert np.array_equal(inputs[0], c) and np.array_equal(inputs[1], r)
 
     @pytest.mark.parametrize("shared_first", [True, False])
     def test_diamond_shared_first_contribution(self, shared_first):
@@ -200,12 +226,12 @@ class TestBackward:
         nodes = {}
 
         def f():
-            a = p * 3.0
-            b = ad.relu(p)
-            first = probe_loss(a + b, w)
+            a = scale(p, 3.0)
+            b = positive_part(p)
+            first = probe_loss(add(a, b), w)
             second = probe_loss(a, v)
             nodes.update(a=a, b=b)
-            return first + second if shared_first else second + first
+            return add(first, second) if shared_first else add(second, first)
 
         assert ad.grad_check(f, [p]) < 1e-6
         p.zero_grad()
@@ -221,11 +247,10 @@ class TestGradCheck:
         rng = np.random.default_rng(5)
         w = Param(rng.normal(size=(3, 3)), "w")
         x_val = rng.normal(size=(3, 1))
-        x_row, zero = Tensor(x_val.T), Tensor(np.zeros((1, 3)))
 
         def f():
-            # x^T W x = sum((x^T W) * x^T)
-            return probe_loss(ad.linear(x_row, w, zero), x_val.T)
+            # x^T W x = sum(W * x x^T)
+            return probe_loss(w, x_val @ x_val.T)
 
         assert ad.grad_check(f, [w]) < 1e-8
 
@@ -233,50 +258,61 @@ class TestGradCheck:
         p = Param(np.ones((2, 2)), "p")
 
         def f():
-            return Tensor([[4.0]]) * 1.0
+            return Tensor([[4.0]])
 
         assert ad.grad_check(f, [p]) == 0.0
 
-    # per-op randomized checks, >= 20 seeds each via hypothesis profile
+    # randomized checks of chained stages, >= 20 seeds via hypothesis
     @settings(max_examples=20)
     @given(st.integers(0, 10**6))
     def test_fused_ops_gradients(self, seed):
+        # layer norm, then attention, then a linear stage: each pullback
+        # takes the gradient the next one returns
         rng = np.random.default_rng(seed)
-        x = Param(rng.normal(size=(3, 4)), "x")
+        x = rng.normal(size=(3, 4))
         gain = Param(rng.normal(size=(1, 4)), "gain")
         bias = Param(rng.normal(size=(1, 4)), "bias")
-        w = Param(rng.normal(size=(4, 2)), "w")
+        w = Param(rng.normal(size=(3, 2)), "w")
+        b = Param(rng.normal(size=(1, 2)), "b")
         w_q = Param(rng.normal(size=(4, 4)), "w_q")
         w_k = Param(rng.normal(size=(4, 4)), "w_k")
         probe = rng.normal(size=(3, 2))
-        zero = Tensor(np.zeros((1, 2)))
 
-        def f():
-            normed = ad.layer_norm(x, gain, bias)
-            attn = cross_attention(normed, w_q, w_k, heads=2)
-            mixed = ad.linear(attn, ad.relu(ad.linear(normed, w, zero)), zero)
-            return probe_loss(ad.sigmoid(mixed), probe)
+        def stages(x):
+            normed, ln_back = ad.layer_norm(x, gain, bias)
+            attn, attn_back = cross_attention(normed, w_q, w_k, 2,
+                                              np.ones((1, 3), dtype=bool))
+            out, out_back = project(attn, w, b)
 
-        assert ad.grad_check(f, [x, gain, bias, w, w_q, w_k]) < 1e-4
+            def backward(grad):
+                out_back(grad)      # adds w's and b's gradients only
+                return ln_back(attn_back(grad @ w.value.T))
+
+            return out, backward
+
+        assert check_pullback(stages, [x], [gain, bias, w, b, w_q, w_k],
+                              probe) < 1e-4
 
     @settings(max_examples=20)
     @given(st.integers(0, 10**6))
     def test_pointwise_ops_gradients(self, seed):
+        # b reaches the loss along two paths of pointwise nodes
         rng = np.random.default_rng(seed)
         a = Param(rng.normal(size=(2, 3)), "a")
         b = Param(rng.normal(size=(2, 3)), "b")
         probe = rng.normal(size=(2, 3))
 
         def f():
-            mixed = ad.sigmoid(a * 2.0 + b) + ad.relu(b * -0.5)
-            return probe_loss(ad.sigmoid(mixed), probe)
+            mixed = add(logistic(add(scale(a, 2.0), b)),
+                        positive_part(scale(b, -0.5)))
+            return probe_loss(logistic(mixed), probe)
 
         assert ad.grad_check(f, [a, b]) < 1e-4
 
 
 class TestSurface:
-    # the model runs only same-shape + and * by a number; nothing else
-    # may creep back in
+    # the model's stages work on arrays; tensors have no operators, so
+    # none may creep back in
     @pytest.mark.parametrize("op", [
         lambda x, y: x @ y,
         lambda x, y: x * y,
@@ -284,33 +320,30 @@ class TestSurface:
         lambda x, y: x - y,
         lambda x, y: x + 1.0,
         lambda x, y: 2.0 * x,
-    ], ids=["matmul", "mul", "neg", "sub", "add_float", "rmul"])
+        lambda x, y: x + y,
+        lambda x, y: x * 2.0,
+    ], ids=["matmul", "mul", "neg", "sub", "add_float", "rmul", "add",
+            "mul_float"])
     def test_dropped_operator_is_type_error(self, op):
         with pytest.raises(TypeError):
             op(Tensor(np.ones((2, 2))), Param(np.ones((2, 2)), "p"))
-
-    def test_add_of_two_shapes_is_shape_error(self):
-        with pytest.raises(ShapeMismatchError):
-            Tensor(np.ones((4, 3))) + Param(np.zeros((1, 3)), "b")
 
     def test_module_callables(self):
         public = {name for name, value in vars(ad).items()
                   if callable(value) and not name.startswith("_")
                   and getattr(value, "__module__", None) == ad.__name__}
-        assert public == {"Tensor", "Param", "linear", "relu", "sigmoid",
-                          "layer_norm", "zero_grads", "grad_check",
-                          # array kernels the fused GFormer layer shares
-                          "row_sums", "col_sums", "norm_rows",
-                          "norm_rows_backward"}
+        assert public == {"Tensor", "Param", "layer_norm", "grad_check",
+                          # row math the stages share
+                          "row_sums", "col_sums"}
 
 
 class TestMisc:
-    def test_relu(self):
-        out = ad.relu(Tensor([[-1.0, 0.0, 2.0]]))
-        assert out.value.tolist() == [[0.0, 0.0, 2.0]]
-
     def test_sigmoid_extremes_finite(self):
-        out = ad.sigmoid(Tensor([[-1000.0, 0.0, 1000.0]]))
-        assert np.all(np.isfinite(out.value))
-        assert out.value[0, 1] == 0.5
+        # integrate's gate alpha = logistic(theta), read off a blend of
+        # A' = 0 and A_r = 1, which is alpha itself
+        zero, one = np.zeros((1, 1)), np.ones((1, 1))
+        alphas = [integrate(zero, one, Param(np.array([[t]]), "t"))[0][0, 0]
+                  for t in (-1000.0, 0.0, 1000.0)]
+        assert np.all(np.isfinite(alphas))
+        assert alphas == [0.0, 0.5, 1.0]
 

@@ -405,6 +405,42 @@ class TestEvalCommand:
             "error: no samples with true label in [1]\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", [["eval"], ["analyze", "distance"]],
+                             ids=["eval", "distance"])
+    def test_quarantined_rows_reported(self, command, run_dir, data_path,
+                                       tmp_path, capsys):
+        argv = [*command, "--checkpoint", str(run_dir / "best.ckpt"),
+                "--split", "all", "--out", str(tmp_path / "o")]
+        assert main([*argv, "--data", str(data_path)]) == 0
+        clean = capsys.readouterr()
+        assert clean.err == ""
+        starred = tmp_path / "starred.csv"
+        starred.write_text(data_path.read_text() + "C*,CCO,1\n")   # line 42
+        assert main([*argv, "--data", str(starred)]) == 0
+        got = capsys.readouterr()
+        assert got.out == clean.out
+        assert got.err == \
+            "quarantined line 42: unsupported token '*' (position 1)\n"
+
+    @pytest.mark.parametrize("command, report", [
+        (["eval"], "metrics.txt"), (["analyze", "distance"], "distance.csv")],
+        ids=["eval", "distance"])
+    def test_empty_split_is_one_error_line(self, command, report, run_dir,
+                                           tmp_path, capsys):
+        # three rows: the transductive fold-0 split has no validation row
+        data = tmp_path / "three.csv"
+        write_dataset(make_two_class_dataset(3, seed=1), data)
+        out = tmp_path / "o"
+        assert main([*command, "--checkpoint", str(run_dir / "best.ckpt"),
+                     "--data", str(data), "--split", "val",
+                     "--out", str(out)]) == 1
+        got = capsys.readouterr()
+        assert got.out == ""
+        assert got.err == (f"error: the val split of {data} (transductive, "
+                           "fold 0) is empty; nothing to score\n")
+        assert not (out / report).exists()
+        assert not (out / "manifest.json").exists()
+
     def test_bad_checkpoint_path(self, data_path, tmp_path, capsys):
         code = main(["eval", "--checkpoint", str(tmp_path / "no.ckpt"),
                      "--data", str(data_path)])

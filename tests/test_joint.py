@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import molbridge.autodiff as ad
-from molbridge.autodiff import Param, Tensor
+from molbridge.autodiff import Param
 from molbridge.errors import (
     HeadsNotDividingError,
     ShapeMismatchError,
@@ -17,15 +16,21 @@ from molbridge.joint import (
     cross_attention,
     integrate,
     project,
+    refine,
     stack_joints,
 )
 from molbridge.smiles import FEATURE_DIM, FeaturedGraph, featurize, parse_smiles
 
-from conftest import probe_loss
+from conftest import check_pullback
 
 
 def graph(text):
     return featurize(parse_smiles(text))
+
+
+def whole(rows):
+    """The mask of one block of `rows` real atoms."""
+    return np.ones((1, rows), dtype=bool)
 
 
 class TestBuildJoint:
@@ -108,45 +113,44 @@ class TestProject:
         g = build_joint(graph("CC"), graph("O"))
         w = Param(np.eye(FEATURE_DIM), "w")
         b = Param(np.zeros((1, FEATURE_DIM)), "b")
-        h = project(Tensor(g.features), w, b)
-        assert np.array_equal(h.value, g.features)
+        h, _ = project(g.features, w, b)
+        assert np.array_equal(h, g.features)
 
     def test_zero_map(self):
         g = build_joint(graph("CC"), graph("O"))
         w = Param(np.zeros((FEATURE_DIM, 4)), "w")
         b = Param(np.zeros((1, 4)), "b")
-        assert np.all(project(Tensor(g.features), w, b).value == 0.0)
+        assert np.all(project(g.features, w, b)[0] == 0.0)
 
     def test_matches_manual_matmul(self):
         rng = np.random.default_rng(3)
         g = build_joint(graph("CCO"), graph("CN"))
         w_val = rng.normal(size=(FEATURE_DIM, 6))
         b_val = rng.normal(size=(1, 6))
-        h = project(Tensor(g.features),
-                    Param(w_val, "w"), Param(b_val, "b"))
-        assert np.allclose(h.value, g.features @ w_val + b_val, atol=1e-12)
+        h, _ = project(g.features, Param(w_val, "w"), Param(b_val, "b"))
+        assert np.allclose(h, g.features @ w_val + b_val, atol=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
-            project(Tensor(np.zeros((2, 5))),
+            project(np.zeros((2, 5)),
                     Param(np.zeros((4, 3)), "w"), Param(np.zeros((1, 3)), "b"))
 
 
 class TestCrossAttention:
     def test_identical_rows_uniform(self):
-        h = Tensor(np.ones((5, 4)))
+        h = np.ones((5, 4))
         w_q = Param(np.full((4, 4), 0.3), "q")
         w_k = Param(np.full((4, 4), -0.2), "k")
-        a_r = cross_attention(h, w_q, w_k, heads=1)
-        assert np.allclose(a_r.value, 0.2, atol=1e-12)
+        a_r, _ = cross_attention(h, w_q, w_k, 1, whole(5))
+        assert np.allclose(a_r, 0.2, atol=1e-12)
 
     def test_two_singletons(self):
-        h = Tensor(np.array([[1.0, 0.0], [0.0, 2.0]]))
+        h = np.array([[1.0, 0.0], [0.0, 2.0]])
         w_q = Param(np.eye(2), "q")
         w_k = Param(np.eye(2), "k")
-        a_r = cross_attention(h, w_q, w_k, heads=1)
+        a_r, _ = cross_attention(h, w_q, w_k, 1, whole(2))
         assert a_r.shape == (2, 2)
-        assert np.allclose(a_r.value.sum(axis=1), 1.0, atol=1e-12)
+        assert np.allclose(a_r.sum(axis=1), 1.0, atol=1e-12)
 
     def test_hand_table_three_nodes(self):
         # one head, dim 2: scores = softmax(H Wq (H Wk)^T / sqrt(2))
@@ -158,26 +162,26 @@ class TestCrossAttention:
         logits = q @ k.T / math.sqrt(2.0)
         exp = np.exp(logits - logits.max(axis=1, keepdims=True))
         expected = exp / exp.sum(axis=1, keepdims=True)
-        a_r = cross_attention(Tensor(h_val), Param(wq_val, "q"),
-                              Param(wk_val, "k"), heads=1)
-        assert np.allclose(a_r.value, expected, atol=1e-12)
+        a_r, _ = cross_attention(h_val, Param(wq_val, "q"),
+                                 Param(wk_val, "k"), 1, whole(3))
+        assert np.allclose(a_r, expected, atol=1e-12)
 
     def test_heads_must_divide(self):
         with pytest.raises(HeadsNotDividingError):
-            cross_attention(Tensor(np.zeros((2, 6))),
+            cross_attention(np.zeros((2, 6)),
                             Param(np.zeros((6, 6)), "q"),
-                            Param(np.zeros((6, 6)), "k"), heads=4)
+                            Param(np.zeros((6, 6)), "k"), 4, whole(2))
 
     @given(st.integers(0, 10**6))
     def test_rows_stochastic(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 9))
-        h = Tensor(rng.normal(0, 3, (n, 4)))
+        h = rng.normal(0, 3, (n, 4))
         w_q = Param(rng.normal(size=(4, 4)), "q")
         w_k = Param(rng.normal(size=(4, 4)), "k")
-        a_r = cross_attention(h, w_q, w_k, heads=2)
-        assert np.all(np.abs(a_r.value.sum(axis=1) - 1.0) <= 1e-9)
-        assert np.all(a_r.value >= 0.0)
+        a_r, _ = cross_attention(h, w_q, w_k, 2, whole(n))
+        assert np.all(np.abs(a_r.sum(axis=1) - 1.0) <= 1e-9)
+        assert np.all(a_r >= 0.0)
 
     @given(st.integers(0, 10**6), st.sampled_from([1, 2, 4]))
     def test_matches_per_head_restatement(self, seed, heads):
@@ -193,98 +197,130 @@ class TestCrossAttention:
             exp = np.exp(logits - logits.max(axis=1, keepdims=True))
             expected += exp / exp.sum(axis=1, keepdims=True)
         expected /= heads
-        a_r = cross_attention(Tensor(h), Param(wq, "q"), Param(wk, "k"), heads)
-        assert np.allclose(a_r.value, expected, atol=1e-12)
+        a_r, _ = cross_attention(h, Param(wq, "q"), Param(wk, "k"), heads,
+                                 whole(n))
+        assert np.allclose(a_r, expected, atol=1e-12)
 
     @pytest.mark.parametrize("heads", [1, 2, 4])
     def test_gradients_against_finite_differences(self, heads):
         rng = np.random.default_rng(heads)
-        h = Param(rng.normal(size=(5, 8)), "h")
+        h = rng.normal(size=(5, 8))
         w_q = Param(rng.normal(0, 0.5, (8, 8)), "q")
         w_k = Param(rng.normal(0, 0.5, (8, 8)), "k")
         probe = rng.normal(size=(5, 5))
+        assert check_pullback(
+            lambda h: cross_attention(h, w_q, w_k, heads, whole(5)), [h],
+            [w_q, w_k], probe) < 1e-6
 
-        def f():
-            return probe_loss(cross_attention(h, w_q, w_k, heads), probe)
-
-        assert ad.grad_check(f, [h, w_q, w_k]) < 1e-6
+    def test_padded_chunk_gradients(self):
+        # two blocks of 4 rows, the first with one padding row
+        rng = np.random.default_rng(12)
+        h = rng.normal(size=(8, 4))
+        mask = np.array([[True, True, True, False], [True] * 4])
+        w_q = Param(rng.normal(0, 0.5, (4, 4)), "q")
+        w_k = Param(rng.normal(0, 0.5, (4, 4)), "k")
+        probe = rng.normal(size=(8, 4))
+        assert check_pullback(
+            lambda h: cross_attention(h, w_q, w_k, 2, mask), [h],
+            [w_q, w_k], probe) < 1e-6
 
     def test_projection_shape_checked(self):
         with pytest.raises(ShapeMismatchError):
-            cross_attention(Tensor(np.zeros((2, 4))),
+            cross_attention(np.zeros((2, 4)),
                             Param(np.zeros((4, 2)), "q"),
-                            Param(np.zeros((4, 4)), "k"), heads=2)
+                            Param(np.zeros((4, 4)), "k"), 2, whole(2))
+
+
+def alpha_of(theta: Param) -> float:
+    """integrate's gate alpha, read off the blend of A' = 0 and A_r = 1."""
+    zero, one = np.zeros((1, 1)), np.ones((1, 1))
+    return float(integrate(zero, one, theta)[0][0, 0])
 
 
 class TestIntegrate:
     def test_alpha_zero_limit(self):
-        a_prime = Tensor(np.eye(3))
-        a_r = Tensor(np.full((3, 3), 1.0 / 3.0))
-        combined, alpha = integrate(a_prime, a_r, Param(np.array([[-40.0]]), "t"))
-        assert alpha.item() < 1e-15
-        assert np.allclose(combined.value, np.eye(3), atol=1e-12)
+        a_prime = np.eye(3)
+        a_r = np.full((3, 3), 1.0 / 3.0)
+        theta = Param(np.array([[-40.0]]), "t")
+        combined, _ = integrate(a_prime, a_r, theta)
+        assert alpha_of(theta) < 1e-15
+        assert np.allclose(combined, np.eye(3), atol=1e-12)
 
     def test_theta_zero_averages(self):
-        a_prime = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        a_r = Tensor(np.array([[0.5, 0.5], [0.5, 0.5]]))
-        combined, alpha = integrate(a_prime, a_r, Param(np.zeros((1, 1)), "t"))
-        assert alpha.item() == 0.5
-        assert np.allclose(combined.value, 0.5 * (a_prime.value + a_r.value),
-                           atol=1e-15)
+        a_prime = np.array([[1.0, 0.0], [0.0, 1.0]])
+        a_r = np.array([[0.5, 0.5], [0.5, 0.5]])
+        theta = Param(np.zeros((1, 1)), "t")
+        combined, _ = integrate(a_prime, a_r, theta)
+        assert alpha_of(theta) == 0.5
+        assert np.allclose(combined, 0.5 * (a_prime + a_r), atol=1e-15)
 
     def test_theta_one_hand_formula(self):
         rng = np.random.default_rng(7)
         a_prime_val = (rng.random((4, 4)) < 0.4).astype(float)
         a_r_val = rng.dirichlet(np.ones(4), size=4)
-        combined, alpha = integrate(Tensor(a_prime_val), Tensor(a_r_val),
-                                    Param(np.array([[1.0]]), "t"))
+        theta = Param(np.array([[1.0]]), "t")
+        combined, _ = integrate(a_prime_val, a_r_val, theta)
         expected_alpha = 1.0 / (1.0 + math.exp(-1.0))
-        assert abs(alpha.item() - expected_alpha) < 1e-12
+        assert abs(alpha_of(theta) - expected_alpha) < 1e-12
         assert abs(expected_alpha - 0.7311) < 1e-4
         expected = (1 - expected_alpha) * a_prime_val + expected_alpha * a_r_val
-        assert np.allclose(combined.value, expected, atol=1e-12)
+        assert np.allclose(combined, expected, atol=1e-12)
 
     def test_entries_stay_in_unit_interval(self):
         rng = np.random.default_rng(1)
         a_prime = (rng.random((5, 5)) < 0.5).astype(float)
         a_r = rng.dirichlet(np.ones(5), size=5)
         for theta in (-3.0, 0.0, 0.4, 5.0):
-            combined, _ = integrate(Tensor(a_prime), Tensor(a_r),
+            combined, _ = integrate(a_prime, a_r,
                                     Param(np.array([[theta]]), "t"))
-            assert np.all(combined.value >= 0.0)
-            assert np.all(combined.value <= 1.0)
+            assert np.all(combined >= 0.0)
+            assert np.all(combined <= 1.0)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
-            integrate(Tensor(np.zeros((2, 2))), Tensor(np.zeros((3, 3))),
+            integrate(np.zeros((2, 2)), np.zeros((3, 3)),
                       Param(np.zeros((1, 1)), "t"))
 
-    def test_one_node_returning_alpha(self):
-        theta = Param(np.array([[0.4]]), "t")
-        combined, alpha = integrate(Tensor(np.eye(3)),
-                                    Param(np.full((3, 3), 0.2), "r"), theta)
-        assert combined._parents[2] is alpha
-        assert alpha._parents == (theta,)
-
     @settings(max_examples=20)
-    @given(st.integers(0, 10**6), st.booleans())
-    def test_gradients(self, seed, bonded_constant):
+    @given(st.integers(0, 10**6))
+    def test_gradients(self, seed):
         rng = np.random.default_rng(seed)
-        a_prime_val = (rng.random((5, 5)) < 0.4).astype(float)
-        a_prime = (Tensor(a_prime_val) if bonded_constant
-                   else Param(a_prime_val, "a_prime"))
-        a_r = Param(rng.dirichlet(np.ones(5), size=5), "a_r")
+        a_prime = (rng.random((5, 5)) < 0.4).astype(float)
+        a_r = rng.dirichlet(np.ones(5), size=5)
         theta = Param(rng.normal(size=(1, 1)), "theta")
         probe = rng.normal(size=(5, 5))
+        assert check_pullback(lambda a_r: integrate(a_prime, a_r, theta),
+                              [a_r], [theta], probe) < 1e-6
 
-        def f():
-            combined, _ = integrate(a_prime, a_r, theta)
-            return probe_loss(combined, probe)
 
-        params = [a_r, theta] if bonded_constant else [a_prime, a_r, theta]
-        assert ad.grad_check(f, params) < 1e-6
-        if bonded_constant:
-            assert a_prime.grad is None
+class TestRefine:
+    @pytest.mark.parametrize("output", ["projected", "combined"])
+    def test_gradients(self, output):
+        # the pullback of projection, attention and blend on a padded
+        # chunk, from the gradient of either output
+        rng = np.random.default_rng(13)
+        chunk = stack_joints([(graph("CCO"), graph("C")),
+                              (graph("CN"), graph("OCCO"))], np.float64)
+        params = [Param(rng.normal(0, 0.3, (FEATURE_DIM, 4)), "w"),
+                  Param(rng.normal(size=(1, 4)), "b"),
+                  Param(rng.normal(0, 0.5, (4, 4)), "q"),
+                  Param(rng.normal(0, 0.5, (4, 4)), "k"),
+                  Param(np.array([[0.3]]), "t")]
+
+        def stage():
+            refined = refine(chunk, *params[:4], 2, params[4])
+            value = getattr(refined, output)
+
+            def backward(grad):
+                grads = {"projected": np.zeros_like(refined.projected),
+                         "combined": np.zeros_like(refined.combined),
+                         output: grad}
+                refined.backward(grads["projected"], grads["combined"])
+
+            return value, backward
+
+        probe = rng.normal(size=stage()[0].shape)
+        assert check_pullback(stage, [], params, probe) < 1e-6
 
 
 class TestEquivariance:
@@ -308,10 +344,10 @@ class TestEquivariance:
 
         def refined(ga, gb):
             joint = build_joint(ga, gb)
-            h = project(Tensor(joint.features), w, b)
-            a_r = cross_attention(h, w_q, w_k, 1)
-            combined, _ = integrate(Tensor(joint.adjacency), a_r, theta)
-            return combined.value
+            h, _ = project(joint.features, w, b)
+            a_r, _ = cross_attention(h, w_q, w_k, 1, joint.mask)
+            combined, _ = integrate(joint.adjacency, a_r, theta)
+            return combined
 
         base = refined(g1, g2)
         permuted = refined(g1_p, g2)

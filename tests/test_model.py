@@ -17,7 +17,9 @@ from molbridge.errors import (
 )
 from molbridge.smiles import FEATURE_DIM, FeaturedGraph, featurize, parse_smiles
 
-from conftest import CORPUS, probe_loss
+from conftest import (
+    CORPUS, add, check_pullback, linear, positive_part, probe_loss,
+    stage_node)
 
 
 def graph(text):
@@ -92,50 +94,44 @@ def zero_layer(dim, d_hid, bias2_value=0.0):
 
 class TestGcnPropagate:
     def test_zero_adjacency_is_identity(self):
-        f = Tensor(np.arange(6.0).reshape(3, 2))
-        out = mb.gcn_propagate(f, Tensor(np.zeros((3, 3))))
-        assert np.array_equal(out.value, f.value)
+        f = np.arange(6.0).reshape(3, 2)
+        out, _ = mb.gcn_propagate(f, np.zeros((3, 3)))
+        assert np.array_equal(out, f)
 
     def test_identity_adjacency_doubles(self):
-        f = Tensor(np.arange(6.0).reshape(3, 2))
-        out = mb.gcn_propagate(f, Tensor(np.eye(3)))
-        assert np.array_equal(out.value, 2.0 * f.value)
+        f = np.arange(6.0).reshape(3, 2)
+        out, _ = mb.gcn_propagate(f, np.eye(3))
+        assert np.array_equal(out, 2.0 * f)
 
     def test_path_graph_one_hots(self):
-        adjacency = Tensor(np.array([[0.0, 1.0, 0.0],
-                                     [1.0, 0.0, 1.0],
-                                     [0.0, 1.0, 0.0]]))
-        f = Tensor(np.eye(3))
-        out = mb.gcn_propagate(f, adjacency)
-        assert out.value.tolist() == [[1.0, 1.0, 0.0],
-                                      [1.0, 1.0, 1.0],
-                                      [0.0, 1.0, 1.0]]
+        adjacency = np.array([[0.0, 1.0, 0.0],
+                              [1.0, 0.0, 1.0],
+                              [0.0, 1.0, 0.0]])
+        out, _ = mb.gcn_propagate(np.eye(3), adjacency)
+        assert out.tolist() == [[1.0, 1.0, 0.0],
+                                [1.0, 1.0, 1.0],
+                                [0.0, 1.0, 1.0]]
 
     def test_stacked_blocks_propagate_separately(self):
         rng = np.random.default_rng(6)
         a1, a2 = rng.random((3, 3)), rng.random((3, 3))
         f1, f2 = rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
-        out = mb.gcn_propagate(Tensor(np.vstack([f1, f2])),
-                               Tensor(np.vstack([a1, a2])))
-        assert np.allclose(out.value, np.vstack([a1 @ f1 + f1, a2 @ f2 + f2]),
+        out, _ = mb.gcn_propagate(np.vstack([f1, f2]), np.vstack([a1, a2]))
+        assert np.allclose(out, np.vstack([a1 @ f1 + f1, a2 @ f2 + f2]),
                            atol=1e-12)
 
     def test_stacked_gradients_against_finite_differences(self):
         rng = np.random.default_rng(8)
-        f = Param(rng.normal(size=(6, 2)), "f")
-        a = Param(rng.random((6, 3)), "a")
+        f = rng.normal(size=(6, 2))
+        a = rng.random((6, 3))
         probe = rng.normal(size=(6, 2))
-
-        def loss():
-            return probe_loss(mb.gcn_propagate(f, a), probe)
-
-        assert ad.grad_check(loss, [f, a]) < 1e-6
+        assert check_pullback(mb.gcn_propagate, [f, a], [], probe) < 1e-6
 
     def test_shape_errors(self):
         with pytest.raises(ShapeMismatchError):
-            mb.gcn_propagate(Tensor(np.zeros((3, 2))), Tensor(np.zeros((2, 3))))
+            mb.gcn_propagate(np.zeros((3, 2)), np.zeros((2, 3)))
         with pytest.raises(ShapeMismatchError):
-            mb.gcn_propagate(Tensor(np.zeros((3, 2))), Tensor(np.zeros((2, 2))))
+            mb.gcn_propagate(np.zeros((3, 2)), np.zeros((2, 2)))
 
 
 class TestGFormerLayer:
@@ -144,15 +140,22 @@ class TestGFormerLayer:
         # the second residual, so out = broadcast ln2 bias
         dim, d_hid = 4, 8
         layer = zero_layer(dim, d_hid, bias2_value=1.5)
-        f = Tensor(np.arange(12.0).reshape(3, 4))
-        out = mb.gformer_layer(f, Tensor(np.zeros((3, 3))), layer)
-        assert np.allclose(out.value, 1.5, atol=1e-12)
+        f = np.arange(12.0).reshape(3, 4)
+        out, _ = mb.gformer_layer(f, np.zeros((3, 3)), layer)
+        assert np.allclose(out, 1.5, atol=1e-12)
+
+    def test_zero_params_unroll_by_hand(self):
+        # layer 1 output = bias (zero), layer 2 input zero -> output bias
+        dim, d_hid = 4, 8
+        out = np.zeros((2, dim))
+        for layer in (zero_layer(dim, d_hid), zero_layer(dim, d_hid)):
+            out, _ = mb.gformer_layer(out, np.zeros((2, 2)), layer)
+            assert np.all(out == 0.0)
 
     def test_output_shape_matches_input(self):
         params = tiny_params()
-        f = Tensor(np.random.default_rng(0).normal(size=(5, 8)))
-        a = Tensor(np.zeros((5, 5)))
-        out = mb.gformer_layer(f, a, params.gformer[0])
+        f = np.random.default_rng(0).normal(size=(5, 8))
+        out, _ = mb.gformer_layer(f, np.zeros((5, 5)), params.gformer[0])
         assert out.shape == f.shape
 
     def test_layer_gradients_against_finite_differences(self):
@@ -161,13 +164,10 @@ class TestGFormerLayer:
         cfg = mb.ModelConfig(dim=dim, heads=1, layers=1, d_hid=d_hid,
                              classes=2, seed=11)
         layer = mb.init_params(cfg).gformer[0]
-        f = Tensor(rng.normal(size=(3, dim)))
-        a = Tensor((rng.random((3, 3)) < 0.5).astype(float))
-
-        def f_loss():
-            return probe_loss(mb.gformer_layer(f, a, layer), 1.0)
-
-        assert ad.grad_check(f_loss, layer.all()) < 1e-4
+        f = rng.normal(size=(3, dim))
+        a = (rng.random((3, 3)) < 0.5).astype(float)
+        assert check_pullback(lambda f, a: mb.gformer_layer(f, a, layer),
+                              [f, a], layer.all(), 1.0) < 1e-4
 
 
 # a chunk of three pairs padded to the largest (3, 8 and 3 atoms), and
@@ -179,18 +179,17 @@ LAYER_CHUNKS = pytest.mark.parametrize("texts", [
 
 
 def layer_inputs(texts, seed=3, dim=4, d_hid=8):
-    """Params for one fused layer's inputs on the chunk of `texts`:
-    features, the chunk's bonds mixed with random weights on each
-    block's real atoms (as attention mixes them in), layer weights with
-    gains and biases moved off 1 and 0, and a probe for the loss."""
+    """One layer's inputs on the chunk of `texts`: features, the chunk's
+    bonds mixed with random weights on each block's real atoms (as
+    attention mixes them in), layer weights with gains and biases moved
+    off 1 and 0, and a probe for the loss."""
     rng = np.random.default_rng(seed)
     joint = jg.stack_joints([(graph(a), graph(b)) for a, b in texts],
                             np.float64)
     rows, n = joint.adjacency.shape
     keys = np.repeat(joint.mask, n, axis=0)
-    f = Param(rng.normal(size=(rows, dim)), "f_prev")
-    a = Param(0.7 * joint.adjacency + 0.3 * rng.random((rows, n)) * keys,
-              "adjacency")
+    f = rng.normal(size=(rows, dim))
+    a = 0.7 * joint.adjacency + 0.3 * rng.random((rows, n)) * keys
     layer = mb.init_layer(rng, 0, dim, d_hid)
     for p in layer.all():
         p.value[...] += rng.normal(0.0, 0.3, p.shape)
@@ -198,98 +197,79 @@ def layer_inputs(texts, seed=3, dim=4, d_hid=8):
 
 
 def composed_layer(f, a, p):
-    """The GFormer layer op by op, one tape node per op."""
-    x = ad.layer_norm(mb.gcn_propagate(f, a), p.ln1_gain, p.ln1_bias) + f
-    hidden = ad.relu(ad.linear(x, p.w1, p.b1))
-    return ad.layer_norm(ad.linear(hidden, p.w2, p.b2) + x,
-                         p.ln2_gain, p.ln2_bias)
+    """The GFormer layer op by op, one tape node per op: the propagation
+    and layer-norm stages as nodes, the rest as the tests' own nodes."""
+    def norm(x, gain, bias):
+        return stage_node(lambda v: ad.layer_norm(v, gain, bias), x,
+                          params=(gain, bias))
+
+    x = add(norm(stage_node(mb.gcn_propagate, f, a), p.ln1_gain, p.ln1_bias),
+            f)
+    hidden = positive_part(linear(x, p.w1, p.b1))
+    return norm(add(linear(hidden, p.w2, p.b2), x), p.ln2_gain, p.ln2_bias)
 
 
 class TestFusedLayer:
     @LAYER_CHUNKS
     def test_gradients_against_finite_differences(self, texts):
         f, a, layer, probe = layer_inputs(texts)
-
-        def loss():
-            return probe_loss(mb.gformer_layer(f, a, layer), probe)
-
-        assert ad.grad_check(loss, [f, a, *layer.all()]) < 1e-6
+        assert check_pullback(lambda f, a: mb.gformer_layer(f, a, layer),
+                              [f, a], layer.all(), probe) < 1e-6
 
     @LAYER_CHUNKS
     def test_equals_op_by_op_composition(self, texts):
-        f, a, layer, probe = layer_inputs(texts)
+        f_val, a_val, layer, probe = layer_inputs(texts)
+        f, a = Param(f_val, "f_prev"), Param(a_val, "adjacency")
         wrt = [f, a, *layer.all()]
+
+        def fused(f, a, p):
+            return stage_node(lambda f, a: mb.gformer_layer(f, a, p), f, a,
+                              params=p.all())
+
         results = []
-        for run in (mb.gformer_layer, composed_layer):
-            ad.zero_grads(wrt)
+        for run in (fused, composed_layer):
+            for q in wrt:
+                q.zero_grad()
             out = run(f, a, layer)
             probe_loss(out, probe).backward()
-            results.append((out.value, [p.grad.copy() for p in wrt]))
-        (fused, fused_grads), (plain, plain_grads) = results
-        assert np.max(np.abs(fused - plain)) <= 1e-12
-        for p, got, want in zip(wrt, fused_grads, plain_grads):
-            assert np.max(np.abs(got - want)) <= 1e-12, p.name
-            assert np.any(want != 0.0), p.name
-
-    def test_one_tape_node(self):
-        f, a, layer, _ = layer_inputs([("CCO", "C")])
-        out = mb.gformer_layer(f, a, layer)
-        assert out._parents == (f, a, *layer.all())
-
-
-class TestScmForward:
-    def test_trace_length(self):
-        params = tiny_params()
-        h = Tensor(np.zeros((3, 8)))
-        a = Tensor(np.zeros((3, 3)))
-        trace = mb.scm_forward(h, a, params.gformer[:1])
-        assert len(trace) == 2
-
-    def test_trace_zero_is_h_itself(self):
-        params = tiny_params()
-        h = Tensor(np.random.default_rng(1).normal(size=(4, 8)))
-        trace = mb.scm_forward(h, Tensor(np.zeros((4, 4))), params.gformer)
-        assert trace[0] is h
-
-    def test_zero_params_unroll_by_hand(self):
-        # layer 1 output = bias (zero), layer 2 input zero -> output bias
-        dim, d_hid = 4, 8
-        layers = [zero_layer(dim, d_hid), zero_layer(dim, d_hid)]
-        h = Tensor(np.zeros((2, dim)))
-        trace = mb.scm_forward(h, Tensor(np.zeros((2, 2))), layers)
-        assert np.all(trace[1].value == 0.0)
-        assert np.all(trace[2].value == 0.0)
+            results.append((out.value, [q.grad.copy() for q in wrt]))
+        (got, got_grads), (want, want_grads) = results
+        assert np.max(np.abs(got - want)) <= 1e-12
+        for q, got_grad, want_grad in zip(wrt, got_grads, want_grads):
+            assert np.max(np.abs(got_grad - want_grad)) <= 1e-12, q.name
+            assert np.any(want_grad != 0.0), q.name
 
 
 class TestAggregate:
     def test_single_matrix_column_sum(self):
-        h = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        out = mb.aggregate([h])
-        assert out.value.tolist() == [[4.0, 6.0]]
+        h = np.array([[1.0, 2.0], [3.0, 4.0]])
+        out, _ = mb.aggregate([h], np.ones((1, 2), dtype=bool))
+        assert out.tolist() == [[4.0, 6.0]]
 
     def test_counts_layers_times_atoms(self):
-        ones = [Tensor(np.ones((4, 5))) for _ in range(3)]   # L = 2
-        out = mb.aggregate(ones)
-        assert np.all(out.value == 12.0)
+        ones = [np.ones((4, 5)) for _ in range(3)]   # L = 2
+        out, _ = mb.aggregate(ones, np.ones((1, 4), dtype=bool))
+        assert np.all(out == 12.0)
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(6, 3))
         perm = rng.permutation(6)
-        a = mb.aggregate([Tensor(x)]).value
-        b = mb.aggregate([Tensor(x[perm])]).value
+        whole = np.ones((1, 6), dtype=bool)
+        a, _ = mb.aggregate([x], whole)
+        b, _ = mb.aggregate([x[perm]], whole)
         assert np.allclose(a, b, atol=1e-12)
 
 
     def test_mask_sums_each_pairs_real_rows(self):
         rng = np.random.default_rng(5)
-        trace = [Tensor(rng.normal(size=(6, 2))) for _ in range(2)]
+        trace = [rng.normal(size=(6, 2)) for _ in range(2)]
         mask = np.array([[True, True, False], [True, True, True]])
-        out = mb.aggregate(trace, mask)
-        both = trace[0].value + trace[1].value
+        out, _ = mb.aggregate(trace, mask)
+        both = trace[0] + trace[1]
         assert out.shape == (2, 2)
-        assert np.allclose(out.value, [both[0:2].sum(axis=0),
-                                       both[3:6].sum(axis=0)], atol=1e-12)
+        assert np.allclose(out, [both[0:2].sum(axis=0),
+                                 both[3:6].sum(axis=0)], atol=1e-12)
 
     def test_nan_in_padding_row_reaches_pooled_row(self):
         # padding rows are masked by a product with 0, and NaN * 0 is NaN,
@@ -297,16 +277,15 @@ class TestAggregate:
         value = np.ones((4, 3))
         value[1, 2] = np.nan                 # block 0's padding row
         mask = np.array([[True, False], [True, True]])
-        out = mb.aggregate([Tensor(value)], mask).value
+        out, _ = mb.aggregate([value], mask)
         assert np.isfinite(out).tolist() == [[True, True, False],
                                              [True, True, True]]
 
     def test_padding_rows_get_no_gradient(self):
-        trace = [Param(np.ones((4, 3)), "f0"), Param(np.ones((4, 3)), "f1")]
+        trace = [np.ones((4, 3)), np.ones((4, 3))]
         mask = np.array([[True, False], [True, True]])
-        probe_loss(mb.aggregate(trace, mask), 1.0).backward()
-        for p in trace:
-            assert p.grad[:, 0].tolist() == [1.0, 0.0, 1.0, 1.0]
+        _, backward = mb.aggregate(trace, mask)
+        assert backward(np.ones((2, 3)))[:, 0].tolist() == [1.0, 0.0, 1.0, 1.0]
 
 
 class TestChunks:
@@ -362,12 +341,19 @@ class TestChunks:
         # the chunk's gradient is the mean of the one-pair gradients
         loss().backward()
         chunk_grads = [p.grad.copy() for p in params.all()]
-        ad.zero_grads(params.all())
+        params.grads[...] = 0.0
         for (g1, g2), label in zip(pairs, labels):
-            (mb.cross_entropy_from_logits(mb.forward_pair(g1, g2, params),
-                                          label) * (1.0 / 3.0)).backward()
+            mb.cross_entropy_from_logits(mb.forward_pair(g1, g2, params),
+                                         label, 1.0 / 3.0).backward()
         for p, want in zip(params.all(), chunk_grads):
             assert np.allclose(p.grad, want, rtol=1e-10, atol=1e-13), p.name
+
+    def test_forward_chunk_is_one_tape_node(self):
+        params = tiny_params()
+        logits = mb.forward_chunk([(graph("CCO"), graph("C"))], params)
+        assert logits._parents == tuple(params.all())
+        loss = mb.cross_entropy_from_logits(logits, 1)
+        assert loss._parents == (logits,)
 
 
 class TestPredict:
@@ -421,7 +407,7 @@ class TestPredict:
         refined = refine(build_joint(graph("C"), graph("C")),
                          params.proj_w, params.proj_b, params.w_q, params.w_k,
                          params.config.heads, params.theta)
-        assert np.allclose(refined.combined.value, np.zeros((2, 2)), atol=1e-12)
+        assert np.allclose(refined.combined, np.zeros((2, 2)), atol=1e-12)
         assert np.all(np.isfinite(logits.value))
 
 
@@ -465,6 +451,18 @@ class TestCrossEntropy:
     def test_label_count_must_match_rows(self):
         with pytest.raises(ShapeMismatchError):
             mb.cross_entropy_from_logits(Tensor(np.zeros((2, 3))), [0])
+
+    def test_weight_scales_loss_and_gradient(self):
+        rng = np.random.default_rng(11)
+        logits = Param(rng.normal(0, 2, (3, 4)), "z")
+        plain = mb.cross_entropy_from_logits(logits, [1, 0, 3])
+        plain.backward()
+        grad = logits.grad.copy()
+        logits.zero_grad()
+        weighted = mb.cross_entropy_from_logits(logits, [1, 0, 3], 0.25)
+        weighted.backward()
+        assert weighted.item() == 0.25 * plain.item()
+        assert np.array_equal(logits.grad, 0.25 * grad)
 
     def test_fused_matches_plain(self):
         rng = np.random.default_rng(8)

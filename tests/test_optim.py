@@ -93,7 +93,7 @@ class TestAdamWClass:
     def test_zero_grad_clears(self):
         p = Param(np.ones((1, 1)), "p")
         opt = AdamW(p.value, p.grad)
-        probe_loss(p * 2.0, 1.0).backward()
+        probe_loss(p, 2.0).backward()
         assert p.grad[0, 0] != 0.0
         opt.zero_grad()
         assert p.grad[0, 0] == 0.0

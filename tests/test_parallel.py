@@ -109,7 +109,7 @@ class TestSetUp:
         monkeypatch.setattr(Param, "_add_grad", counted)
         logits = m.forward_chunk(featurize_samples(chunk), params)
         loss = m.cross_entropy_from_logits(
-            logits, [s.label % 2 for s in chunk]) * 0.5
+            logits, [s.label % 2 for s in chunk], 0.5)
         loss.backward()
         assert calls == {name: 1 for name, _ in params.named()}
 
@@ -304,9 +304,9 @@ class TestFailures:
         parent = os.getpid()
         loss = m.cross_entropy_from_logits
 
-        def patched(logits, labels):
+        def patched(logits, labels, weight):
             if os.getpid() == parent:
-                return loss(logits, labels)
+                return loss(logits, labels, weight)
             return Tensor._result(np.full((1, 1), np.inf), (logits,),
                                   lambda grad: None)
 

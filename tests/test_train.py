@@ -148,10 +148,10 @@ class TestFinitenessGate:
         run = m.gformer_layer
 
         def planted(f_prev, adjacency, p):
-            out = run(f_prev, adjacency, p)
+            out, backward = run(f_prev, adjacency, p)
             if p.w1.name == f"layer{layer}.ffn.w1":
-                out.value[row, 0] = np.inf
-            return out
+                out[row, 0] = np.inf
+            return out, backward
 
         monkeypatch.setattr(m, "gformer_layer", planted)
 
