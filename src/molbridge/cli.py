@@ -27,8 +27,8 @@ from . import analysis, model
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import dataset_digest, featurize_samples, load_dataset, read_utf8
 from .errors import (
-    EmptySplitError, LabelOutOfRangeError, MalformedRowError, MolBridgeError,
-    SmilesError)
+    EmptyDatasetError, EmptySplitError, LabelOutOfRangeError, MalformedRowError,
+    MolBridgeError, SmilesError)
 from .metrics import (
     accumulate, check_subset, format_metrics, macro_metrics, stratified_metrics)
 from .smiles import featurize_smiles
@@ -254,18 +254,28 @@ def _write_report(args, default_name: str, name: str, header: list[str],
 
 
 def _load_samples(path):
-    """The dataset's samples; each quarantined row is reported on stderr."""
-    result = load_dataset(path)
-    for row in result.quarantined:
-        print(f"quarantined line {row.line}: {row.reason}", file=sys.stderr)
+    """The dataset's samples; each quarantined row is reported on stderr,
+    also when no row is left."""
+    try:
+        result = load_dataset(path)
+    except EmptyDatasetError as exc:
+        _report_quarantined(exc.quarantined)
+        raise
+    _report_quarantined(result.quarantined)
     return result.samples
 
 
-def _score_split(args, subset=()):
+def _report_quarantined(rows) -> None:
+    for row in rows:
+        print(f"quarantined line {row.line}: {row.reason}", file=sys.stderr)
+
+
+def _score_split(args, subset=(), quantiles=1):
     """Load the checkpoint, then the dataset, and score the chosen split:
     the parameters and the split's graph pairs, labels and predictions.
-    An empty split, labels and subset classes past the checkpoint's, and
-    a subset no label of the split is in, are refused first."""
+    A split of fewer rows than quantiles (an empty one too), labels and
+    subset classes past the checkpoint's, and a subset no label of the
+    split is in, are refused first."""
     params, _ = load_checkpoint(args.checkpoint)
     samples = _load_samples(args.data)
     if args.split != "all":
@@ -275,6 +285,10 @@ def _score_split(args, subset=()):
         raise EmptySplitError(
             f"the {args.split} split of {args.data} ({args.mode}, fold "
             f"{args.fold}) is empty; nothing to score")
+    if len(samples) < quantiles:
+        raise MolBridgeError(
+            f"--quantiles {quantiles} is more than the {len(samples)} rows "
+            f"of the {args.split} split of {args.data}")
     labels = [s.label for s in samples]
     if max(labels, default=0) >= params.config.classes:
         raise LabelOutOfRangeError(
@@ -412,7 +426,7 @@ def cmd_oversmooth(args) -> int:
 
 
 def cmd_distance(args) -> int:
-    params, pairs, labels, preds = _score_split(args)
+    params, pairs, labels, preds = _score_split(args, quantiles=args.quantiles)
     strata = analysis.stratify_by_distance(
         pairs, preds, labels, params.config.classes,
         quantiles=args.quantiles, combine=args.combine)

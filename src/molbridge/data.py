@@ -8,11 +8,16 @@ the load; structurally broken rows (missing fields, non-integer labels)
 and bytes that are not UTF-8 text or not CSV abort it with a
 MalformedRowError naming the file and line.
 
-Loading only validates each distinct SMILES, once, with the one-pass
-scanner of :mod:`molbridge.smiles` and keeps nothing per row but the
-strings: only the rows a command goes on to use are featurized, by
-:func:`featurize_samples`, which scans each distinct SMILES among them
-once more, straight into arrays.
+Loading reads and checks every row first, then validates each distinct
+SMILES once with the one-pass scanner of :mod:`molbridge.smiles`,
+keeping nothing per row but the strings. When the distinct strings hold
+``model.SCAN_FORK_CHARS`` characters or more, the helper processes of
+:mod:`molbridge.parallel` scan contiguous slices of them too, and the
+verdicts come back in order; on smaller files the fork would cost more
+than it saves. A process that runs other threads, a multi-threaded
+BLAS's among them, scans alone. Only the rows a command goes on to use
+are featurized, by :func:`featurize_samples`, in one batched pass over
+their distinct SMILES.
 """
 
 from __future__ import annotations
@@ -29,7 +34,9 @@ from .errors import (
     MissingColumnError,
     SmilesError,
 )
-from .smiles import FeaturedGraph, featurize_smiles, scan_smiles
+from . import model as m
+from . import parallel as par
+from .smiles import FeaturedGraph, featurize_many, scan_smiles
 
 REQUIRED_COLUMNS = ("smiles_1", "smiles_2", "label")
 
@@ -96,29 +103,13 @@ def load_dataset(path) -> LoadResult:
     idx = {c: columns.index(c) for c in REQUIRED_COLUMNS}
     width = max(idx.values()) + 1
 
-    samples: list[DDISample] = []
-    quarantined: list[QuarantinedRow] = []
-    verdicts: dict[str, str | None] = {}
-
-    def verdict(smiles: str) -> str | None:
-        """The scanner's error text for smiles, or None; each distinct
-        string is scanned once per call."""
-        if smiles not in verdicts:
-            try:
-                scan_smiles(smiles)
-                verdicts[smiles] = None
-            except SmilesError as exc:
-                verdicts[smiles] = str(exc)
-        return verdicts[smiles]
-
+    rows = []
     for line_no, row in reader:
         if not row or all(not f.strip() for f in row):
             continue
         if len(row) < width:
             raise MalformedRowError(
                 f"{path}:{line_no}: expected {width}+ fields, got {len(row)}")
-        s1 = row[idx["smiles_1"]].strip()
-        s2 = row[idx["smiles_2"]].strip()
         raw_label = row[idx["label"]].strip()
         try:
             label = int(raw_label)
@@ -131,18 +122,45 @@ def load_dataset(path) -> LoadResult:
             raise MalformedRowError(
                 f"{path}:{line_no}: label {label} is not below the class "
                 f"cap {MAX_CLASSES}")
-        reason = verdict(s1)
+        rows.append((line_no, row[idx["smiles_1"]].strip(),
+                     row[idx["smiles_2"]].strip(), label))
+
+    distinct = list(dict.fromkeys(s for _, s1, s2, _ in rows for s in (s1, s2)))
+    verdicts = dict(zip(distinct, _verdicts(distinct)))
+    samples: list[DDISample] = []
+    quarantined: list[QuarantinedRow] = []
+    for line_no, s1, s2, label in rows:
+        reason = verdicts[s1]
         if reason is None:
-            reason = verdict(s2)
+            reason = verdicts[s2]
         if reason is not None:
             quarantined.append(QuarantinedRow(line_no, reason))
             continue
         samples.append(DDISample(s1, s2, label))
 
     if not samples:
-        raise EmptyDatasetError(f"{path}: no usable samples")
+        raise EmptyDatasetError(f"{path}: no usable samples", quarantined)
     n_classes = 1 + max(s.label for s in samples)
     return LoadResult(samples, n_classes, quarantined)
+
+
+def _verdict(smiles: str) -> str | None:
+    """The scanner's error text for smiles, or None."""
+    try:
+        scan_smiles(smiles)
+    except SmilesError as exc:
+        return str(exc)
+    return None
+
+
+def _verdicts(strings: list[str]) -> list[str | None]:
+    """_verdict of each string, in order. Once the strings hold at least
+    SCAN_FORK_CHARS characters, helper processes (see parallel.py) take
+    the later contiguous slices of about equal length."""
+    costs = [len(s) for s in strings]
+    with par.Helpers([], {"verdict": lambda i: _verdict(strings[i])},
+                     sum(costs) >= m.SCAN_FORK_CHARS) as helpers:
+        return list(helpers.run("verdict", range(len(strings)), costs))
 
 
 def _rows(path, reader):
@@ -160,12 +178,9 @@ def _rows(path, reader):
 
 
 def featurize_samples(samples: list[DDISample]) -> list[tuple[FeaturedGraph, FeaturedGraph]]:
-    """Featurize every sample, scanning each distinct SMILES once."""
-    cache: dict[str, FeaturedGraph] = {}
-
-    def get(smiles: str) -> FeaturedGraph:
-        if smiles not in cache:
-            cache[smiles] = featurize_smiles(smiles)
-        return cache[smiles]
-
-    return [(get(s.smiles_1), get(s.smiles_2)) for s in samples]
+    """Featurize every sample in one batch, scanning each distinct SMILES
+    once; samples that share a SMILES share its graph."""
+    distinct = list(dict.fromkeys(
+        s for sample in samples for s in (sample.smiles_1, sample.smiles_2)))
+    graphs = dict(zip(distinct, featurize_many(distinct)))
+    return [(graphs[s.smiles_1], graphs[s.smiles_2]) for s in samples]

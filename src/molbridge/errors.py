@@ -95,7 +95,12 @@ class MalformedRowError(MolBridgeError, ValueError):
 
 
 class EmptyDatasetError(MolBridgeError, ValueError):
-    """Dataset contains no usable samples."""
+    """Dataset contains no usable samples; quarantined lists the rows set
+    aside on the way, for the caller to report."""
+
+    def __init__(self, message: str, quarantined=()):
+        super().__init__(message)
+        self.quarantined = list(quarantined)
 
 
 class InsufficientDrugsError(MolBridgeError, ValueError):

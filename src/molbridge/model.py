@@ -63,6 +63,12 @@ with contextlib.suppress(OSError, AttributeError):
 # fork cost about 10 ms and paid off from 250k; larger processes fork slower.
 FORK_COST = 300_000
 
+# Least total length of a file's distinct SMILES at which data.load_dataset
+# forks helpers to scan them. On 3-50-atom drugs (2 cores, 1 BLAS thread,
+# after an eval) scanning took 0.5-0.8 us a character, and a helper broke
+# even at about 19k characters and saved a fifth of the scan at 38k.
+SCAN_FORK_CHARS = 25_000
+
 # Most values a ModelConfig may imply: its parameters plus one chunk's layer
 # outputs (0.16M for the default model). Training keeps several arrays of
 # each, so 2^24 keeps a run to a few GB; more is refused before allocating.

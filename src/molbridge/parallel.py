@@ -2,9 +2,10 @@
 
 A call's chunks are cut into contiguous slices of about equal estimated
 cost. The caller runs the first slice and one helper process each later
-one. Helpers are forked on first use and serve a whole training run or
-scoring call: a request carries the caller's parameter vectors and the
-slice's chunks; pairs and labels are inherited at the fork.
+one. Helpers are forked on first use and serve a whole training run,
+scoring call or file scan: a request carries the caller's parameter
+vectors and the slice's chunks; pairs and labels, or a file's SMILES,
+are inherited at the fork.
 
 Determinism: every chunk, the caller's own included, runs the same
 task, so a training chunk's gradient is always computed from zeroed

@@ -11,11 +11,14 @@ with :class:`UnsupportedTokenError` rather than silently ignored.
 There is one grammar implementation, :func:`scan_smiles`: a single pass
 that checks the grammar and emits one integer code per atom and a flat
 bond list, building no per-atom or per-bond object. Everything else is
-an adapter over it: :func:`featurize_smiles` turns a scan into feature
-and adjacency arrays with a few vectorised writes, and
-:func:`parse_smiles` turns it into a :class:`Molecule` for callers that
-walk atoms and bonds. :func:`featurize` encodes a Molecule with the same
-array builder, so both routes give identical arrays.
+an adapter over it. :func:`featurize_many` decodes many scans at once,
+their atom codes and bond keys concatenated with per-molecule offsets,
+into one feature matrix and one flat adjacency buffer, of which each
+molecule's arrays are views; :func:`featurize_smiles` is the batch of
+one. :func:`parse_smiles` turns a scan into a :class:`Molecule` for
+callers that walk atoms and bonds, and :func:`featurize` encodes a
+Molecule with the same array builder, so every route gives identical
+arrays.
 
 Implicit hydrogens on organic-subset atoms follow the usual valence rule:
 bond orders are summed (aromatic counts 1.5), rounded up, and the smallest
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -282,20 +286,27 @@ def scan_smiles(text: str) -> tuple[list[int], list[int], list[int]]:
     return codes, bonds, orders
 
 
-def _decode(codes: list[int], bonds: list[int], orders: list[int]):
-    """Per-atom arrays (element, charge, hydrogens, aromatic) and bond
-    ends (a, b) of a scan, with implicit hydrogens filled in."""
-    code = np.array(codes, dtype=np.intp)
-    a, b = np.divmod(np.array(bonds, dtype=np.intp), ATOM_CAP)
-    doubled = np.array(orders, dtype=np.intp)
-    n = len(codes)
+def _decode(scans: list[tuple[list[int], list[int], list[int]]]):
+    """Per-atom arrays (element, charge, hydrogens, aromatic) over the
+    atoms of all scans end to end, with implicit hydrogens filled in;
+    bond ends (a, b) as indices into them; and each scan's atom count."""
+    code, keys, doubled = (
+        np.fromiter(chain.from_iterable(scan[k] for scan in scans), np.intp)
+        for k in range(3))
+    atoms, bonds = (np.array([len(scan[k]) for scan in scans], dtype=np.intp)
+                    for k in range(2))
+    a, b = np.divmod(keys, ATOM_CAP)
+    shift = np.repeat(np.cumsum(atoms) - atoms, bonds)
+    a += shift
+    b += shift
+    n = len(code)
     order_sum = (np.bincount(a, doubled, n)
                  + np.bincount(b, doubled, n)).astype(np.intp)
     hydrogens = (_IMPLICIT_H[code & (_BRACKET | _AROMATIC | 15),
                              np.minimum(order_sum, _IMPLICIT_H.shape[1] - 1)]
                  + ((code >> _H_SHIFT) & 15))
     charge = (code >> _CHARGE_SHIFT) - 16
-    return code & 15, charge, hydrogens, (code >> 4) & 1, a, b
+    return code & 15, charge, hydrogens, (code >> 4) & 1, a, b, atoms
 
 
 def parse_smiles(text: str) -> Molecule:
@@ -305,12 +316,12 @@ def parse_smiles(text: str) -> Molecule:
     :class:`SmilesError` subclass (with the offending position) on any
     input outside the subset.
     """
-    codes, bonds, orders = scan_smiles(text)
-    element, charge, hydrogens, aromatic, a, b = _decode(codes, bonds, orders)
+    scan = scan_smiles(text)
+    element, charge, hydrogens, aromatic, a, b, _ = _decode([scan])
     atoms = [Atom(ELEMENTS[e], c, ar == 1, h) for e, c, ar, h in zip(
         element.tolist(), charge.tolist(), aromatic.tolist(), hydrogens.tolist())]
     return Molecule(atoms, [Bond(i, j, _ORDER_NAME[o]) for i, j, o in zip(
-        a.tolist(), b.tolist(), orders)])
+        a.tolist(), b.tolist(), scan[2])])
 
 
 # ---------------------------------------------------------------------- #
@@ -347,12 +358,24 @@ class FeaturedGraph:
         return self.features.shape[0]
 
 
-def _graph(element, charge, hydrogens, aromatic, a, b) -> FeaturedGraph:
-    """Feature and adjacency arrays from per-atom arrays and bond ends."""
+def _graphs(element, charge, hydrogens, aromatic, a, b,
+            atoms) -> list[FeaturedGraph]:
+    """One FeaturedGraph per molecule from per-atom arrays over the atoms
+    of all molecules end to end, bond ends indexing them, and each
+    molecule's atom count. The graphs' arrays are views of one feature
+    matrix and one flat buffer holding every n x n adjacency in turn."""
     n = len(element)
-    adjacency = np.zeros((n, n), dtype=np.float64)
-    adjacency[a, b] = 1.0
-    adjacency[b, a] = 1.0
+    ends = np.cumsum(atoms)
+    starts = ends - atoms
+    blocks = np.cumsum(atoms * atoms) - atoms * atoms   # adjacency offsets
+    # entry (i, j) of molecule m's block is at blocks[m] + (i - s) * w + j - s,
+    # with s = starts[m] and w = atoms[m]
+    m = np.searchsorted(ends, a, side="right")  # each bond's molecule
+    w = atoms[m]
+    base = blocks[m] - starts[m] * (w + 1)
+    adjacency = np.zeros(atoms @ atoms, dtype=np.float64)
+    adjacency[base + a * w + b] = 1.0
+    adjacency[base + b * w + a] = 1.0
     degree = np.bincount(a, minlength=n) + np.bincount(b, minlength=n)
     features = np.zeros((n, FEATURE_DIM), dtype=np.float64)
     rows = np.arange(n)
@@ -363,13 +386,21 @@ def _graph(element, charge, hydrogens, aromatic, a, b) -> FeaturedGraph:
     features[rows, FEATURE_BLOCKS["hydrogens"][0]
              + np.maximum(np.minimum(hydrogens, 4), 0)] = 1.0
     features[:, AROMATIC_INDEX] = aromatic
-    return FeaturedGraph(features, adjacency)
+    return [FeaturedGraph(features[s:e], adjacency[c:c + k * k].reshape(k, k))
+            for s, e, c, k in zip(starts.tolist(), ends.tolist(),
+                                  blocks.tolist(), atoms.tolist())]
+
+
+def featurize_many(texts) -> list[FeaturedGraph]:
+    """Scan each text and encode them all in one pass; the same arrays as
+    ``featurize(parse_smiles(text))`` for each, without building a
+    Molecule. Raises the first failing text's SmilesError."""
+    return _graphs(*_decode([scan_smiles(text) for text in texts]))
 
 
 def featurize_smiles(text: str) -> FeaturedGraph:
-    """Scan text and encode it; the same arrays as
-    ``featurize(parse_smiles(text))`` without building a Molecule."""
-    return _graph(*_decode(*scan_smiles(text)))
+    """featurize_many of one text."""
+    return featurize_many([text])[0]
 
 
 def featurize(mol: Molecule) -> FeaturedGraph:
@@ -384,5 +415,5 @@ def featurize(mol: Molecule) -> FeaturedGraph:
                       for x in mol.atoms], dtype=np.intp)
     ends = np.array([(x.a, x.b) for x in mol.bonds], dtype=np.intp)
     ends = ends.reshape(-1, 2)
-    return _graph(atoms[:, 0], atoms[:, 1], atoms[:, 2], atoms[:, 3],
-                  ends[:, 0], ends[:, 1])
+    return _graphs(atoms[:, 0], atoms[:, 1], atoms[:, 2], atoms[:, 3],
+                   ends[:, 0], ends[:, 1], np.array([len(atoms)]))[0]

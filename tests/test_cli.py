@@ -441,6 +441,26 @@ class TestEvalCommand:
         assert not (out / report).exists()
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("command", [
+        ["train"], ["eval", "--checkpoint"], ["analyze", "distance",
+                                              "--checkpoint"]],
+        ids=["train", "eval", "distance"])
+    def test_all_rows_quarantined_are_reported(self, command, run_dir,
+                                               tmp_path, capsys):
+        data = tmp_path / "starred.csv"
+        data.write_text("smiles_1,smiles_2,label\nC*,CC,0\nCC,C*,1\n")
+        if command[-1] == "--checkpoint":
+            command = [*command, str(run_dir / "best.ckpt")]
+        out = tmp_path / "o"
+        assert main([*command, "--data", str(data), "--out", str(out)]) == 1
+        got = capsys.readouterr()
+        assert got.out == ""
+        assert got.err == (
+            "quarantined line 2: unsupported token '*' (position 1)\n"
+            "quarantined line 3: unsupported token '*' (position 1)\n"
+            f"error: {data}: no usable samples\n")
+        assert not out.exists()
+
     def test_bad_checkpoint_path(self, data_path, tmp_path, capsys):
         code = main(["eval", "--checkpoint", str(tmp_path / "no.ckpt"),
                      "--data", str(data_path)])
@@ -643,6 +663,19 @@ class TestHugeSizes:
         proc = run_cli("predict", "--checkpoint", str(ckpt), "CCO", "CCN",
                        memory_cap=self.CAP)
         assert_one_error(proc, 1, "bad model_config: the model implies")
+
+    def test_distance_quantiles_above_split_rows(self, run_dir, data_path,
+                                                  tmp_path):
+        # the transductive fold-0 test split of the 40-row file has 8 rows
+        out = tmp_path / "dist"
+        proc = run_cli("analyze", "distance", "--checkpoint",
+                       str(run_dir / "best.ckpt"), "--data", str(data_path),
+                       "--quantiles", "1000000000000", "--out", str(out),
+                       memory_cap=self.CAP)
+        assert_one_error(proc, 1, "--quantiles 1000000000000 is more than "
+                         "the 8 rows of the test split")
+        assert proc.stdout == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags", [
         ["--trials", "1000000000000"],

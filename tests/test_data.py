@@ -1,10 +1,15 @@
+import os
 import random
+import sys
 
 import pytest
 
 from molbridge import data
+from molbridge import model as m
+from molbridge import parallel as par
 from molbridge.data import (
     MAX_CLASSES,
+    DDISample,
     QuarantinedRow,
     dataset_digest,
     featurize_samples,
@@ -16,9 +21,25 @@ from molbridge.errors import (
     MissingColumnError,
     SmilesError,
 )
-from molbridge.smiles import scan_smiles
+from molbridge.smiles import featurize, parse_smiles, scan_smiles
 
-from conftest import CORPUS
+from conftest import CORPUS, ROOT
+
+
+@pytest.fixture(scope="module")
+def bench_corpus():
+    """The benchmark's seeded drug generator, perfbench/corpus.py."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import corpus
+    finally:
+        sys.path.pop(0)
+    return corpus
+
+
+def assert_no_child() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -139,6 +160,122 @@ class TestScanOnce:
                 for s in result.samples] == kept
 
 
+class Always(random.Random):
+    """A generator whose choice() always picks `kind`, so
+    corpus.make_invalid makes a string of that kind."""
+
+    def __init__(self, kind):
+        super().__init__(kind)
+        self.kind = kind
+
+    def choice(self, seq):
+        return self.kind
+
+
+class TestScanOnHelpers:
+    """A file whose distinct SMILES hold SCAN_FORK_CHARS characters or
+    more is scanned on helper processes too, with the serial result."""
+
+    # the reason each corpus.INVALID_KINDS string is quarantined with
+    REASONS = ("unsupported bracket atom [C@H]", "unsupported token '.'",
+               "unsupported token '/'", "unsupported bracket atom [13CH3]",
+               "unsupported token '*'", "unclosed ring bond(s): [98]",
+               "molecule exceeds 50 atoms")
+
+    @pytest.fixture(scope="class")
+    def big(self, tmp_path_factory, bench_corpus):
+        rng = random.Random(17)
+        drugs = [bench_corpus.make_drug(rng, k) for k in
+                 bench_corpus.spread_sizes(rng, 900, 3, bench_corpus.ATOM_CAP)]
+        rows = [(drugs[2 * i], drugs[2 * i + 1], i % 7) for i in range(450)]
+        rows += rows[100:160]                   # strings that recur
+        invalid = [bench_corpus.make_invalid(Always(kind), drug)
+                   for kind in bench_corpus.INVALID_KINDS
+                   for drug in drugs[:3]]
+        for j, bad in enumerate(invalid):       # first, second or both
+            s1, s2, label = rows[5 + 23 * j]
+            rows[5 + 23 * j] = ((bad, s2), (s1, bad), (bad, bad))[j % 3] + (
+                label,)
+        distinct = {s for row in rows for s in row[:2]}
+        assert sum(map(len, distinct)) >= m.SCAN_FORK_CHARS
+        path = tmp_path_factory.mktemp("big") / "big.csv"
+        path.write_text("smiles_1,smiles_2,label\n" + "".join(
+            f"{a},{b},{c}\n" for a, b, c in rows))
+        return path, len(invalid)
+
+    def processes(self, monkeypatch, count: int) -> list[int]:
+        """Patch parallel.processes to count; returns the list of helper
+        pids forked from here on."""
+        monkeypatch.setattr(par, "processes", lambda: count)
+        forked, fork = [], os.fork
+
+        def counting():
+            pid = fork()
+            if pid:
+                forked.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counting)
+        return forked
+
+    def test_result_equal_for_one_and_two_processes(self, big, monkeypatch):
+        path, n_invalid = big
+        results = []
+        for count in (1, 2):
+            forked = self.processes(monkeypatch, count)
+            results.append(load_dataset(path))
+            assert len(forked) == count - 1
+            assert_no_child()
+        serial, parallel = results
+        assert parallel == serial
+        assert len(serial.samples) == 510 - n_invalid
+        assert serial.n_classes == 7
+        reasons = [row.reason for row in serial.quarantined]
+        assert len(reasons) == n_invalid
+        for want in self.REASONS:
+            assert any(want in reason for reason in reasons), want
+
+    def test_late_bad_label_raises_its_line(self, big, tmp_path, monkeypatch):
+        lines = big[0].read_text().splitlines()
+        path = write(tmp_path, "\n".join(lines + ["C,CC,x"]) + "\n")
+        forked = self.processes(monkeypatch, 2)
+        with pytest.raises(MalformedRowError,
+                           match=rf":{len(lines) + 1}: label 'x' is not"):
+            load_dataset(path)
+        assert not forked           # every row is read before any scan
+        assert_no_child()
+
+    def test_helper_error_leaves_no_child(self, big, monkeypatch):
+        rows = [line.split(",") for line in
+                big[0].read_text().splitlines()[1:]]
+        last = list(dict.fromkeys(s for row in rows for s in row[:2]))[-1]
+
+        def scan(text):
+            if text == last:        # the helper's slice ends with it
+                raise RuntimeError("scanner broke")
+            return scan_smiles(text)
+
+        monkeypatch.setattr(data, "scan_smiles", scan)
+        forked = self.processes(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match="scanner broke"):
+            load_dataset(big[0])
+        assert forked
+        assert_no_child()
+
+    def test_no_usable_samples_keeps_the_report(self, big, tmp_path,
+                                                monkeypatch):
+        header, *lines = big[0].read_text().splitlines()
+        path = write(tmp_path, "\n".join(
+            [header, *("*" + line for line in lines)]) + "\n")
+        forked = self.processes(monkeypatch, 2)
+        with pytest.raises(EmptyDatasetError, match="no usable samples") as exc:
+            load_dataset(path)
+        assert forked
+        assert [row.line for row in exc.value.quarantined] == list(
+            range(2, len(lines) + 2))
+        assert_no_child()
+
+
 class TestLoadErrors:
     def test_missing_column(self, tmp_path):
         with pytest.raises(MissingColumnError):
@@ -211,9 +348,11 @@ class TestLoadErrors:
             load_dataset(write(tmp_path, ""))
 
     def test_all_rows_quarantined(self, tmp_path):
-        with pytest.raises(EmptyDatasetError):
+        with pytest.raises(EmptyDatasetError) as exc:
             load_dataset(write(tmp_path,
                                "smiles_1,smiles_2,label\nC@C,CN,0\n"))
+        assert exc.value.quarantined == [
+            QuarantinedRow(2, "unsupported token '@' (position 1)")]
 
 
 class TestDigest:
@@ -233,3 +372,27 @@ class TestFeaturizeSamples:
         assert len(pairs) == 3
         assert pairs[0][0].n_atoms == 3   # CCO
         assert pairs[0][1].n_atoms == 2   # CN
+
+    def assert_bit_equal(self, texts):
+        samples = [DDISample(a, b, 0) for a, b in zip(texts, texts[1:] + texts)]
+        pairs = featurize_samples(samples)
+        for sample, graphs in zip(samples, pairs):
+            for text, g in zip((sample.smiles_1, sample.smiles_2), graphs):
+                ref = featurize(parse_smiles(text))
+                for got, want in ((g.features, ref.features),
+                                  (g.adjacency, ref.adjacency)):
+                    assert got.shape == want.shape, text
+                    assert got.dtype == want.dtype, text
+                    assert got.tobytes() == want.tobytes(), text
+
+    def test_batch_equals_one_at_a_time(self, bench_corpus):
+        fifty = bench_corpus.make_drug(random.Random(3), 50)
+        assert len(parse_smiles(fifty).atoms) == 50
+        self.assert_bit_equal([
+            "C", "[NH4+]", "[O-]C=O", "C[N+](C)(C)C", "[nH]1cccc1",
+            "[CH2-]C", "[NH3+]CC(=O)[O-]", "c1ccccc1", "c1ccncc1",
+            "C%10CC%10", "C%12CCC%12CC%34CCCC%34", fifty, "C", "c1ccccc1",
+            "CCO"])
+
+    def test_batch_without_bonds(self):
+        self.assert_bit_equal(["C", "[NH4+]", "O", "[Cl-]", "[CH3-]", "N"])
