@@ -86,19 +86,19 @@ def pair_distance_statistic(g_1: FeaturedGraph, g_2: FeaturedGraph,
 
 
 def quantile_boundaries(values: np.ndarray, quantiles: int) -> np.ndarray:
-    """Sort-and-cut boundaries: split the sorted values into `quantiles`
-    runs and take the last value of each run but the final one."""
+    """Sort-and-cut boundaries: the last value of each nonempty run but the
+    final one, cutting the sorted values as np.array_split does."""
+    if quantiles < 1:
+        raise ValueError(f"quantiles must be at least 1, got {quantiles}")
     ordered = np.sort(np.asarray(values, dtype=np.float64))
-    groups = np.array_split(ordered, quantiles)
-    return np.array([g[-1] for g in groups[:-1] if g.size > 0])
+    base, extra = divmod(ordered.size, quantiles)
+    runs = np.arange(1, min(quantiles - 1, ordered.size) + 1)
+    return ordered[runs * base + np.minimum(runs, extra) - 1]
 
 
 def assign_stratum(value: float, boundaries: np.ndarray) -> int:
     """Index of the first boundary at or above value; ties go low."""
-    for k, cut in enumerate(boundaries):
-        if value <= cut:
-            return k
-    return len(boundaries)
+    return int(np.searchsorted(boundaries, value, side="left"))
 
 
 def stratify_by_distance(pairs: list[tuple[FeaturedGraph, FeaturedGraph]],
@@ -107,6 +107,8 @@ def stratify_by_distance(pairs: list[tuple[FeaturedGraph, FeaturedGraph]],
                          combine: str = "pair_mean") -> DistanceStrata:
     """Quintile the samples by path-length statistic and score each
     stratum with the macro metrics over the labels it contains."""
+    if quantiles > len(pairs):
+        raise ValueError(f"{quantiles} quantiles for {len(pairs)} samples")
     known: dict[int, float] = {}    # by graph object, one per SMILES
 
     def path_mean(g: FeaturedGraph) -> float:
@@ -117,7 +119,7 @@ def stratify_by_distance(pairs: list[tuple[FeaturedGraph, FeaturedGraph]],
     stats = np.array([pair_distance_statistic(g1, g2, combine, path_mean)
                       for g1, g2 in pairs])
     boundaries = quantile_boundaries(stats, quantiles)
-    assignments = np.array([assign_stratum(v, boundaries) for v in stats])
+    assignments = np.searchsorted(boundaries, stats, side="left")
     per_stratum: list[dict[str, float] | None] = []
     for k in range(quantiles):
         keep = np.nonzero(assignments == k)[0]

@@ -1,22 +1,22 @@
-"""A small reverse-mode tape over rank-2 numpy arrays whose dtype follows
-the inputs: ``Tensor(...)`` keeps a float32 array and makes anything else
-float64, and a backward computes in its inputs' dtype.
+"""A small reverse-mode autodiff over rank-2 numpy arrays whose dtype
+follows the inputs: ``Tensor(...)`` keeps a float32 array and makes
+anything else float64, and a pullback computes in its inputs' dtype.
 
+A :class:`Tensor` is a value and its pullback, the vector-Jacobian
+product that hands d(loss)/d(value) on to what the value was computed
+from; reverse mode is the pullbacks composed, with no graph to walk.
 Model stages are functions of arrays that return ``(value, backward)``:
 ``backward(grad)`` adds the stage's Param gradients in place and returns
 its input gradients, without writing into ``grad`` (``layer_norm`` here;
-joint.py and model.py hold the rest). ``model.forward_chunk`` chains
-their pullbacks into one tape node whose parents are the Params, and the
-loss is a node on top of it. ``backward()`` on a 1x1 loss walks the
-nodes in reverse topological order, handing each closure its node's
-gradient. Closures hold no reference to their own node, so a graph has
-no reference cycles and is freed as soon as the loss is dropped.
+joint.py and model.py hold the rest). ``model.forward_chunk`` composes
+them into the logits' pullback, and the loss's pullback hands its
+logit gradient straight to that. ``backward()`` on a 1x1 loss seeds 1.
+Pullbacks hold no reference to their own tensor, so a graph has no
+reference cycles and is freed as soon as the loss is dropped.
 
-Only a :class:`Param` owns a gradient buffer, zeroed at creation; it
+Only a :class:`Param` holds a gradient, zeroed at creation; it
 accumulates in place until ``zero_grad`` (two backward calls on one
-graph exactly double it). Any other node keeps its first contribution
-as is, and a later one makes a new array (``old + g``), so no closure
-writes into the gradient it is handed. Tensors have no operators.
+graph exactly double it). Tensors have no operators.
 """
 
 from __future__ import annotations
@@ -32,11 +32,11 @@ Array = np.ndarray
 
 
 class Tensor:
-    """A matrix node in the computation graph."""
+    """A matrix value and its pullback; a constant has none."""
 
-    __slots__ = ("value", "grad", "_parents", "_backward")
+    __slots__ = ("value", "_pullback")
 
-    def __init__(self, value):
+    def __init__(self, value, pullback: Callable[[Array], None] | None = None):
         arr = np.asarray(value)
         arr = arr if arr.dtype == np.float32 else np.asarray(arr, np.float64)
         if arr.ndim == 1:
@@ -45,26 +45,12 @@ class Tensor:
             raise ShapeMismatchError(
                 f"expected a rank-2 array, got rank {arr.ndim}")
         self.value = arr
-        self.grad: Array | None = None
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[Array], None] | None = None
+        self._pullback = pullback
 
-    @classmethod
-    def _result(cls, value: Array, parents: tuple["Tensor", ...],
-                backward: Callable[[Array], None]) -> "Tensor":
-        out = cls.__new__(cls)
-        out.value = value
-        out.grad = None
-        out._parents = parents
-        out._backward = backward
-        return out
-
-    def _add_grad(self, g: Array) -> None:
-        """Take one gradient contribution; never writes into g or into an
-        array this node already holds (see the module doc)."""
-        self.grad = g if self.grad is None else self.grad + g
-
-    # -- introspection -------------------------------------------------- #
+    def _pull(self, grad: Array) -> None:
+        """Take d(loss)/d(self) and hand it to the pullback."""
+        if self._pullback is not None:
+            self._pullback(grad)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -78,55 +64,30 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
 
-    # -- autodiff ------------------------------------------------------- #
-
     def backward(self) -> None:
-        """Accumulate d(self)/d(param) into every reachable Param's grad.
+        """Add d(self)/d(param) to every Param self was computed from.
 
-        self must be 1x1. Gradients of non-Param nodes are cleared first,
-        so repeated calls double Param gradients exactly.
+        self must be 1x1. Each call runs the pullbacks afresh, so
+        repeated calls double Param gradients exactly.
         """
         if self.value.shape != (1, 1):
             raise NonScalarLossError(
                 f"backward() needs a 1x1 loss, got shape {self.value.shape}")
-
-        topo: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                topo.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                if id(parent) not in seen:
-                    stack.append((parent, False))
-
-        for node in topo:
-            if not isinstance(node, Param):
-                node.grad = None
-        self._add_grad(np.ones((1, 1), self.value.dtype))
-        for node in reversed(topo):
-            if node._backward is not None:
-                node._backward(node.grad)
+        self._pull(np.ones((1, 1), self.value.dtype))
 
 
 class Param(Tensor):
     """A named learnable tensor; gradients persist across backward calls."""
 
-    __slots__ = ("name",)
+    __slots__ = ("grad", "name")
 
     def __init__(self, value, name: str):
         super().__init__(value)
         self.grad = np.zeros_like(self.value)
         self.name = name
 
-    def _add_grad(self, g: Array) -> None:
-        self.grad += g
+    def _pull(self, grad: Array) -> None:
+        self.grad += grad
 
     def zero_grad(self) -> None:
         self.grad[...] = 0.0
@@ -172,8 +133,8 @@ def layer_norm(x: Array, gain: Param, bias: Param):
     value += bias.value
 
     def backward(grad):
-        gain._add_grad(col_sums(grad * xhat))
-        bias._add_grad(col_sums(grad))
+        gain._pull(col_sums(grad * xhat))
+        bias._pull(col_sums(grad))
         dx = grad * gain.value
         row_sum = row_sums(dx)
         row_dot = row_sums(dx * xhat)

@@ -94,8 +94,8 @@ def project(features: np.ndarray, weight: Param, bias: Param):
     value += bias.value
 
     def backward(grad):
-        weight._add_grad(features.T @ grad)
-        bias._add_grad(ad.col_sums(grad))
+        weight._pull(features.T @ grad)
+        bias._pull(ad.col_sums(grad))
 
     return value, backward
 
@@ -159,8 +159,8 @@ def cross_attention(h: np.ndarray, w_q: Param, w_k: Param, heads: int,
         d_q *= scale / heads
         d_k = merge(d_scores.transpose(0, 1, 3, 2) @ q)
         d_k *= 1.0 / heads
-        w_q._add_grad(h.T @ d_q)
-        w_k._add_grad(h.T @ d_k)
+        w_q._pull(h.T @ d_q)
+        w_k._pull(h.T @ d_k)
         d_h = d_q @ w_q.value.T
         d_h += d_k @ w_k.value.T
         return d_h
@@ -189,7 +189,7 @@ def integrate(a_prime: np.ndarray, a_r: np.ndarray, theta: Param):
 
     def backward(grad):
         d_gate = np.full((1, 1), np.vdot(grad, diff))
-        theta._add_grad(d_gate * gate * (1.0 - gate))
+        theta._pull(d_gate * gate * (1.0 - gate))
         return grad * a
 
     return value, backward

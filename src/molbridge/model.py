@@ -8,8 +8,8 @@ single vector per pair before the classifier head.
 
 Each stage here and in joint.py is a function of numpy arrays that
 returns its value and a pullback (see autodiff.py). forward_chunk runs
-them and the head, and returns the logits as the chunk's one tape node,
-whose backward calls the pullbacks in reverse.
+them and the head, and returns the logits as a Tensor whose pullback
+calls the stages' pullbacks in reverse.
 
 Pairs run in chunks laid out as in joint.py: B joint graphs padded to N
 atoms, features (B*N) x d, adjacency (B*N) x N, and a B x N mask of real
@@ -278,12 +278,12 @@ def gformer_layer(f_prev: np.ndarray, adjacency: np.ndarray,
 
     def backward(grad):
         d_s = ln2_back(grad)
-        p.w2._add_grad(hidden.T @ d_s)
-        p.b2._add_grad(ad.col_sums(d_s))
+        p.w2._pull(hidden.T @ d_s)
+        p.b2._pull(ad.col_sums(d_s))
         d_z = d_s @ p.w2.value.T
         d_z *= hidden > 0.0
-        p.w1._add_grad(x.T @ d_z)
-        p.b1._add_grad(ad.col_sums(d_z))
+        p.w1._pull(x.T @ d_z)
+        p.b1._pull(ad.col_sums(d_z))
         d_x = d_z @ p.w1.value.T
         d_x += d_s
         d_f, d_a = prop_back(ln1_back(d_x))
@@ -341,8 +341,8 @@ def joint_sizes(pairs: list[tuple[FeaturedGraph, FeaturedGraph]]) -> list[int]:
 def forward_chunk(pairs: list[tuple[FeaturedGraph, FeaturedGraph]],
                   params: ModelParams) -> Tensor:
     """Full pipeline up to class logits (B x C, row b for pairs[b]) on
-    the pairs padded to one chunk: one tape node whose parents are the
-    Params and whose backward runs the stages' pullbacks in reverse."""
+    the pairs padded to one chunk, as a Tensor whose pullback runs the
+    stages' pullbacks in reverse, adding every Param's gradient."""
     joint = jg.stack_joints(pairs, params.proj_w.value.dtype)
     refined = jg.refine(joint, params.proj_w, params.proj_b,
                         params.w_q, params.w_k, params.config.heads,
@@ -364,12 +364,12 @@ def forward_chunk(pairs: list[tuple[FeaturedGraph, FeaturedGraph]],
     require_finite(pooled, logits)
 
     def backward(grad):
-        params.head_w2._add_grad(hidden.T @ grad)
-        params.head_b2._add_grad(ad.col_sums(grad))
+        params.head_w2._pull(hidden.T @ grad)
+        params.head_b2._pull(ad.col_sums(grad))
         d_z = grad @ params.head_w2.value.T
         d_z *= z > 0.0
-        params.head_w1._add_grad(pooled.T @ d_z)
-        params.head_b1._add_grad(ad.col_sums(d_z))
+        params.head_w1._pull(pooled.T @ d_z)
+        params.head_b1._pull(ad.col_sums(d_z))
         # every layer output, the projection too, gets the pooled rows'
         # gradient g; F_l gets layer l+1's input gradient as well
         g = pool_back(d_z @ params.head_w1.value.T)
@@ -380,7 +380,7 @@ def forward_chunk(pairs: list[tuple[FeaturedGraph, FeaturedGraph]],
             d_a = d_layer if d_a is None else d_a + d_layer
         refined.backward(d_f, d_a)
 
-    return Tensor._result(logits, tuple(params.all()), backward)
+    return Tensor(logits, backward)
 
 
 def require_finite(*arrays: np.ndarray) -> None:
@@ -448,7 +448,8 @@ def cross_entropy_from_logits(logits: Tensor, labels,
 
     logits are B x C and labels a length-B sequence (an int for B = 1);
     a chunk's weight is its share of the batch. Fused with the
-    log-softmax for stability; one tape node.
+    log-softmax for stability; the pullback hands the logits' gradient
+    straight to theirs.
     """
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
     n, classes = logits.shape
@@ -466,7 +467,6 @@ def cross_entropy_from_logits(logits: Tensor, labels,
         d = np.exp(log_p)
         d[rows, labels] -= 1.0
         d *= grad[0, 0] * weight / labels.size
-        logits._add_grad(d)
+        logits._pull(d)
 
-    return Tensor._result(-log_p[rows, labels].mean().reshape(1, 1) * weight,
-                          (logits,), backward)
+    return Tensor(-log_p[rows, labels].mean().reshape(1, 1) * weight, backward)

@@ -6,8 +6,8 @@ one forward and one backward pass on a float32 copy of the parameters,
 all in float32: its mean cross-entropy, weighted by its share of the
 batch, and that loss's gradient vector from zero. The float64 masters
 add the chunks' gradient vectors up in chunk order, so only one chunk's
-tape is alive at a time, and the batch gets one float64 AdamW step on
-the gradient of its mean loss, after which the copy is refreshed from
+pullbacks are alive at a time, and the batch gets one float64 AdamW step
+on the gradient of its mean loss, after which the copy is refreshed from
 the masters. Each of these is one array op on the parameter vectors
 (ModelParams.values and .grads). After every epoch the validation
 metrics are computed on the masters and the best parameter vector (by

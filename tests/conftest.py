@@ -55,51 +55,48 @@ CORPUS = [
 
 
 def probe_loss(x: Tensor, probe) -> Tensor:
-    """The 1x1 loss sum(x * probe) as one tape node, for gradient tests.
+    """The 1x1 loss sum(x * probe), for gradient tests.
 
     probe is a constant (an array, or a number broadcast to x's shape);
-    the backward hands x the gradient probe * g. A loss of sum(p * p) has
+    the pullback hands x the gradient probe * g. A loss of sum(p * p) has
     gradient 2p, which probe_loss(p, 2.0 * p.value) gives bit for bit.
     """
     probe = np.broadcast_to(probe, x.shape)
-
-    def backward(grad):
-        x._add_grad(probe * grad)
-
-    return Tensor._result((x.value * probe).sum(keepdims=True), (x,), backward)
+    return Tensor((x.value * probe).sum(keepdims=True),
+                  lambda grad: x._pull(probe * grad))
 
 
-# Tape nodes for graphs built in the tests: the library's tensors have
-# no operators, and its model chunk is a single node.
+# Tensors for graphs built in the tests: the library's tensors have no
+# operators, and its model chunk is a single tensor.
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    def backward(grad):
-        a._add_grad(grad)
-        b._add_grad(grad)
+    def pullback(grad):
+        a._pull(grad)
+        b._pull(grad)
 
-    return Tensor._result(a.value + b.value, (a, b), backward)
+    return Tensor(a.value + b.value, pullback)
 
 
 def scale(x: Tensor, c: float) -> Tensor:
-    return Tensor._result(x.value * c, (x,), lambda grad: x._add_grad(c * grad))
+    return Tensor(x.value * c, lambda grad: x._pull(c * grad))
 
 
 def positive_part(x: Tensor) -> Tensor:
-    return Tensor._result(np.maximum(x.value, 0.0), (x,),
-                          lambda grad: x._add_grad(grad * (x.value > 0.0)))
+    return Tensor(np.maximum(x.value, 0.0),
+                  lambda grad: x._pull(grad * (x.value > 0.0)))
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    def backward(grad):
-        x._add_grad(grad @ w.value.T)
-        w._add_grad(x.value.T @ grad)
-        b._add_grad(grad.sum(axis=0, keepdims=True))
+    def pullback(grad):
+        x._pull(grad @ w.value.T)
+        w._pull(x.value.T @ grad)
+        b._pull(grad.sum(axis=0, keepdims=True))
 
-    return Tensor._result(x.value @ w.value + b.value, (x, w, b), backward)
+    return Tensor(x.value @ w.value + b.value, pullback)
 
 
-def stage_node(stage, *inputs: Tensor, params=()) -> Tensor:
-    """A model stage (arrays in, (value, backward) out) as a tape node over
+def stage_node(stage, *inputs: Tensor) -> Tensor:
+    """A model stage (arrays in, (value, backward) out) as a Tensor over
     Tensor inputs. backward(grad) must add each Param's gradient and
     return the inputs' gradients (one array, a tuple in input order, or
     None without inputs), and must leave grad as it was."""
@@ -113,9 +110,9 @@ def stage_node(stage, *inputs: Tensor, params=()) -> Tensor:
         assert len(got) == len(inputs)
         for x, g in zip(inputs, got):
             assert g.shape == x.shape
-            x._add_grad(g)
+            x._pull(g)
 
-    return Tensor._result(value, (*inputs, *params), pullback)
+    return Tensor(value, pullback)
 
 
 def check_pullback(stage, inputs, params, probe) -> float:
@@ -125,7 +122,7 @@ def check_pullback(stage, inputs, params, probe) -> float:
     leaves = [Param(np.array(x, dtype=np.float64), f"input{i}")
               for i, x in enumerate(inputs)]
     return grad_check(
-        lambda: probe_loss(stage_node(stage, *leaves, params=params), probe),
+        lambda: probe_loss(stage_node(stage, *leaves), probe),
         [*leaves, *params])
 
 
@@ -139,9 +136,14 @@ def save_unchecked(path, **fields) -> None:
 
 
 def run_cli(*argv: str, memory_cap: int | None = None):
-    """`python -m molbridge *argv` in a fresh interpreter, with src on
-    PYTHONPATH as test_scripts.run_script sets it; returns the completed
-    process with text stdout and stderr.
+    """`python -m molbridge *argv` in a fresh interpreter; see run_python."""
+    return run_python("-m", "molbridge", *argv, memory_cap=memory_cap)
+
+
+def run_python(*argv: str, memory_cap: int | None = None):
+    """`python *argv` in a fresh interpreter, with src on PYTHONPATH as
+    test_scripts.run_script sets it; returns the completed process with
+    text stdout and stderr.
 
     memory_cap (bytes) caps the child's address space, so a run that
     asks for a huge array fails fast instead of allocating gigabytes.
@@ -157,6 +159,6 @@ def run_cli(*argv: str, memory_cap: int | None = None):
         def limit():
             resource.setrlimit(resource.RLIMIT_AS, (memory_cap, memory_cap))
 
-    return subprocess.run([sys.executable, "-m", "molbridge", *argv],
+    return subprocess.run([sys.executable, *argv],
                           capture_output=True, text=True, env=env,
                           preexec_fn=limit)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from molbridge.analysis import (
     assign_stratum,
@@ -13,7 +14,9 @@ from molbridge.analysis import (
 from molbridge.errors import KExceedsEdgesError
 from molbridge.smiles import featurize_smiles, parse_smiles
 
-from conftest import CORPUS
+from conftest import CORPUS, run_python
+
+CHAINS = [featurize_smiles("C" * k) for k in range(1, 7)]
 
 
 def floyd_warshall_mean(mol):
@@ -73,6 +76,49 @@ class TestQuantiles:
         assert assign_stratum(1.0, boundaries) == 0
         assert assign_stratum(2.0, boundaries) == 2
         assert assign_stratum(9.0, boundaries) == 4
+
+    @given(st.lists(st.integers(0, 5), min_size=1, max_size=30),
+           st.integers(1, 30))
+    def test_ties_land_alike_both_ways(self, lengths, quantiles):
+        # few distinct statistics, so many samples tie with a boundary:
+        # the whole-split assignment matches the one-value rule and a
+        # plain walk over the boundaries
+        pairs = [(CHAINS[k], CHAINS[k]) for k in lengths]
+        quantiles = min(quantiles, len(pairs))
+        strata = stratify_by_distance(pairs, [0] * len(pairs),
+                                      [0] * len(pairs), 1, quantiles)
+        walked = [next((k for k, cut in enumerate(strata.boundaries)
+                        if value <= cut), len(strata.boundaries))
+                  for value in strata.statistics]
+        assert strata.assignments.tolist() == walked
+        assert walked == [assign_stratum(value, strata.boundaries)
+                          for value in strata.statistics]
+
+    def test_more_quantiles_than_samples_refused(self):
+        pairs = [(CHAINS[1], CHAINS[2])] * 3
+        with pytest.raises(ValueError, match="^4 quantiles for 3 samples$"):
+            stratify_by_distance(pairs, [0] * 3, [0] * 3, 1, quantiles=4)
+        for quantiles in (0, -2):
+            with pytest.raises(ValueError, match="must be at least 1"):
+                stratify_by_distance(pairs, [0] * 3, [0] * 3, 1, quantiles)
+
+    def test_huge_quantile_count_is_linear(self):
+        # one boundary per value at most, cut arithmetically; run capped
+        # at 1 GiB, so one array per quantile fails fast instead
+        code = ("import numpy as np\n"
+                "from molbridge.analysis import quantile_boundaries\n"
+                "print(quantile_boundaries(np.arange(7.0)[::-1], 10**12)"
+                ".tolist())\n"
+                "from molbridge.analysis import stratify_by_distance\n"
+                "try:\n"
+                "    stratify_by_distance([], [], [], 1, quantiles=10**12)\n"
+                "except ValueError as e:\n"
+                "    print(e)\n")
+        done = run_python("-c", code, memory_cap=2 ** 30)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == [
+            str([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]),
+            "1000000000000 quantiles for 0 samples"]
 
     def test_identical_statistics_collapse_to_stratum_zero(self):
         pairs = [(featurize_smiles("CC"), featurize_smiles("CC"))

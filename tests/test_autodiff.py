@@ -16,8 +16,7 @@ from conftest import add, check_pullback, positive_part, probe_loss, scale
 
 def logistic(x: Tensor) -> Tensor:
     value = 1.0 / (1.0 + np.exp(-x.value))
-    return Tensor._result(value, (x,),
-                          lambda grad: x._add_grad(grad * value * (1.0 - value)))
+    return Tensor(value, lambda grad: x._pull(grad * value * (1.0 - value)))
 
 
 class TestConstruction:
@@ -164,9 +163,9 @@ class TestBackward:
         assert bias.grad.tolist() == [[4.0, 4.0, 4.0]]
 
     def test_graph_freed_without_cycle_collector(self):
-        # closures do not refer to their own node, nor a chunk's pullbacks
-        # to the node that holds them, so dropping the loss frees the
-        # whole graph by reference counting alone
+        # pullbacks do not refer to their own tensor, nor a chunk's stage
+        # pullbacks to the tensor that holds them, so dropping the loss
+        # frees the whole graph by reference counting alone
         from molbridge import model as m
         from molbridge.smiles import featurize_smiles
         params = m.init_params(m.ModelConfig(dim=8, heads=2, layers=2,
@@ -216,28 +215,24 @@ class TestBackward:
 
     @pytest.mark.parametrize("shared_first", [True, False])
     def test_diamond_shared_first_contribution(self, shared_first):
-        # u = a + b hands one array to both a and b; a later contribution
-        # (from the probe on a) lands on a and must not show up in b's
-        # gradient
+        # u = a + b hands one array to both a and b's pullbacks; a later
+        # contribution (from the probe on a) must not show up in what
+        # reaches p through b
         rng = np.random.default_rng(6)
         p = Param(rng.normal(size=(3, 4)), "p")
         w = rng.normal(size=(3, 4))
         v = rng.normal(size=(3, 4))
-        nodes = {}
 
         def f():
             a = scale(p, 3.0)
             b = positive_part(p)
             first = probe_loss(add(a, b), w)
             second = probe_loss(a, v)
-            nodes.update(a=a, b=b)
             return add(first, second) if shared_first else add(second, first)
 
         assert ad.grad_check(f, [p]) < 1e-6
         p.zero_grad()
         f().backward()
-        assert np.array_equal(nodes["b"].grad, w)
-        assert np.allclose(nodes["a"].grad, w + v, rtol=1e-12, atol=1e-12)
         assert np.allclose(p.grad, 3.0 * (w + v) + (p.value > 0) * w,
                            rtol=1e-12, atol=1e-12)
 

@@ -197,11 +197,11 @@ def layer_inputs(texts, seed=3, dim=4, d_hid=8):
 
 
 def composed_layer(f, a, p):
-    """The GFormer layer op by op, one tape node per op: the propagation
-    and layer-norm stages as nodes, the rest as the tests' own nodes."""
+    """The GFormer layer op by op, one Tensor per op: the propagation
+    and layer-norm stages through stage_node, the rest as the tests' own
+    ops."""
     def norm(x, gain, bias):
-        return stage_node(lambda v: ad.layer_norm(v, gain, bias), x,
-                          params=(gain, bias))
+        return stage_node(lambda v: ad.layer_norm(v, gain, bias), x)
 
     x = add(norm(stage_node(mb.gcn_propagate, f, a), p.ln1_gain, p.ln1_bias),
             f)
@@ -223,8 +223,7 @@ class TestFusedLayer:
         wrt = [f, a, *layer.all()]
 
         def fused(f, a, p):
-            return stage_node(lambda f, a: mb.gformer_layer(f, a, p), f, a,
-                              params=p.all())
+            return stage_node(lambda f, a: mb.gformer_layer(f, a, p), f, a)
 
         results = []
         for run in (fused, composed_layer):
@@ -348,12 +347,22 @@ class TestChunks:
         for p, want in zip(params.all(), chunk_grads):
             assert np.allclose(p.grad, want, rtol=1e-10, atol=1e-13), p.name
 
-    def test_forward_chunk_is_one_tape_node(self):
+    def test_loss_backward_is_the_chunk_pullback(self):
+        # the loss's pullback hands the cross-entropy gradient straight to
+        # the chunk's pullback, which adds every Param's gradient
         params = tiny_params()
-        logits = mb.forward_chunk([(graph("CCO"), graph("C"))], params)
-        assert logits._parents == tuple(params.all())
-        loss = mb.cross_entropy_from_logits(logits, 1)
-        assert loss._parents == (logits,)
+        pairs = [(graph("CCO"), graph("C")), (graph("c1ccccc1"), graph("CN"))]
+        labels = [1, 0]
+        logits = mb.forward_chunk(pairs, params)
+        mb.cross_entropy_from_logits(logits, labels, 0.5).backward()
+        via_loss = params.grads.copy()
+        params.grads[...] = 0.0
+        d = np.exp(mb.log_softmax(logits.value))
+        d[[0, 1], labels] -= 1.0
+        d *= 0.5 / 2
+        logits._pullback(d)
+        assert np.any(via_loss != 0.0)
+        assert np.array_equal(params.grads, via_loss)
 
 
 class TestPredict:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from molbridge import model as m
+from molbridge import parallel as par
 from molbridge.autodiff import Tensor
 from molbridge.data import DDISample, featurize_samples
 from molbridge.errors import NonFiniteActivationError, TrainingAbortedError
@@ -128,6 +129,29 @@ class TestTraining:
         with pytest.raises(ValueError, match="999"):
             train(dataset, plan, small_config(max_epochs=1))
 
+    def test_one_backward_per_chunk(self, dataset, plan, monkeypatch):
+        # the loss hands its gradient to the chunk's pullback itself, so
+        # Tensor.backward runs once for each chunk's finite loss
+        monkeypatch.setattr(par, "processes", lambda: 1)
+        losses, calls = [], []
+        loss = m.cross_entropy_from_logits
+        backward = Tensor.backward
+
+        def kept(*args):
+            out = loss(*args)
+            losses.append(out.item())
+            return out
+
+        def counted(self):
+            calls.append(self.item())
+            backward(self)
+
+        monkeypatch.setattr(m, "cross_entropy_from_logits", kept)
+        monkeypatch.setattr(Tensor, "backward", counted)
+        train(dataset, plan, small_config(max_epochs=2))
+        assert len(losses) >= 2 and np.all(np.isfinite(losses))
+        assert calls == losses
+
     def test_abort_names_epoch_and_batch(self, dataset, plan, monkeypatch):
         def explode(*args, **kwargs):
             raise NonFiniteActivationError("layer 0 produced nan")
@@ -213,20 +237,27 @@ class TestRunRecordCsv:
         assert repr(1 / 3) in lines[1]
 
 
-def tape_dtypes(root) -> set:
-    """The dtypes of every value (and gradient, where one is held) in the
-    graph below root, root included."""
-    seen, stack, dtypes = {id(root)}, [root], set()
-    while stack:
-        node = stack.pop()
-        dtypes.add(node.value.dtype)
-        if node.grad is not None:
-            dtypes.add(node.grad.dtype)
-        for parent in node._parents:
-            if id(parent) not in seen:
-                seen.add(id(parent))
-                stack.append(parent)
-    return dtypes
+def record_chunks(monkeypatch) -> tuple[list, list]:
+    """Patch model.forward_chunk to keep the logits of every chunk, and
+    the (logits, gradient) arrays of every call of a chunk's pullback;
+    returns the two lists."""
+    logits, handed = [], []
+    forward = m.forward_chunk
+
+    def kept(chunk_pairs, chunk_params):
+        out = forward(chunk_pairs, chunk_params)
+        value, pullback = out.value, out._pullback
+
+        def recorded(grad):
+            handed.append((value, grad))
+            pullback(grad)
+
+        out._pullback = recorded
+        logits.append(value)
+        return out
+
+    monkeypatch.setattr(m, "forward_chunk", kept)
+    return logits, handed
 
 
 class TestPrecisionSplit:
@@ -238,35 +269,34 @@ class TestPrecisionSplit:
         backward = Tensor.backward
 
         def kept(self):
-            losses.append(self)
+            losses.append(self.value)
             backward(self)
 
         monkeypatch.setattr(Tensor, "backward", kept)
+        _, handed = record_chunks(monkeypatch)
         params, _ = train(dataset, plan, small_config(max_epochs=2))
         assert len(losses) >= 2                 # a chunk per epoch at least
-        for loss in losses:
-            assert tape_dtypes(loss) == {np.dtype(np.float32)}
+        assert len(handed) == len(losses)
+        for array in losses + [a for pair in handed for a in pair]:
+            assert array.dtype == np.float32
         for p in params.all():
             assert p.value.dtype == p.grad.dtype == np.float64, p.name
 
     def test_scoring_is_float64(self, dataset, monkeypatch):
         params = m.init_params(small_config().model_config(2))
         pairs = featurize_samples(dataset[:6])
-        logits = []
-        forward = m.forward_chunk
-
-        def kept(chunk_pairs, chunk_params):
-            logits.append(forward(chunk_pairs, chunk_params))
-            return logits[-1]
-
-        monkeypatch.setattr(m, "forward_chunk", kept)
-        assert m.forward_pair(*pairs[0], params).value.dtype == np.float64
+        logits, handed = record_chunks(monkeypatch)
+        first = m.forward_pair(*pairs[0], params)
+        assert first.value.dtype == np.float64
         assert m.batch_logits(pairs, params).dtype == np.float64
         assert m.predict(*pairs[0], params).dtype == np.float64
         evaluate(params, pairs, [s.label for s in dataset[:6]], 2)
         assert len(logits) >= 4
-        for out in logits:
-            assert tape_dtypes(out) == {np.dtype(np.float64)}
+        loss = m.cross_entropy_from_logits(first, dataset[0].label)
+        loss.backward()
+        assert len(handed) == 1
+        for array in logits + [loss.value, *handed[0]]:
+            assert array.dtype == np.float64
 
     # Largest per-epoch loss gap between float32 and float64 training on
     # criterion 5's data over its first 60 epochs (through its best
