@@ -67,6 +67,7 @@ class DistanceStrata:
     statistics: np.ndarray          # per evaluated sample
     boundaries: np.ndarray          # quantiles - 1 nondecreasing cut values
     assignments: np.ndarray         # stratum index per sample
+    counts: np.ndarray              # samples per stratum
     per_stratum: list[dict[str, float] | None]  # None for empty strata
 
 
@@ -120,17 +121,22 @@ def stratify_by_distance(pairs: list[tuple[FeaturedGraph, FeaturedGraph]],
                       for g1, g2 in pairs])
     boundaries = quantile_boundaries(stats, quantiles)
     assignments = np.searchsorted(boundaries, stats, side="left")
+    # the samples grouped by stratum once, each group in sample order
+    order = np.argsort(assignments, kind="stable")
+    counts = np.bincount(assignments, minlength=quantiles)
+    ends = np.cumsum(counts)
     per_stratum: list[dict[str, float] | None] = []
     for k in range(quantiles):
-        keep = np.nonzero(assignments == k)[0]
-        if keep.size == 0:
+        if counts[k] == 0:
             per_stratum.append(None)
             continue
+        keep = order[ends[k] - counts[k]:ends[k]]
         sub_labels = [labels[i] for i in keep]
         sub_preds = [preds[i] for i in keep]
         per_stratum.append(stratified_metrics(
             sub_preds, sub_labels, n_classes, sorted(set(sub_labels))))
-    return DistanceStrata(stats, boundaries, assignments, per_stratum)
+    return DistanceStrata(stats, boundaries, assignments, counts,
+                          per_stratum)
 
 
 # ---------------------------------------------------------------------- #

@@ -34,7 +34,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CheckpointError, VersionMismatchError
-from .model import FEATURE_DIM, ModelConfig, ModelParams, init_params
+from .model import (
+    FEATURE_DIM, ModelConfig, ModelParams, blank_params, param_shapes)
 
 MAGIC = b"MOLBRIDG"
 VERSION = 2
@@ -42,10 +43,9 @@ VERSION = 2
 
 def layout(params: ModelParams) -> list[dict]:
     """The header's params list: each Param's name, rows, cols and offset
-    into params.values, in all() order."""
+    into params.values, in all() order, as model.param_shapes gives them."""
     entries, offset = [], 0
-    for name, p in params.named():
-        rows, cols = p.shape
+    for name, rows, cols in param_shapes(params.config):
         entries.append(dict(name=name, rows=rows, cols=cols, offset=offset))
         offset += rows * cols
     return entries
@@ -108,7 +108,7 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
         if config.feature_dim != FEATURE_DIM:
             raise ValueError(f"feature_dim {config.feature_dim}, but atoms "
                              f"have {FEATURE_DIM} features")
-        params = init_params(config)
+        params = blank_params(config)
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: bad model_config: {exc}") from exc
 

@@ -8,12 +8,15 @@ success, 1 runtime failure, 2 usage error.
 
 A config file of key=value lines can preload any train flag; explicit
 flags win over file values.
+
+Each command imports the modules it runs when it runs: ``predict``
+loads the checkpoint, model and SMILES modules and none of data, splits,
+train, metrics, optim or analysis.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -23,21 +26,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, model
+from . import BLAS_THREAD_VARIABLES, model, parallel
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import dataset_digest, featurize_samples, load_dataset, read_utf8
 from .errors import (
     EmptyDatasetError, EmptySplitError, LabelOutOfRangeError, MalformedRowError,
     MolBridgeError, SmilesError)
-from .metrics import (
-    accumulate, check_subset, format_metrics, macro_metrics, stratified_metrics)
+from .model import MODES, N_FOLDS, SELECTION_METRICS
 from .smiles import featurize_smiles
-from .splits import MODES, N_FOLDS, make_splits
-from .train import SELECTION_METRICS, TrainConfig, predict_labels, train
-
-
-def entry() -> None:
-    sys.exit(main(sys.argv[1:]))
 
 
 def main(argv: list[str]) -> int:
@@ -192,6 +187,7 @@ def read_config_file(path) -> dict[str, tuple[str, int]]:
     A file that is not UTF-8 text or has a line without '=' is a
     MolBridgeError; a key outside TRAIN_KEYS is a ValueError, which
     cmd_train reports as a usage error."""
+    from .data import read_utf8
     values: dict[str, tuple[str, int]] = {}
     for line_no, line in enumerate(io.StringIO(read_utf8(path)), 1):
         line = line.strip()
@@ -221,7 +217,10 @@ def _resolve_out(arg_out: str | None, default_name: str) -> Path:
 def _write_manifest(run_dir: Path, args, outputs: dict[str, str],
                     config: dict | None = None) -> None:
     """The command of args, its configuration (by default its parsed
-    arguments but the run directory) and, with a dataset, its digest."""
+    arguments but the run directory) and, with a dataset, its digest;
+    also the BLAS thread variables and the processes chunk-parallel work
+    may use."""
+    from .data import dataset_digest
     if config is None:
         config = {key: value for key, value in vars(args).items()
                   if key not in ("func", "command", "subcommand", "out")}
@@ -233,6 +232,9 @@ def _write_manifest(run_dir: Path, args, outputs: dict[str, str],
                    else args.command,
         "config": config,
         "outputs": outputs,
+        "blas_threads": {name: os.environ.get(name)
+                         for name in BLAS_THREAD_VARIABLES},
+        "processes": parallel.processes(),
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
     (run_dir / "manifest.json").write_text(
@@ -243,6 +245,7 @@ def _write_report(args, default_name: str, name: str, header: list[str],
                   rows) -> Path:
     """Write a report CSV of header and rows, and the manifest, into the
     run directory; returns the report's path."""
+    import csv
     run_dir = _resolve_out(args.out, default_name)
     path = run_dir / name
     with open(path, "w", newline="") as fh:
@@ -256,6 +259,7 @@ def _write_report(args, default_name: str, name: str, header: list[str],
 def _load_samples(path):
     """The dataset's samples; each quarantined row is reported on stderr,
     also when no row is left."""
+    from .data import load_dataset
     try:
         result = load_dataset(path)
     except EmptyDatasetError as exc:
@@ -276,6 +280,10 @@ def _score_split(args, subset=(), quantiles=1):
     A split of fewer rows than quantiles (an empty one too), labels and
     subset classes past the checkpoint's, and a subset no label of the
     split is in, are refused first."""
+    from .data import featurize_samples
+    from .metrics import check_subset
+    from .splits import make_splits
+    from .train import predict_labels
     params, _ = load_checkpoint(args.checkpoint)
     samples = _load_samples(args.data)
     if args.split != "all":
@@ -312,6 +320,9 @@ def _pair_graphs(args):
 # ---------------------------------------------------------------------- #
 
 def cmd_train(args) -> int:
+    from .splits import make_splits
+    from .train import TrainConfig, train
+
     def pick(key, kind):
         """The flag's value, else the config file's, else None."""
         flag = getattr(args, key)
@@ -375,6 +386,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .metrics import (
+        accumulate, format_metrics, macro_metrics, stratified_metrics)
     subset = None
     if args.labels is not None:
         try:
@@ -413,6 +426,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_oversmooth(args) -> int:
+    from . import analysis
     report = analysis.depth_probe(args.seed, max_depth=args.depth,
                                   trials=args.trials)
     path = _write_report(
@@ -426,13 +440,14 @@ def cmd_oversmooth(args) -> int:
 
 
 def cmd_distance(args) -> int:
+    from . import analysis
     params, pairs, labels, preds = _score_split(args, quantiles=args.quantiles)
     strata = analysis.stratify_by_distance(
         pairs, preds, labels, params.config.classes,
         quantiles=args.quantiles, combine=args.combine)
 
     def row(k):
-        count = int((strata.assignments == k).sum())
+        count = int(strata.counts[k])
         upper = (repr(float(strata.boundaries[k]))
                  if k < len(strata.boundaries) else "")
         scores = strata.per_stratum[k]
@@ -449,8 +464,9 @@ def cmd_distance(args) -> int:
 
 
 def cmd_edges(args) -> int:
-    params, g1, g2 = _pair_graphs(args)
+    from . import analysis
     from .joint import build_joint, refine
+    params, g1, g2 = _pair_graphs(args)
     refined = refine(build_joint(g1, g2), params.proj_w, params.proj_b,
                      params.w_q, params.w_k, params.config.heads, params.theta)
     model.require_finite(refined.combined)

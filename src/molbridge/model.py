@@ -69,6 +69,13 @@ FORK_COST = 300_000
 # even at about 19k characters and saved a fifth of the scan at 38k.
 SCAN_FORK_CHARS = 25_000
 
+# Split modes, folds and train selection metrics, for splits.py and
+# train.py; kept here so the command line offers them without loading
+# either module.
+MODES = ("transductive", "s1", "s2")
+N_FOLDS = 5
+SELECTION_METRICS = ("accuracy", "macro_f1")
+
 # Most values a ModelConfig may imply: its parameters plus one chunk's layer
 # outputs (0.16M for the default model). Training keeps several arrays of
 # each, so 2^24 keeps a run to a few GB; more is refused before allocating.
@@ -169,66 +176,81 @@ class ModelParams:
         return [(p.name, p) for p in self.all()]
 
 
-def _weight(rng: np.random.Generator, name: str, rows: int, cols: int) -> Param:
-    return Param(rng.normal(0.0, 1.0 / np.sqrt(rows), (rows, cols)), name)
+def layer_shapes(index: int, dim: int,
+                 d_hid: int) -> list[tuple[str, int, int]]:
+    """Name, rows and cols of GFormer layer index's Params, in all() order."""
+    pre = f"layer{index}"
+    return [(f"{pre}.ln1.gain", 1, dim), (f"{pre}.ln1.bias", 1, dim),
+            (f"{pre}.ffn.w1", dim, d_hid), (f"{pre}.ffn.b1", 1, d_hid),
+            (f"{pre}.ffn.w2", d_hid, dim), (f"{pre}.ffn.b2", 1, dim),
+            (f"{pre}.ln2.gain", 1, dim), (f"{pre}.ln2.bias", 1, dim)]
 
 
-def _zeros(name: str, cols: int) -> Param:
-    return Param(np.zeros((1, cols)), name)
+def param_shapes(config: ModelConfig) -> list[tuple[str, int, int]]:
+    """Name, rows and cols of every Param, in ModelParams.all() order: the
+    one table that blank_params, init_params and checkpoint.layout read."""
+    d, c = config.dim, config.classes
+    return [("proj.weight", config.feature_dim, d), ("proj.bias", 1, d),
+            ("attn.q", d, d), ("attn.k", d, d), ("alpha.theta", 1, 1),
+            *(entry for l in range(config.layers)
+              for entry in layer_shapes(l, d, config.d_hid)),
+            ("head.w1", d, d), ("head.b1", 1, d),
+            ("head.w2", d, c), ("head.b2", 1, c)]
 
 
-def _ones(name: str, cols: int) -> Param:
-    return Param(np.ones((1, cols)), name)
+def _zeros(shapes) -> list[Param]:
+    return [Param(np.zeros((rows, cols)), name) for name, rows, cols in shapes]
+
+
+def blank_params(config: ModelConfig) -> ModelParams:
+    """Zero-valued Params laid out as param_shapes(config) says; draws
+    nothing, so a checkpoint load needs no numpy.random."""
+    p = _zeros(param_shapes(config))
+    gformer = [GFormerLayerParams(*p[5 + 8 * l:13 + 8 * l])
+               for l in range(config.layers)]
+    return ModelParams(config, *p[:5], gformer, *p[-4:])
+
+
+def _draw(rng: np.random.Generator, *weights: Param) -> None:
+    """Fill each weight in turn with normal values scaled by 1/sqrt(rows)."""
+    for w in weights:
+        w.value[...] = rng.normal(0.0, 1.0 / np.sqrt(w.shape[0]), w.shape)
+
+
+def _fill_layer(rng: np.random.Generator, layer: GFormerLayerParams) -> None:
+    """Draw w1 then w2 from rng and set the gains to 1."""
+    _draw(rng, layer.w1, layer.w2)
+    layer.ln1_gain.value[...] = 1.0
+    layer.ln2_gain.value[...] = 1.0
 
 
 def init_layer(rng: np.random.Generator, index: int, dim: int,
                d_hid: int) -> GFormerLayerParams:
     """One GFormer layer: scaled-normal w1 then w2 drawn from rng, unit
     gains, zero biases."""
-    pre = f"layer{index}"
-    return GFormerLayerParams(
-        ln1_gain=_ones(f"{pre}.ln1.gain", dim),
-        ln1_bias=_zeros(f"{pre}.ln1.bias", dim),
-        w1=_weight(rng, f"{pre}.ffn.w1", dim, d_hid),
-        b1=_zeros(f"{pre}.ffn.b1", d_hid),
-        w2=_weight(rng, f"{pre}.ffn.w2", d_hid, dim),
-        b2=_zeros(f"{pre}.ffn.b2", dim),
-        ln2_gain=_ones(f"{pre}.ln2.gain", dim),
-        ln2_bias=_zeros(f"{pre}.ln2.bias", dim),
-    )
+    layer = GFormerLayerParams(*_zeros(layer_shapes(index, dim, d_hid)))
+    _fill_layer(rng, layer)
+    return layer
 
 
 def init_params(config: ModelConfig) -> ModelParams:
     """Seeded initialization: scaled-normal weights, unit gains, zero biases.
 
-    theta starts at 0 so the adjacency mix opens at alpha = 0.5.
+    theta starts at 0 so the adjacency mix opens at alpha = 0.5. The
+    draws run attention, layers, then projection and head.
     """
     rng = np.random.default_rng(config.seed)
     dim, heads = config.dim, config.heads
-
-    def attention(name: str) -> Param:
+    params = blank_params(config)
+    for w in (params.w_q, params.w_k):
         # column block h is head h's own dim x head_dim draw, in head
         # order, so a head's seeded values do not depend on the layout
-        blocks = rng.normal(0.0, 1.0 / np.sqrt(dim), (heads, dim, dim // heads))
-        return Param(np.hstack(blocks), name)
-
-    w_q = attention("attn.q")
-    w_k = attention("attn.k")
-    gformer = [init_layer(rng, l, dim, config.d_hid)
-               for l in range(config.layers)]
-    return ModelParams(
-        config=config,
-        proj_w=_weight(rng, "proj.weight", config.feature_dim, dim),
-        proj_b=_zeros("proj.bias", dim),
-        w_q=w_q,
-        w_k=w_k,
-        theta=Param(np.zeros((1, 1)), "alpha.theta"),
-        gformer=gformer,
-        head_w1=_weight(rng, "head.w1", dim, dim),
-        head_b1=_zeros("head.b1", dim),
-        head_w2=_weight(rng, "head.w2", dim, config.classes),
-        head_b2=_zeros("head.b2", config.classes),
-    )
+        w.value[...] = np.hstack(rng.normal(
+            0.0, 1.0 / np.sqrt(dim), (heads, dim, dim // heads)))
+    for layer in params.gformer:
+        _fill_layer(rng, layer)
+    _draw(rng, params.proj_w, params.head_w1, params.head_w2)
+    return params
 
 
 # ---------------------------------------------------------------------- #

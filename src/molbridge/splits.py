@@ -11,14 +11,15 @@ exactly one unseen drug (S1) or two unseen drugs (S2).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .data import DDISample
 from .errors import InsufficientDrugsError
+from .model import MODES, N_FOLDS
 
-N_FOLDS = 5
-MODES = ("transductive", "s1", "s2")
+if TYPE_CHECKING:
+    from .data import DDISample
 
 
 @dataclass

@@ -34,12 +34,10 @@ from . import parallel as par
 from .data import DDISample, featurize_samples
 from .errors import EmptySplitError, TrainingAbortedError
 from .metrics import METRIC_KEYS, accumulate, macro_metrics
-from .model import ModelConfig, ModelParams
+from .model import SELECTION_METRICS, ModelConfig, ModelParams
 from .optim import AdamW
 from .smiles import FEATURE_DIM, FeaturedGraph
 from .splits import SplitPlan
-
-SELECTION_METRICS = ("accuracy", "macro_f1")
 
 
 @dataclass

@@ -4,13 +4,14 @@ import time
 
 import pytest
 
-from molbridge import analysis, cli
+from molbridge import analysis
 from molbridge.checkpoint import load_checkpoint, save_checkpoint
 from molbridge.cli import main, read_config_file
-from molbridge.data import dataset_digest, load_dataset
+from molbridge.data import dataset_digest, featurize_samples, load_dataset
 from molbridge.errors import MolBridgeError
+from molbridge.metrics import stratified_metrics
 from molbridge.synthetic import make_two_class_dataset, write_dataset
-from molbridge.train import TrainConfig
+from molbridge.train import TrainConfig, predict_labels
 
 from conftest import run_cli, save_unchecked
 
@@ -35,10 +36,12 @@ def run_dir(tmp_path_factory, data_path):
 
 
 def read_manifest(run_dir):
-    """A manifest's command and config; it also holds exactly the outputs
-    and a creation time."""
+    """A manifest's command and config; it also holds exactly the outputs,
+    the BLAS thread variables, the helper process count and a creation
+    time."""
     manifest = json.loads((run_dir / "manifest.json").read_text())
-    assert set(manifest) == {"command", "config", "outputs", "created_utc"}
+    assert set(manifest) == {"command", "config", "outputs", "blas_threads",
+                             "processes", "created_utc"}
     return manifest["command"], manifest["config"]
 
 
@@ -365,7 +368,7 @@ class TestEvalCommand:
         def scored(*args, **kwargs):
             raise AssertionError("the split was scored")
 
-        monkeypatch.setattr(cli, "predict_labels", scored)
+        monkeypatch.setattr("molbridge.train.predict_labels", scored)
         assert main([*command, "--checkpoint", str(run_dir / "best.ckpt"),
                      "--data", str(wide), "--split", "all",
                      "--out", str(tmp_path / "out")]) == 1
@@ -378,8 +381,8 @@ class TestEvalCommand:
         def scored(*args, **kwargs):
             raise AssertionError("the split was featurized or scored")
 
-        monkeypatch.setattr(cli, "featurize_samples", scored)
-        monkeypatch.setattr(cli, "predict_labels", scored)
+        monkeypatch.setattr("molbridge.data.featurize_samples", scored)
+        monkeypatch.setattr("molbridge.train.predict_labels", scored)
         assert main(["eval", "--checkpoint", str(run_dir / "best.ckpt"),
                      "--data", str(data_path), "--split", "all",
                      "--labels", "1,9,3", "--out", str(tmp_path / "out")]) == 1
@@ -396,8 +399,8 @@ class TestEvalCommand:
         def scored(*args, **kwargs):
             raise AssertionError("the split was featurized or scored")
 
-        monkeypatch.setattr(cli, "featurize_samples", scored)
-        monkeypatch.setattr(cli, "predict_labels", scored)
+        monkeypatch.setattr("molbridge.data.featurize_samples", scored)
+        monkeypatch.setattr("molbridge.train.predict_labels", scored)
         assert main(["eval", "--checkpoint", str(run_dir / "best.ckpt"),
                      "--data", str(one_class), "--split", "all",
                      "--labels", "1", "--out", str(tmp_path / "out")]) == 1
@@ -581,6 +584,41 @@ class TestAnalyzeCommands:
             "dataset_digest": dataset_digest(data_path), "split": "all",
             "mode": "transductive", "fold": 0, "seed": 42, "quantiles": 5,
             "combine": "pair_mean"})
+
+    def test_distance_stratum_per_row_matches_per_stratum_scan(
+            self, run_dir, data_path, tmp_path, capsys):
+        # as many strata as rows: ties leave many strata empty
+        ckpt = str(run_dir / "best.ckpt")
+        samples = load_dataset(data_path).samples
+        n = len(samples)
+        out = tmp_path / "dist"
+        assert main(["analyze", "distance", "--checkpoint", ckpt, "--data",
+                     str(data_path), "--split", "all", "--quantiles", str(n),
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+
+        # the reference scans every row for each stratum
+        params, _ = load_checkpoint(ckpt)
+        pairs = featurize_samples(samples)
+        labels = [s.label for s in samples]
+        preds = predict_labels(params, pairs)
+        stats = [analysis.pair_distance_statistic(g1, g2) for g1, g2 in pairs]
+        boundaries = analysis.quantile_boundaries(stats, n)
+        strata = [analysis.assign_stratum(v, boundaries) for v in stats]
+        lines = ["stratum,upper_boundary,count,accuracy,macro_f1"]
+        for k in range(n):
+            keep = [i for i in range(n) if strata[i] == k]
+            upper = repr(float(boundaries[k])) if k < len(boundaries) else ""
+            scores = stratified_metrics(
+                [preds[i] for i in keep], [labels[i] for i in keep],
+                params.config.classes, {labels[i] for i in keep}) \
+                if keep else None
+            lines.append(",".join([str(k), upper, str(len(keep)), *(
+                repr(scores[key]) if scores else ""
+                for key in ("accuracy", "macro_f1"))]))
+        assert len(set(strata)) < n
+        assert (out / "distance.csv").read_bytes() == \
+            "".join(line + "\r\n" for line in lines).encode()
 
     def test_distance_path_length_once_per_drug(self, run_dir, data_path,
                                                 tmp_path, monkeypatch,
