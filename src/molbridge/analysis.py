@@ -19,7 +19,7 @@ import numpy as np
 
 from . import model as m
 from .errors import KExceedsEdgesError
-from .metrics import stratified_metrics
+from .metrics import grouped_metrics
 from .smiles import FeaturedGraph, Molecule, featurize
 
 
@@ -121,22 +121,10 @@ def stratify_by_distance(pairs: list[tuple[FeaturedGraph, FeaturedGraph]],
                       for g1, g2 in pairs])
     boundaries = quantile_boundaries(stats, quantiles)
     assignments = np.searchsorted(boundaries, stats, side="left")
-    # the samples grouped by stratum once, each group in sample order
-    order = np.argsort(assignments, kind="stable")
-    counts = np.bincount(assignments, minlength=quantiles)
-    ends = np.cumsum(counts)
-    per_stratum: list[dict[str, float] | None] = []
-    for k in range(quantiles):
-        if counts[k] == 0:
-            per_stratum.append(None)
-            continue
-        keep = order[ends[k] - counts[k]:ends[k]]
-        sub_labels = [labels[i] for i in keep]
-        sub_preds = [preds[i] for i in keep]
-        per_stratum.append(stratified_metrics(
-            sub_preds, sub_labels, n_classes, sorted(set(sub_labels))))
-    return DistanceStrata(stats, boundaries, assignments, counts,
-                          per_stratum)
+    return DistanceStrata(
+        stats, boundaries, assignments,
+        np.bincount(assignments, minlength=quantiles),
+        grouped_metrics(preds, labels, n_classes, assignments, quantiles))
 
 
 # ---------------------------------------------------------------------- #

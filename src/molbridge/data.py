@@ -8,16 +8,19 @@ the load; structurally broken rows (missing fields, non-integer labels)
 and bytes that are not UTF-8 text or not CSV abort it with a
 MalformedRowError naming the file and line.
 
-Loading reads and checks every row first, then validates each distinct
-SMILES once with the one-pass scanner of :mod:`molbridge.smiles`,
-keeping nothing per row but the strings. When the distinct strings hold
-``model.SCAN_FORK_CHARS`` characters or more, the helper processes of
-:mod:`molbridge.parallel` scan contiguous slices of them too, and the
-verdicts come back in order; on smaller files the fork would cost more
-than it saves. A process that runs other threads, a multi-threaded
-BLAS's among them, scans alone. Only the rows a command goes on to use
-are featurized, by :func:`featurize_samples`, in one batched pass over
-their distinct SMILES.
+Loading reads and checks every row first, then scans each distinct
+SMILES once with the one-pass scanner of :mod:`molbridge.smiles`. A
+valid string's scan is kept as its packed record (see
+:func:`molbridge.smiles.pack_scan`), and each sample carries the records
+of its two drugs, shared by every row that names them. When the
+distinct strings hold ``model.SCAN_FORK_CHARS`` characters or more, the
+helper processes of :mod:`molbridge.parallel` scan contiguous slices of
+them too, and the verdicts and records come back in order; on smaller
+files the fork would cost more than it saves. A process that runs other
+threads, a multi-threaded BLAS's among them, scans alone. Only the rows
+a command goes on to use are featurized, by :func:`featurize_samples`,
+in one batched decode of their distinct drugs' records; a sample built
+by hand, without records, has its strings scanned there.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import (
@@ -36,7 +39,7 @@ from .errors import (
 )
 from . import model as m
 from . import parallel as par
-from .smiles import FeaturedGraph, featurize_many, scan_smiles
+from .smiles import FeaturedGraph, featurize_records, pack_scan, scan_smiles
 
 REQUIRED_COLUMNS = ("smiles_1", "smiles_2", "label")
 
@@ -52,6 +55,9 @@ class DDISample:
     smiles_1: str
     smiles_2: str
     label: int
+    # the drugs' packed scans, set by load_dataset; not part of equality
+    record_1: bytes | None = field(default=None, compare=False, repr=False)
+    record_2: bytes | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -130,13 +136,13 @@ def load_dataset(path) -> LoadResult:
     samples: list[DDISample] = []
     quarantined: list[QuarantinedRow] = []
     for line_no, s1, s2, label in rows:
-        reason = verdicts[s1]
+        reason, record_1 = verdicts[s1]
         if reason is None:
-            reason = verdicts[s2]
+            reason, record_2 = verdicts[s2]
         if reason is not None:
             quarantined.append(QuarantinedRow(line_no, reason))
             continue
-        samples.append(DDISample(s1, s2, label))
+        samples.append(DDISample(s1, s2, label, record_1, record_2))
 
     if not samples:
         raise EmptyDatasetError(f"{path}: no usable samples", quarantined)
@@ -144,16 +150,16 @@ def load_dataset(path) -> LoadResult:
     return LoadResult(samples, n_classes, quarantined)
 
 
-def _verdict(smiles: str) -> str | None:
-    """The scanner's error text for smiles, or None."""
+def _verdict(smiles: str) -> tuple[str | None, bytes | None]:
+    """The scanner's error text for smiles and None, or None and the
+    packed scan."""
     try:
-        scan_smiles(smiles)
+        return None, pack_scan(scan_smiles(smiles))
     except SmilesError as exc:
-        return str(exc)
-    return None
+        return str(exc), None
 
 
-def _verdicts(strings: list[str]) -> list[str | None]:
+def _verdicts(strings: list[str]) -> list[tuple[str | None, bytes | None]]:
     """_verdict of each string, in order. Once the strings hold at least
     SCAN_FORK_CHARS characters, helper processes (see parallel.py) take
     the later contiguous slices of about equal length."""
@@ -178,9 +184,15 @@ def _rows(path, reader):
 
 
 def featurize_samples(samples: list[DDISample]) -> list[tuple[FeaturedGraph, FeaturedGraph]]:
-    """Featurize every sample in one batch, scanning each distinct SMILES
-    once; samples that share a SMILES share its graph."""
-    distinct = list(dict.fromkeys(
-        s for sample in samples for s in (sample.smiles_1, sample.smiles_2)))
-    graphs = dict(zip(distinct, featurize_many(distinct)))
+    """Featurize every sample in one batch from its drugs' records,
+    scanning a distinct SMILES only when no sample carries its record;
+    samples that share a SMILES share its graph."""
+    records: dict[str, bytes | None] = {}
+    for sample in samples:
+        for text, record in ((sample.smiles_1, sample.record_1),
+                             (sample.smiles_2, sample.record_2)):
+            records[text] = records.get(text) or record
+    graphs = dict(zip(records, featurize_records(
+        [record or pack_scan(scan_smiles(text))
+         for text, record in records.items()])))
     return [(graphs[s.smiles_1], graphs[s.smiles_2]) for s in samples]

@@ -141,8 +141,10 @@ def cross_attention(h: np.ndarray, w_q: Param, w_k: Param, heads: int,
     # scores, then softmax over keys, in place on one (B, heads, N, N)
     # buffer; row sums are products with a ones column, as in autodiff
     probs = q @ k.transpose(0, 1, 3, 2)
-    if not mask.all():
-        probs += np.where(mask, 0.0, -np.inf).astype(probs.dtype)[:, None, None]
+    # -inf in each block's padding key columns: what adding 0 on real
+    # keys and -inf on padding would give, less the pass over the buffer
+    block, key = np.nonzero(~mask)
+    probs[block, :, :, key] = -np.inf
     probs -= probs.max(axis=3, keepdims=True)
     np.exp(probs, out=probs)
     probs /= ad.row_sums(probs)

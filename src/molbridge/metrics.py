@@ -54,20 +54,25 @@ def accumulate(preds: Sequence[int], labels: Sequence[int],
     return ConfusionMatrix(counts)
 
 
-def _metrics(cm: ConfusionMatrix, classes=slice(None)) -> dict[str, float]:
-    """Accuracy, and precision, recall and F1 averaged over classes."""
-    counts = cm.counts
-    diag = np.diag(counts).astype(np.float64)
-    row = counts.sum(axis=1).astype(np.float64)   # true-class totals
-    col = counts.sum(axis=0).astype(np.float64)   # predicted totals
+def _per_class(diag, row, col) -> np.ndarray:
+    """Precision, recall and F1 (rows) per class from its true positives,
+    true-class total and predicted total."""
+    diag, row, col = (np.asarray(v, dtype=np.float64) for v in (diag, row, col))
     with np.errstate(invalid="ignore", divide="ignore"):
         precision = np.where(col > 0, diag / np.where(col > 0, col, 1), 0.0)
         recall = np.where(row > 0, diag / np.where(row > 0, row, 1), 0.0)
         pr = precision + recall
         f1 = np.where(pr > 0, 2.0 * precision * recall / np.where(pr > 0, pr, 1), 0.0)
+    return np.stack((precision, recall, f1))
+
+
+def _metrics(cm: ConfusionMatrix, classes=slice(None)) -> dict[str, float]:
+    """Accuracy, and precision, recall and F1 averaged over classes."""
+    counts = cm.counts
+    scores = _per_class(np.diag(counts), counts.sum(axis=1), counts.sum(axis=0))
     return dict(zip(METRIC_KEYS, (
         float(np.trace(counts) / cm.total),
-        *(float(v[classes].mean()) for v in (precision, recall, f1)))))
+        *(float(v[classes].mean()) for v in scores))))
 
 
 def macro_metrics(cm: ConfusionMatrix) -> dict[str, float]:
@@ -103,6 +108,40 @@ def stratified_metrics(preds: Sequence[int], labels: Sequence[int],
     cm = accumulate([preds[i] for i in keep], [labels[i] for i in keep],
                     n_classes)
     return _metrics(cm, np.array(subset))
+
+
+def grouped_metrics(preds: Sequence[int], labels: Sequence[int],
+                    n_classes: int, groups: Sequence[int],
+                    n_groups: int) -> list[dict[str, float] | None]:
+    """For each group g < n_groups, stratified_metrics of the samples in
+    it over the labels they hold, or None if it has none; the same
+    floats, from one count of true positives and of true and predicted
+    totals per (group, class) cell instead of a confusion matrix per
+    group."""
+    preds, labels, groups = (np.asarray(v, dtype=np.int64)
+                             for v in (preds, labels, groups))
+    outside = ((np.minimum(preds, labels) < 0)
+               | (np.maximum(preds, labels) >= n_classes))
+    if outside.any():
+        i = np.flatnonzero(outside)[0]
+        raise IndexOutOfRangeError(
+            f"class pair ({labels[i]}, {preds[i]}) outside [0, {n_classes})")
+    # the (group, true class) cells in order: each group's label subset
+    cells, cell, row = np.unique(groups * n_classes + labels,
+                                 return_inverse=True, return_counts=True)
+    predicted = groups * n_classes + preds
+    at = np.minimum(np.searchsorted(cells, predicted), len(cells) - 1)
+    col = np.bincount(at[cells[at] == predicted], minlength=len(cells))
+    right = preds == labels
+    scores = _per_class(np.bincount(cell[right], minlength=len(cells)),
+                        row, col)
+    total = np.bincount(groups, minlength=n_groups)
+    correct = np.bincount(groups[right], minlength=n_groups)
+    edges = np.searchsorted(cells // n_classes, np.arange(n_groups + 1))
+    return [dict(zip(METRIC_KEYS, (
+        float(correct[g] / total[g]),
+        *map(float, scores[:, edges[g]:edges[g + 1]].mean(axis=1)))))
+        if total[g] else None for g in range(n_groups)]
 
 
 def format_metrics(values: dict[str, float]) -> str:

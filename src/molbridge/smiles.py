@@ -11,12 +11,15 @@ with :class:`UnsupportedTokenError` rather than silently ignored.
 There is one grammar implementation, :func:`scan_smiles`: a single pass
 that checks the grammar and emits one integer code per atom and a flat
 bond list, building no per-atom or per-bond object. Everything else is
-an adapter over it. :func:`featurize_many` decodes many scans at once,
+an adapter over it. :func:`pack_scan` keeps a scan as one compact
+record, which a caller can hold on to or send between processes instead
+of scanning the text again; this module alone knows the record's layout
+and decodes it. :func:`featurize_records` decodes many records at once,
 their atom codes and bond keys concatenated with per-molecule offsets,
 into one feature matrix and one flat adjacency buffer, of which each
 molecule's arrays are views; :func:`featurize_smiles` is the batch of
-one. :func:`parse_smiles` turns a scan into a :class:`Molecule` for
-callers that walk atoms and bonds, and :func:`featurize` encodes a
+one text. :func:`parse_smiles` turns a record into a :class:`Molecule`
+for callers that walk atoms and bonds, and :func:`featurize` encodes a
 Molecule with the same array builder, so every route gives identical
 arrays.
 
@@ -29,8 +32,8 @@ Bracket atoms carry exactly the hydrogens written in the brackets.
 from __future__ import annotations
 
 import re
+import struct
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -286,15 +289,26 @@ def scan_smiles(text: str) -> tuple[list[int], list[int], list[int]]:
     return codes, bonds, orders
 
 
-def _decode(scans: list[tuple[list[int], list[int], list[int]]]):
+def pack_scan(scan: tuple[list[int], list[int], list[int]]) -> bytes:
+    """A scan as one record: native uint16 words holding the atom count,
+    then the atom codes, the bond keys and the doubled bond orders."""
+    codes, bonds, orders = scan
+    return struct.pack(f"{1 + len(codes) + 2 * len(bonds)}H", len(codes),
+                       *codes, *bonds, *orders)
+
+
+def _decode(records: list[bytes]):
     """Per-atom arrays (element, charge, hydrogens, aromatic) over the
-    atoms of all scans end to end, with implicit hydrogens filled in;
-    bond ends (a, b) as indices into them; and each scan's atom count."""
-    code, keys, doubled = (
-        np.fromiter(chain.from_iterable(scan[k] for scan in scans), np.intp)
-        for k in range(3))
-    atoms, bonds = (np.array([len(scan[k]) for scan in scans], dtype=np.intp)
-                    for k in range(2))
+    atoms of all records end to end, with implicit hydrogens filled in;
+    bond ends (a, b) as indices into them; and each record's atom count."""
+    words = np.frombuffer(b"".join(records), np.uint16).astype(np.intp)
+    sizes = np.fromiter(map(len, records), np.intp, len(records)) // 2
+    atoms = words[np.cumsum(sizes) - sizes]
+    bonds = (sizes - 1 - atoms) // 2
+    # each word's part of its record: 0 count, 1 code, 2 bond key, 3 order
+    part = np.repeat(np.tile(np.arange(4), len(records)), np.column_stack(
+        (np.ones_like(atoms), atoms, bonds, bonds)).ravel())
+    code, keys, doubled = (words[part == k] for k in (1, 2, 3))
     a, b = np.divmod(keys, ATOM_CAP)
     shift = np.repeat(np.cumsum(atoms) - atoms, bonds)
     a += shift
@@ -317,7 +331,7 @@ def parse_smiles(text: str) -> Molecule:
     input outside the subset.
     """
     scan = scan_smiles(text)
-    element, charge, hydrogens, aromatic, a, b, _ = _decode([scan])
+    element, charge, hydrogens, aromatic, a, b, _ = _decode([pack_scan(scan)])
     atoms = [Atom(ELEMENTS[e], c, ar == 1, h) for e, c, ar, h in zip(
         element.tolist(), charge.tolist(), aromatic.tolist(), hydrogens.tolist())]
     return Molecule(atoms, [Bond(i, j, _ORDER_NAME[o]) for i, j, o in zip(
@@ -391,16 +405,16 @@ def _graphs(element, charge, hydrogens, aromatic, a, b,
                                   blocks.tolist(), atoms.tolist())]
 
 
-def featurize_many(texts) -> list[FeaturedGraph]:
-    """Scan each text and encode them all in one pass; the same arrays as
-    ``featurize(parse_smiles(text))`` for each, without building a
-    Molecule. Raises the first failing text's SmilesError."""
-    return _graphs(*_decode([scan_smiles(text) for text in texts]))
+def featurize_records(records: list[bytes]) -> list[FeaturedGraph]:
+    """Decode the records of pack_scan and encode them all in one pass;
+    the same arrays as ``featurize(parse_smiles(text))`` for each text,
+    without building a Molecule."""
+    return _graphs(*_decode(records))
 
 
 def featurize_smiles(text: str) -> FeaturedGraph:
-    """featurize_many of one text."""
-    return featurize_many([text])[0]
+    """Scan text and featurize its record."""
+    return featurize_records([pack_scan(scan_smiles(text))])[0]
 
 
 def featurize(mol: Molecule) -> FeaturedGraph:

@@ -7,6 +7,7 @@ import pytest
 from molbridge import data
 from molbridge import model as m
 from molbridge import parallel as par
+from molbridge import smiles
 from molbridge.data import (
     MAX_CLASSES,
     DDISample,
@@ -46,6 +47,20 @@ def write(tmp_path, text, name="data.csv"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def count_scans(monkeypatch) -> list[str]:
+    """Record every scan_smiles call, the loader's and the scanner
+    module's own; returns the list of scanned strings."""
+    scanned = []
+
+    def counting(text):
+        scanned.append(text)
+        return scan_smiles(text)
+
+    monkeypatch.setattr(data, "scan_smiles", counting)
+    monkeypatch.setattr(smiles, "scan_smiles", counting)
+    return scanned
 
 
 BOM = "\ufeff".encode("utf-8")
@@ -127,18 +142,14 @@ class TestScanOnce:
         return rows, write(tmp_path, text)
 
     def test_each_distinct_string_scanned_once(self, tmp_path, monkeypatch):
+        # loading and then featurizing what it kept scans each string of
+        # the file once, the loader's scans being all the command makes
         rows, path = self.pooled(tmp_path)
-        scanned = []
-
-        def counting(smiles):
-            scanned.append(smiles)
-            return scan_smiles(smiles)
-
-        monkeypatch.setattr(data, "scan_smiles", counting)
-        load_dataset(path)
-        assert sorted(scanned) == sorted(set(scanned))
-        assert set(scanned) <= set(self.POOL)
-        assert len(scanned) > 12
+        monkeypatch.setattr(par, "processes", lambda: 1)
+        scanned = count_scans(monkeypatch)
+        featurize_samples(load_dataset(path).samples)
+        assert sorted(scanned) == sorted({s for row in rows for s in row[:2]})
+        assert len(scanned) == len(self.POOL)
 
     def test_report_equals_row_by_row_scan(self, tmp_path):
         rows, path = self.pooled(tmp_path)
@@ -228,12 +239,30 @@ class TestScanOnHelpers:
             assert_no_child()
         serial, parallel = results
         assert parallel == serial
+        # sample equality leaves the kept scans out
+        records = [[(s.record_1, s.record_2) for s in result.samples]
+                   for result in results]
+        assert records[0] == records[1]
+        assert all(r for pair in records[0] for r in pair)
         assert len(serial.samples) == 510 - n_invalid
         assert serial.n_classes == 7
         reasons = [row.reason for row in serial.quarantined]
         assert len(reasons) == n_invalid
         for want in self.REASONS:
             assert any(want in reason for reason in reasons), want
+
+    def test_featurize_scans_nothing_after_helpers(self, big, monkeypatch):
+        forked = self.processes(monkeypatch, 2)
+        samples = load_dataset(big[0]).samples
+        assert forked
+        assert_no_child()
+        scanned = count_scans(monkeypatch)
+        pairs = featurize_samples(samples)
+        assert scanned == []
+        for sample, graphs in list(zip(samples, pairs))[::50]:
+            for text, g in zip((sample.smiles_1, sample.smiles_2), graphs):
+                assert g.features.tobytes() == \
+                    featurize(parse_smiles(text)).features.tobytes()
 
     def test_late_bad_label_raises_its_line(self, big, tmp_path, monkeypatch):
         lines = big[0].read_text().splitlines()
@@ -373,26 +402,38 @@ class TestFeaturizeSamples:
         assert pairs[0][0].n_atoms == 3   # CCO
         assert pairs[0][1].n_atoms == 2   # CN
 
-    def assert_bit_equal(self, texts):
-        samples = [DDISample(a, b, 0) for a, b in zip(texts, texts[1:] + texts)]
-        pairs = featurize_samples(samples)
-        for sample, graphs in zip(samples, pairs):
-            for text, g in zip((sample.smiles_1, sample.smiles_2), graphs):
-                ref = featurize(parse_smiles(text))
-                for got, want in ((g.features, ref.features),
-                                  (g.adjacency, ref.adjacency)):
-                    assert got.shape == want.shape, text
-                    assert got.dtype == want.dtype, text
-                    assert got.tobytes() == want.tobytes(), text
+    def assert_bit_equal(self, texts, tmp_path):
+        """Samples built by hand, loaded ones, which carry their scans,
+        and lists mixing both over the same SMILES featurize to the
+        arrays of featurize(parse_smiles(text))."""
+        rows = list(zip(texts, texts[1:] + texts))
+        hand = [DDISample(a, b, 0) for a, b in rows]
+        text = "smiles_1,smiles_2,label\n" + "".join(
+            f"{a},{b},0\n" for a, b in rows)
+        loaded = load_dataset(write(tmp_path, text)).samples
+        assert loaded == hand
+        assert all(s.record_1 and s.record_2 for s in loaded)
+        mixed = [pair[i % 2] for i, pair in enumerate(zip(hand, loaded))]
+        for samples in (hand, loaded, mixed, hand + loaded):
+            pairs = featurize_samples(samples)
+            for sample, graphs in zip(samples, pairs):
+                for text, g in zip((sample.smiles_1, sample.smiles_2), graphs):
+                    ref = featurize(parse_smiles(text))
+                    for got, want in ((g.features, ref.features),
+                                      (g.adjacency, ref.adjacency)):
+                        assert got.shape == want.shape, text
+                        assert got.dtype == want.dtype, text
+                        assert got.tobytes() == want.tobytes(), text
 
-    def test_batch_equals_one_at_a_time(self, bench_corpus):
+    def test_batch_equals_one_at_a_time(self, bench_corpus, tmp_path):
         fifty = bench_corpus.make_drug(random.Random(3), 50)
         assert len(parse_smiles(fifty).atoms) == 50
         self.assert_bit_equal([
             "C", "[NH4+]", "[O-]C=O", "C[N+](C)(C)C", "[nH]1cccc1",
             "[CH2-]C", "[NH3+]CC(=O)[O-]", "c1ccccc1", "c1ccncc1",
             "C%10CC%10", "C%12CCC%12CC%34CCCC%34", fifty, "C", "c1ccccc1",
-            "CCO"])
+            "CCO"], tmp_path)
 
-    def test_batch_without_bonds(self):
-        self.assert_bit_equal(["C", "[NH4+]", "O", "[Cl-]", "[CH3-]", "N"])
+    def test_batch_without_bonds(self, tmp_path):
+        self.assert_bit_equal(["C", "[NH4+]", "O", "[Cl-]", "[CH3-]", "N"],
+                              tmp_path)

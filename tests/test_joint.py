@@ -224,6 +224,60 @@ class TestCrossAttention:
             lambda h: cross_attention(h, w_q, w_k, 2, mask), [h],
             [w_q, w_k], probe) < 1e-6
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_mask_matches_broadcast_add(self, dtype):
+        # padding in the middle and at the front too, not only a suffix
+        mask = np.array([[True, False, True, True, False],
+                         [True] * 5,
+                         [False, True, True, True, True]])
+        blocks, n = mask.shape
+        heads, dim = 2, 4
+        rng = np.random.default_rng(5)
+        h = rng.normal(size=(blocks * n, dim)).astype(dtype)
+        wq, wk = (rng.normal(0, 0.5, (dim, dim)).astype(dtype)
+                  for _ in range(2))
+        grad = rng.normal(size=(blocks * n, n)).astype(dtype)
+        w_q, w_k = Param(wq.copy(), "q"), Param(wk.copy(), "k")
+        value, backward = cross_attention(h, w_q, w_k, heads, mask)
+        d_h = backward(grad)
+
+        # the same operations with the mask added over the whole buffer
+        scale = 1.0 / math.sqrt(dim // heads)
+
+        def split(x):
+            return x.reshape(blocks, n, heads, -1).transpose(0, 2, 1, 3)
+
+        def merge(x):
+            return x.transpose(0, 2, 1, 3).reshape(blocks * n, dim)
+
+        q = h @ wq
+        q *= scale
+        q = split(q)
+        k = split(h @ wk)
+        probs = q @ k.transpose(0, 1, 3, 2)
+        probs += np.where(mask, 0.0, -np.inf).astype(dtype)[:, None, None]
+        probs -= probs.max(axis=3, keepdims=True)
+        np.exp(probs, out=probs)
+        probs /= probs @ np.ones((n, 1), dtype)
+        want = probs.sum(axis=1)
+        want *= 1.0 / heads
+        g = grad.reshape(blocks, 1, n, n)
+        d_scores = g * probs
+        d_scores = (g - d_scores @ np.ones((n, 1), dtype)) * probs
+        d_q = merge(d_scores @ k)
+        d_q *= scale / heads
+        d_k = merge(d_scores.transpose(0, 1, 3, 2) @ q)
+        d_k *= 1.0 / heads
+        want_d_h = d_q @ wq.T
+        want_d_h += d_k @ wk.T
+        for got, ref in ((value, want.reshape(blocks * n, n)),
+                         (d_h, want_d_h), (w_q.grad, h.T @ d_q),
+                         (w_k.grad, h.T @ d_k)):
+            assert got.dtype == ref.dtype
+            assert got.tobytes() == ref.tobytes()
+        assert np.all(value.reshape(blocks, n, n)[~mask[:, None, :]
+                                                  .repeat(n, 1)] == 0)
+
     def test_projection_shape_checked(self):
         with pytest.raises(ShapeMismatchError):
             cross_attention(np.zeros((2, 4)),

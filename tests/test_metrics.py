@@ -12,6 +12,7 @@ from molbridge.metrics import (
     ConfusionMatrix,
     accumulate,
     format_metrics,
+    grouped_metrics,
     macro_metrics,
     stratified_metrics,
 )
@@ -136,6 +137,37 @@ class TestStratified:
     def test_subset_class_out_of_range(self):
         with pytest.raises(IndexOutOfRangeError):
             stratified_metrics([0], [0], 2, [5])
+
+
+class TestGrouped:
+    def test_bit_equal_to_stratified_per_group(self):
+        # groups of 1 to 400 samples over 300 classes, so the class means
+        # run over fewer than 8, up to 128 and more than 128 classes
+        rng = np.random.default_rng(23)
+        sizes = [1, 3, 7, 9, 40, 400, 0, 2]
+        groups = np.repeat(np.arange(len(sizes)), sizes)
+        rng.shuffle(groups)
+        labels = rng.integers(0, 300, len(groups)).tolist()
+        preds = [t if rng.random() < 0.4 else int(rng.integers(0, 300))
+                 for t in labels]
+        got = grouped_metrics(preds, labels, 300, groups, len(sizes) + 1)
+        assert got[6] is None and got[-1] is None
+        for g, values in enumerate(got):
+            keep = np.flatnonzero(groups == g)
+            if not len(keep):
+                continue
+            want = stratified_metrics(
+                [preds[i] for i in keep], [labels[i] for i in keep], 300,
+                {labels[i] for i in keep})
+            assert list(values) == list(want)
+            assert [v.hex() for v in values.values()] == \
+                [v.hex() for v in want.values()]
+
+    @pytest.mark.parametrize("pred, label", [(3, 0), (0, 3), (-1, 0)])
+    def test_class_out_of_range(self, pred, label):
+        with pytest.raises(IndexOutOfRangeError,
+                           match=rf"\({label}, {pred}\) outside \[0, 3\)"):
+            grouped_metrics([0, pred], [1, label], 3, [0, 1], 2)
 
 
 class TestFormat:
