@@ -275,11 +275,11 @@ def _report_quarantined(rows) -> None:
 
 
 def _score_split(args, subset=(), quantiles=1):
-    """Load the checkpoint, then the dataset, and score the chosen split:
-    the parameters and the split's graph pairs, labels and predictions.
-    A split of fewer rows than quantiles (an empty one too), labels and
-    subset classes past the checkpoint's, and a subset no label of the
-    split is in, are refused first."""
+    """Load the checkpoint, then the dataset, and score the chosen split in
+    float32: the (float64) parameters and the split's graph pairs, labels
+    and predictions. A split of fewer rows than quantiles (an empty one
+    too), labels and subset classes past the checkpoint's, and a subset no
+    label of the split is in, are refused first."""
     from .data import featurize_samples
     from .metrics import check_subset
     from .splits import make_splits
@@ -305,7 +305,8 @@ def _score_split(args, subset=(), quantiles=1):
     if subset:
         check_subset(subset, params.config.classes, labels)
     pairs = featurize_samples(samples)
-    return params, pairs, labels, predict_labels(params, pairs)
+    preds = predict_labels(params.astype(np.float32), pairs)
+    return params, pairs, labels, preds
 
 
 def _pair_graphs(args):

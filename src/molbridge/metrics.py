@@ -138,10 +138,17 @@ def grouped_metrics(preds: Sequence[int], labels: Sequence[int],
     total = np.bincount(groups, minlength=n_groups)
     correct = np.bincount(groups[right], minlength=n_groups)
     edges = np.searchsorted(cells // n_classes, np.arange(n_groups + 1))
-    return [dict(zip(METRIC_KEYS, (
-        float(correct[g] / total[g]),
-        *map(float, scores[:, edges[g]:edges[g + 1]].mean(axis=1)))))
-        if total[g] else None for g in range(n_groups)]
+    # class means a group size at a time: take lays each group's cells
+    # out contiguously, as a slice does, so the means sum pairwise alike
+    size = np.diff(edges)
+    means = np.zeros((n_groups, len(scores)))
+    for s in np.unique(size[size > 0]):
+        alike = np.flatnonzero(size == s)
+        means[alike] = np.take(scores, edges[alike, None] + np.arange(s),
+                               axis=1).mean(axis=2).T
+    rows = np.column_stack((correct / np.maximum(total, 1), means)).tolist()
+    return [dict(zip(METRIC_KEYS, row)) if t else None
+            for t, row in zip(total, rows)]
 
 
 def format_metrics(values: dict[str, float]) -> str:

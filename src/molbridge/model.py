@@ -19,7 +19,9 @@ sums each pair's real atoms into row b of a B x d matrix, and the head
 gives B x C logits. A batch is cut into chunks by plan_chunks;
 batch_logits cuts the chunks into slices of about equal cost
 (chunk_costs) and scores the later slices on helper processes
-(parallel.py), each chunk's logits landing in its own rows.
+(parallel.py), each chunk's logits landing in its own rows. Stages compute
+in the dtype of their parameters: float32 in training chunks and in `eval`
+and `analyze distance`, float64 in `predict` and validation.
 """
 
 from __future__ import annotations
@@ -59,9 +61,9 @@ with contextlib.suppress(OSError, AttributeError):
     ctypes.CDLL(None).mallopt(-1, 64 << 20)     # M_TRIM_THRESHOLD
 
 # Least total chunk_costs at which batch_logits forks its own helpers. On
-# 3-50-atom drug pairs (default model, 1 BLAS thread, 2 cores) a helper's
-# fork cost about 10 ms and paid off from 250k; larger processes fork slower.
-FORK_COST = 300_000
+# 3-50-atom drug pairs in float32 (default model, 1 BLAS thread, 2 cores) a
+# fork cost 10 ms and broke even near 800k: it won 9/21 at 760k, 16/21 at 1M.
+FORK_COST = 900_000
 
 # Least total length of a file's distinct SMILES at which data.load_dataset
 # forks helpers to scan them. On 3-50-atom drugs (2 cores, 1 BLAS thread,

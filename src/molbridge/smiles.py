@@ -98,6 +98,8 @@ _IMPLICIT_H = np.array(_IMPLICIT_H, dtype=np.intp)
 
 # symbol, optional hydrogen count, optional charge -- nothing else.
 _BRACKET_RE = re.compile(r"^(Cl|Br|[BCNOPSFI]|[bcnops])(H[0-9]?)?(\+\+|--|[+-][0-9]?)?$")
+# a bracket charge as int() reads it; "+2" and "-3" read as they are
+_CHARGE_TEXT = {None: "0", "++": "2", "--": "-2", "+": "1", "-": "-1"}
 # ASCII only: str.isdigit() and \d also accept other scripts' digits.
 _DIGIT = {str(d): d for d in range(10)}
 
@@ -140,18 +142,6 @@ class Molecule:
             seen.add(key)
 
 
-def _parse_charge(token: str | None) -> int:
-    if token is None:
-        return 0
-    if token == "++":
-        return 2
-    if token == "--":
-        return -2
-    sign = 1 if token[0] == "+" else -1
-    magnitude = int(token[1:]) if len(token) > 1 else 1
-    return sign * magnitude
-
-
 def _bracket_code(body: str, pos: int) -> int:
     match = _BRACKET_RE.match(body)
     if match is None:
@@ -160,11 +150,10 @@ def _bracket_code(body: str, pos: int) -> int:
     code = _ORGANIC.get(symbol)
     if code is None:
         code = _CHLORINE if symbol == "Cl" else _BROMINE
-    hydrogens = 0
-    if h_part is not None:
-        hydrogens = int(h_part[1:]) if len(h_part) > 1 else 1
+    hydrogens = 0 if h_part is None else int(h_part[1:] or 1)
+    charge = int(_CHARGE_TEXT.get(charge_part, charge_part))
     return ((code | _BRACKET) + (hydrogens << _H_SHIFT)
-            + (_parse_charge(charge_part) << _CHARGE_SHIFT))
+            + (charge << _CHARGE_SHIFT))
 
 
 def scan_smiles(text: str) -> tuple[list[int], list[int], list[int]]:
@@ -391,14 +380,14 @@ def _graphs(element, charge, hydrogens, aromatic, a, b,
     adjacency[base + a * w + b] = 1.0
     adjacency[base + b * w + a] = 1.0
     degree = np.bincount(a, minlength=n) + np.bincount(b, minlength=n)
+    hot = np.stack((element,
+                    FEATURE_BLOCKS["degree"][0] + np.minimum(degree, 6),
+                    FEATURE_BLOCKS["charge"][0] + 2 + np.clip(charge, -2, 2),
+                    FEATURE_BLOCKS["hydrogens"][0] + np.clip(hydrogens, 0, 4)),
+                   axis=1)
+    hot += np.arange(0, n * FEATURE_DIM, FEATURE_DIM)[:, None]
     features = np.zeros((n, FEATURE_DIM), dtype=np.float64)
-    rows = np.arange(n)
-    features[rows, element] = 1.0
-    features[rows, FEATURE_BLOCKS["degree"][0] + np.minimum(degree, 6)] = 1.0
-    features[rows, FEATURE_BLOCKS["charge"][0] + 2
-             + np.maximum(np.minimum(charge, 2), -2)] = 1.0
-    features[rows, FEATURE_BLOCKS["hydrogens"][0]
-             + np.maximum(np.minimum(hydrogens, 4), 0)] = 1.0
+    features.ravel()[hot.ravel()] = 1.0
     features[:, AROMATIC_INDEX] = aromatic
     return [FeaturedGraph(features[s:e], adjacency[c:c + k * k].reshape(k, k))
             for s, e, c, k in zip(starts.tolist(), ends.tolist(),

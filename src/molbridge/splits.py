@@ -46,16 +46,11 @@ def make_splits(samples: list[DDISample], mode: str, fold: int,
 
 def _transductive(samples: list[DDISample], fold: int, seed: int) -> SplitPlan:
     n = len(samples)
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
-    chunks = np.array_split(perm, N_FOLDS)
-    test = chunks[fold]
+    chunks = np.array_split(np.random.default_rng(seed).permutation(n), N_FOLDS)
     rest = np.concatenate([chunks[k] for k in range(N_FOLDS) if k != fold])
     n_val = round(n / 10)
-    val, train = rest[:n_val], rest[n_val:]
-    return SplitPlan("transductive", fold, seed,
-                     [int(i) for i in train], [int(i) for i in val],
-                     [int(i) for i in test])
+    return SplitPlan("transductive", fold, seed, rest[n_val:].tolist(),
+                     rest[:n_val].tolist(), chunks[fold].tolist())
 
 
 def _inductive(samples: list[DDISample], mode: str, fold: int,

@@ -8,6 +8,7 @@ import hypothesis
 import numpy as np
 import pytest
 
+from molbridge import model
 from molbridge.autodiff import Param, Tensor, grad_check
 from molbridge.checkpoint import save_checkpoint
 from molbridge.model import ModelConfig, init_params
@@ -124,6 +125,29 @@ def check_pullback(stage, inputs, params, probe) -> float:
     return grad_check(
         lambda: probe_loss(stage_node(stage, *leaves), probe),
         [*leaves, *params])
+
+
+def record_chunks(monkeypatch) -> tuple[list, list]:
+    """Patch model.forward_chunk to keep the logits of every chunk, and
+    the (logits, gradient) arrays of every call of a chunk's pullback;
+    returns the two lists."""
+    logits, handed = [], []
+    forward = model.forward_chunk
+
+    def kept(chunk_pairs, chunk_params):
+        out = forward(chunk_pairs, chunk_params)
+        value, pullback = out.value, out._pullback
+
+        def recorded(grad):
+            handed.append((value, grad))
+            pullback(grad)
+
+        out._pullback = recorded
+        logits.append(value)
+        return out
+
+    monkeypatch.setattr(model, "forward_chunk", kept)
+    return logits, handed
 
 
 def save_unchecked(path, **fields) -> None:

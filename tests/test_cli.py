@@ -2,18 +2,21 @@ import json
 import struct
 import time
 
+import numpy as np
 import pytest
 
-from molbridge import analysis
+from molbridge import analysis, cli
 from molbridge.checkpoint import load_checkpoint, save_checkpoint
 from molbridge.cli import main, read_config_file
 from molbridge.data import dataset_digest, featurize_samples, load_dataset
 from molbridge.errors import MolBridgeError
-from molbridge.metrics import stratified_metrics
+from molbridge.metrics import (
+    accumulate, format_metrics, macro_metrics, stratified_metrics)
+from molbridge.model import ModelParams
 from molbridge.synthetic import make_two_class_dataset, write_dataset
 from molbridge.train import TrainConfig, predict_labels
 
-from conftest import run_cli, save_unchecked
+from conftest import record_chunks, run_cli, save_unchecked
 
 TRAIN_FLAGS = ["--epochs", "2", "--dim", "8", "--heads", "2",
                "--batch", "16", "--layers", "2", "--d-hid", "16"]
@@ -469,6 +472,61 @@ class TestEvalCommand:
                      "--data", str(data_path)])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestScoringPrecision:
+    """eval and analyze distance score on a float32 copy of the
+    checkpoint's parameters; predict scores on them as loaded."""
+
+    @pytest.mark.parametrize("command", [["eval"], ["analyze", "distance"]],
+                             ids=["eval", "distance"])
+    def test_split_scored_on_float32_copy(self, command, run_dir, data_path,
+                                          tmp_path, monkeypatch, capsys):
+        ckpt = run_dir / "best.ckpt"
+        before = ckpt.read_bytes()
+        logits, _ = record_chunks(monkeypatch)
+        returned, score_split = [], cli._score_split
+
+        def kept(*args, **kwargs):
+            out = score_split(*args, **kwargs)
+            returned.append(out[0])
+            return out
+
+        monkeypatch.setattr(cli, "_score_split", kept)
+        assert main([*command, "--checkpoint", str(ckpt), "--data",
+                     str(data_path), "--split", "all",
+                     "--out", str(tmp_path / "o")]) == 0
+        capsys.readouterr()
+        assert logits and all(a.dtype == np.float32 for a in logits)
+        [params] = returned
+        assert all(p.value.dtype == np.float64 for p in params.all())
+        assert params.values.tobytes() == \
+            load_checkpoint(ckpt)[0].values.tobytes()
+        assert ckpt.read_bytes() == before
+
+    def test_eval_agrees_with_float64_scoring(self, run_dir, data_path,
+                                              capsys):
+        ckpt = run_dir / "best.ckpt"
+        assert main(["eval", "--checkpoint", str(ckpt), "--data",
+                     str(data_path), "--split", "all"]) == 0
+        params, _ = load_checkpoint(ckpt)
+        samples = load_dataset(data_path).samples
+        preds = predict_labels(params, featurize_samples(samples))
+        cm = accumulate(preds, [s.label for s in samples],
+                        params.config.classes)
+        assert capsys.readouterr().out == \
+            format_metrics(macro_metrics(cm)) + "\n"
+
+    def test_predict_scores_as_loaded(self, run_dir, monkeypatch, capsys):
+        def cast(self, dtype):
+            raise AssertionError("predict cast the parameters")
+
+        monkeypatch.setattr(ModelParams, "astype", cast)
+        logits, _ = record_chunks(monkeypatch)
+        assert main(["predict", "--checkpoint", str(run_dir / "best.ckpt"),
+                     "CCO", "CCN"]) == 0
+        capsys.readouterr()
+        assert [a.dtype for a in logits] == [np.float64]
 
 
 class TestPredictCommand:

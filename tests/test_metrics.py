@@ -139,29 +139,40 @@ class TestStratified:
             stratified_metrics([0], [0], 2, [5])
 
 
+def check_grouped_against_stratified(sizes, seed):
+    """grouped_metrics over groups of the given sizes (300 classes) gives
+    each group stratified_metrics' floats, bit for bit."""
+    rng = np.random.default_rng(seed)
+    groups = np.repeat(np.arange(len(sizes)), sizes)
+    rng.shuffle(groups)
+    labels = rng.integers(0, 300, len(groups)).tolist()
+    preds = [t if rng.random() < 0.4 else int(rng.integers(0, 300))
+             for t in labels]
+    got = grouped_metrics(preds, labels, 300, groups, len(sizes) + 1)
+    assert got[-1] is None
+    for g, values in enumerate(got):
+        keep = np.flatnonzero(groups == g)
+        if not len(keep):
+            assert values is None
+            continue
+        want = stratified_metrics(
+            [preds[i] for i in keep], [labels[i] for i in keep], 300,
+            {labels[i] for i in keep})
+        assert list(values) == list(want)
+        assert [v.hex() for v in values.values()] == \
+            [v.hex() for v in want.values()]
+
+
 class TestGrouped:
     def test_bit_equal_to_stratified_per_group(self):
         # groups of 1 to 400 samples over 300 classes, so the class means
         # run over fewer than 8, up to 128 and more than 128 classes
-        rng = np.random.default_rng(23)
-        sizes = [1, 3, 7, 9, 40, 400, 0, 2]
-        groups = np.repeat(np.arange(len(sizes)), sizes)
-        rng.shuffle(groups)
-        labels = rng.integers(0, 300, len(groups)).tolist()
-        preds = [t if rng.random() < 0.4 else int(rng.integers(0, 300))
-                 for t in labels]
-        got = grouped_metrics(preds, labels, 300, groups, len(sizes) + 1)
-        assert got[6] is None and got[-1] is None
-        for g, values in enumerate(got):
-            keep = np.flatnonzero(groups == g)
-            if not len(keep):
-                continue
-            want = stratified_metrics(
-                [preds[i] for i in keep], [labels[i] for i in keep], 300,
-                {labels[i] for i in keep})
-            assert list(values) == list(want)
-            assert [v.hex() for v in values.values()] == \
-                [v.hex() for v in want.values()]
+        check_grouped_against_stratified([1, 3, 7, 9, 40, 400, 0, 2], 23)
+
+    def test_bit_equal_when_groups_share_a_size(self):
+        # several groups of each size, whose class means are taken together
+        check_grouped_against_stratified(
+            [9, 40, 1, 9, 200, 40, 0, 9, 1, 200, 3, 3, 40], 5)
 
     @pytest.mark.parametrize("pred, label", [(3, 0), (0, 3), (-1, 0)])
     def test_class_out_of_range(self, pred, label):

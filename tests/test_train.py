@@ -17,6 +17,8 @@ from molbridge.train import (
     train,
 )
 
+from conftest import record_chunks
+
 SMALL = dict(batch_size=16, dim=8, heads=2, layers=2, d_hid=16)
 
 
@@ -237,32 +239,10 @@ class TestRunRecordCsv:
         assert repr(1 / 3) in lines[1]
 
 
-def record_chunks(monkeypatch) -> tuple[list, list]:
-    """Patch model.forward_chunk to keep the logits of every chunk, and
-    the (logits, gradient) arrays of every call of a chunk's pullback;
-    returns the two lists."""
-    logits, handed = [], []
-    forward = m.forward_chunk
-
-    def kept(chunk_pairs, chunk_params):
-        out = forward(chunk_pairs, chunk_params)
-        value, pullback = out.value, out._pullback
-
-        def recorded(grad):
-            handed.append((value, grad))
-            pullback(grad)
-
-        out._pullback = recorded
-        logits.append(value)
-        return out
-
-    monkeypatch.setattr(m, "forward_chunk", kept)
-    return logits, handed
-
-
 class TestPrecisionSplit:
     """Training chunks compute in float32; the master parameters, their
-    gradients and every scoring path stay float64."""
+    gradients, validation and the model's scoring functions stay float64
+    (eval and analyze distance hand them a float32 copy: test_cli)."""
 
     def test_training_tapes_are_float32(self, dataset, plan, monkeypatch):
         losses = []
@@ -281,6 +261,15 @@ class TestPrecisionSplit:
             assert array.dtype == np.float32
         for p in params.all():
             assert p.value.dtype == p.grad.dtype == np.float64, p.name
+
+    def test_validation_scores_the_masters(self, dataset, plan, monkeypatch):
+        logits, handed = record_chunks(monkeypatch)
+        train(dataset, plan, small_config(max_epochs=2))
+        trained = {id(value) for value, _ in handed}
+        scored = [a for a in logits if id(a) not in trained]
+        assert handed and scored
+        assert all(value.dtype == np.float32 for value, _ in handed)
+        assert all(a.dtype == np.float64 for a in scored)
 
     def test_scoring_is_float64(self, dataset, monkeypatch):
         params = m.init_params(small_config().model_config(2))
