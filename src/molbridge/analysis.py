@@ -68,7 +68,7 @@ class DistanceStrata:
     boundaries: np.ndarray          # quantiles - 1 nondecreasing cut values
     assignments: np.ndarray         # stratum index per sample
     counts: np.ndarray              # samples per stratum
-    per_stratum: list[dict[str, float] | None]  # None for empty strata
+    per_stratum: np.ndarray         # METRIC_KEYS row per stratum, 0 if empty
 
 
 def pair_distance_statistic(g_1: FeaturedGraph, g_2: FeaturedGraph,

@@ -1,22 +1,18 @@
-"""A small reverse-mode autodiff over rank-2 numpy arrays whose dtype
-follows the inputs: ``Tensor(...)`` keeps a float32 array and makes
-anything else float64, and a pullback computes in its inputs' dtype.
+"""Reverse mode as composed pullbacks over numpy arrays, each computing
+in its inputs' dtype; there is no graph to walk.
 
-A :class:`Tensor` is a value and its pullback, the vector-Jacobian
-product that hands d(loss)/d(value) on to what the value was computed
-from; reverse mode is the pullbacks composed, with no graph to walk.
 Model stages are functions of arrays that return ``(value, backward)``:
-``backward(grad)`` adds the stage's Param gradients in place and returns
-its input gradients, without writing into ``grad`` (``layer_norm`` here;
-joint.py and model.py hold the rest). ``model.forward_chunk`` composes
-them into the logits' pullback, and the loss's pullback hands its
-logit gradient straight to that. ``backward()`` on a 1x1 loss seeds 1.
-Pullbacks hold no reference to their own tensor, so a graph has no
-reference cycles and is freed as soon as the loss is dropped.
+``backward(grad)``, the pullback, adds the stage's Param gradients in
+place and returns its input gradients, without writing into ``grad``
+(``layer_norm`` here; joint.py and model.py hold the rest).
+``model.forward_chunk`` composes them into ``(logits, backward)``, and
+the loss, the one :class:`Tensor`, hands its logit gradient to that
+backward. Pullbacks hold no reference to what holds them, so a graph is
+freed by reference counting as soon as the loss is dropped.
 
 Only a :class:`Param` holds a gradient, zeroed at creation; it
 accumulates in place until ``zero_grad`` (two backward calls on one
-graph exactly double it). Tensors have no operators.
+graph exactly double it).
 """
 
 from __future__ import annotations
@@ -26,74 +22,48 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NonScalarLossError, ShapeMismatchError
+from .errors import ShapeMismatchError
 
 Array = np.ndarray
 
 
 class Tensor:
-    """A matrix value and its pullback; a constant has none."""
+    """A 1x1 loss and its pullback."""
 
     __slots__ = ("value", "_pullback")
 
-    def __init__(self, value, pullback: Callable[[Array], None] | None = None):
-        arr = np.asarray(value)
-        arr = arr if arr.dtype == np.float32 else np.asarray(arr, np.float64)
-        if arr.ndim == 1:
-            arr = arr.reshape(1, -1)
-        if arr.ndim != 2:
-            raise ShapeMismatchError(
-                f"expected a rank-2 array, got rank {arr.ndim}")
-        self.value = arr
+    def __init__(self, value: Array, pullback: Callable[[Array], None]):
+        self.value = value
         self._pullback = pullback
 
-    def _pull(self, grad: Array) -> None:
-        """Take d(loss)/d(self) and hand it to the pullback."""
-        if self._pullback is not None:
-            self._pullback(grad)
+    def item(self) -> float:
+        return float(self.value[0, 0])
+
+    def backward(self) -> None:
+        """Seed 1: add d(self)/d(param) to every Param self came from."""
+        self._pullback(np.ones((1, 1), self.value.dtype))
+
+
+class Param:
+    """A named learnable array; gradients persist across backward calls."""
+
+    __slots__ = ("value", "grad", "name")
+
+    def __init__(self, value: Array, name: str):
+        self.value = value
+        self.grad = np.zeros_like(value)
+        self.name = name
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.value.shape
 
-    def item(self) -> float:
-        if self.value.size != 1:
-            raise ShapeMismatchError(f"item() on shape {self.shape}")
-        return float(self.value[0, 0])
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape})"
-
-    def backward(self) -> None:
-        """Add d(self)/d(param) to every Param self was computed from.
-
-        self must be 1x1. Each call runs the pullbacks afresh, so
-        repeated calls double Param gradients exactly.
-        """
-        if self.value.shape != (1, 1):
-            raise NonScalarLossError(
-                f"backward() needs a 1x1 loss, got shape {self.value.shape}")
-        self._pull(np.ones((1, 1), self.value.dtype))
-
-
-class Param(Tensor):
-    """A named learnable tensor; gradients persist across backward calls."""
-
-    __slots__ = ("grad", "name")
-
-    def __init__(self, value, name: str):
-        super().__init__(value)
-        self.grad = np.zeros_like(self.value)
-        self.name = name
-
     def _pull(self, grad: Array) -> None:
+        """Add d(loss)/d(self): the one place a gradient is added."""
         self.grad += grad
 
     def zero_grad(self) -> None:
         self.grad[...] = 0.0
-
-    def __repr__(self) -> str:
-        return f"Param({self.name!r}, shape={self.shape})"
 
 
 @functools.lru_cache(maxsize=256)

@@ -32,7 +32,7 @@ from .errors import (
     EmptyDatasetError, EmptySplitError, LabelOutOfRangeError, MalformedRowError,
     MolBridgeError, SmilesError)
 from .model import MODES, N_FOLDS, SELECTION_METRICS
-from .smiles import featurize_smiles
+from .smiles import featurize_smiles, parse_int
 
 
 def main(argv: list[str]) -> int:
@@ -60,7 +60,7 @@ def _int_in(low: int, high: int | None = None):
     is None. Out-of-range values are usage errors (exit 2)."""
     def parse(text: str) -> int:
         try:
-            value = int(text)
+            value = parse_int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"expected an integer, got {text!r}") from None
@@ -392,7 +392,8 @@ def cmd_eval(args) -> int:
     subset = None
     if args.labels is not None:
         try:
-            subset = [int(f) for f in args.labels.split(",") if f.strip()]
+            subset = [parse_int(f.strip())
+                      for f in args.labels.split(",") if f.strip()]
         except ValueError:
             subset = []
         if not subset:
@@ -447,14 +448,14 @@ def cmd_distance(args) -> int:
         pairs, preds, labels, params.config.classes,
         quantiles=args.quantiles, combine=args.combine)
 
+    # each stratum's accuracy and macro_f1, blank for an empty one
+    scores = [list(map(repr, row)) if count else ["", ""] for row, count in
+              zip(strata.per_stratum[:, [0, 3]].tolist(), strata.counts)]
+
     def row(k):
-        count = int(strata.counts[k])
         upper = (repr(float(strata.boundaries[k]))
                  if k < len(strata.boundaries) else "")
-        scores = strata.per_stratum[k]
-        return [k, upper, count,
-                repr(scores["accuracy"]) if scores else "",
-                repr(scores["macro_f1"]) if scores else ""]
+        return [k, upper, int(strata.counts[k]), *scores[k]]
 
     path = _write_report(
         args, "distance", "distance.csv",

@@ -39,7 +39,8 @@ from .errors import (
 )
 from . import model as m
 from . import parallel as par
-from .smiles import FeaturedGraph, featurize_records, pack_scan, scan_smiles
+from .smiles import (
+    FeaturedGraph, featurize_records, pack_scan, parse_int, scan_smiles)
 
 REQUIRED_COLUMNS = ("smiles_1", "smiles_2", "label")
 
@@ -118,7 +119,7 @@ def load_dataset(path) -> LoadResult:
                 f"{path}:{line_no}: expected {width}+ fields, got {len(row)}")
         raw_label = row[idx["label"]].strip()
         try:
-            label = int(raw_label)
+            label = parse_int(raw_label)
         except ValueError:
             raise MalformedRowError(
                 f"{path}:{line_no}: label {raw_label!r} is not an integer") from None

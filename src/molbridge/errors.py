@@ -43,10 +43,6 @@ class ShapeMismatchError(MolBridgeError, ValueError):
     """Operands have incompatible shapes."""
 
 
-class NonScalarLossError(MolBridgeError, ValueError):
-    """backward() was called on a non-scalar node."""
-
-
 class NonFiniteActivationError(MolBridgeError, FloatingPointError):
     """A forward pass produced NaN or Inf activations."""
 

@@ -112,12 +112,11 @@ def stratified_metrics(preds: Sequence[int], labels: Sequence[int],
 
 def grouped_metrics(preds: Sequence[int], labels: Sequence[int],
                     n_classes: int, groups: Sequence[int],
-                    n_groups: int) -> list[dict[str, float] | None]:
-    """For each group g < n_groups, stratified_metrics of the samples in
-    it over the labels they hold, or None if it has none; the same
-    floats, from one count of true positives and of true and predicted
-    totals per (group, class) cell instead of a confusion matrix per
-    group."""
+                    n_groups: int) -> np.ndarray:
+    """Row g < n_groups: stratified_metrics' floats for the samples in
+    group g over the labels they hold, in METRIC_KEYS order (zeros for an
+    empty group), from one count of true positives and of true and
+    predicted totals per (group, class) cell, not a matrix per group."""
     preds, labels, groups = (np.asarray(v, dtype=np.int64)
                              for v in (preds, labels, groups))
     outside = ((np.minimum(preds, labels) < 0)
@@ -135,20 +134,18 @@ def grouped_metrics(preds: Sequence[int], labels: Sequence[int],
     right = preds == labels
     scores = _per_class(np.bincount(cell[right], minlength=len(cells)),
                         row, col)
-    total = np.bincount(groups, minlength=n_groups)
-    correct = np.bincount(groups[right], minlength=n_groups)
     edges = np.searchsorted(cells // n_classes, np.arange(n_groups + 1))
     # class means a group size at a time: take lays each group's cells
     # out contiguously, as a slice does, so the means sum pairwise alike
     size = np.diff(edges)
-    means = np.zeros((n_groups, len(scores)))
+    rows = np.zeros((n_groups, len(METRIC_KEYS)))
+    rows[:, 0] = (np.bincount(groups[right], minlength=n_groups)
+                  / np.maximum(np.bincount(groups, minlength=n_groups), 1))
     for s in np.unique(size[size > 0]):
         alike = np.flatnonzero(size == s)
-        means[alike] = np.take(scores, edges[alike, None] + np.arange(s),
-                               axis=1).mean(axis=2).T
-    rows = np.column_stack((correct / np.maximum(total, 1), means)).tolist()
-    return [dict(zip(METRIC_KEYS, row)) if t else None
-            for t, row in zip(total, rows)]
+        rows[alike, 1:] = np.take(scores, edges[alike, None] + np.arange(s),
+                                  axis=1).mean(axis=2).T
+    return rows
 
 
 def format_metrics(values: dict[str, float]) -> str:

@@ -8,8 +8,8 @@ single vector per pair before the classifier head.
 
 Each stage here and in joint.py is a function of numpy arrays that
 returns its value and a pullback (see autodiff.py). forward_chunk runs
-them and the head, and returns the logits as a Tensor whose pullback
-calls the stages' pullbacks in reverse.
+them and the head, and returns the logits and a pullback that calls the
+stages' pullbacks in reverse; the loss is the one Tensor.
 
 Pairs run in chunks laid out as in joint.py: B joint graphs padded to N
 atoms, features (B*N) x d, adjacency (B*N) x N, and a B x N mask of real
@@ -363,10 +363,10 @@ def joint_sizes(pairs: list[tuple[FeaturedGraph, FeaturedGraph]]) -> list[int]:
 
 
 def forward_chunk(pairs: list[tuple[FeaturedGraph, FeaturedGraph]],
-                  params: ModelParams) -> Tensor:
-    """Full pipeline up to class logits (B x C, row b for pairs[b]) on
-    the pairs padded to one chunk, as a Tensor whose pullback runs the
-    stages' pullbacks in reverse, adding every Param's gradient."""
+                  params: ModelParams):
+    """(logits, backward): the full pipeline up to class logits (B x C,
+    row b for pairs[b]) on the pairs padded to one chunk, and a pullback
+    that runs the stages' in reverse, adding every Param's gradient."""
     joint = jg.stack_joints(pairs, params.proj_w.value.dtype)
     refined = jg.refine(joint, params.proj_w, params.proj_b,
                         params.w_q, params.w_k, params.config.heads,
@@ -404,7 +404,7 @@ def forward_chunk(pairs: list[tuple[FeaturedGraph, FeaturedGraph]],
             d_a = d_layer if d_a is None else d_a + d_layer
         refined.backward(d_f, d_a)
 
-    return Tensor(logits, backward)
+    return logits, backward
 
 
 def require_finite(*arrays: np.ndarray) -> None:
@@ -415,8 +415,8 @@ def require_finite(*arrays: np.ndarray) -> None:
 
 
 def forward_pair(g_i: FeaturedGraph, g_j: FeaturedGraph,
-                 params: ModelParams) -> Tensor:
-    """Full pipeline up to class logits (1 x C)."""
+                 params: ModelParams):
+    """Full pipeline up to class logits (1 x C), as forward_chunk."""
     return forward_chunk([(g_i, g_j)], params)
 
 
@@ -428,7 +428,7 @@ def chunk_costs(sizes: list[int], chunks: list[list[int]]) -> list[int]:
 
 def chunk_logits(pairs: list[tuple[FeaturedGraph, FeaturedGraph]],
                  params: ModelParams, chunk: list[int]) -> np.ndarray:
-    return forward_chunk([pairs[i] for i in chunk], params).value
+    return forward_chunk([pairs[i] for i in chunk], params)[0]
 
 
 def batch_logits(pairs: list[tuple[FeaturedGraph, FeaturedGraph]],
@@ -456,7 +456,7 @@ def batch_logits(pairs: list[tuple[FeaturedGraph, FeaturedGraph]],
 def predict(g_i: FeaturedGraph, g_j: FeaturedGraph,
             params: ModelParams) -> np.ndarray:
     """Class probability vector of length C; sums to 1."""
-    return np.exp(log_softmax(forward_pair(g_i, g_j, params).value)[0])
+    return np.exp(log_softmax(forward_pair(g_i, g_j, params)[0])[0])
 
 
 def log_softmax(x: np.ndarray) -> np.ndarray:
@@ -465,16 +465,16 @@ def log_softmax(x: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def cross_entropy_from_logits(logits: Tensor, labels,
-                              weight: float = 1.0) -> Tensor:
+def cross_entropy_from_logits(chunk, labels, weight: float = 1.0) -> Tensor:
     """weight times the mean over rows of -log(softmax(logits)[row, label])
-    as a 1x1 loss.
+    as a 1x1 loss, for chunk = forward_chunk's (logits, backward).
 
     logits are B x C and labels a length-B sequence (an int for B = 1);
     a chunk's weight is its share of the batch. Fused with the
-    log-softmax for stability; the pullback hands the logits' gradient
-    straight to theirs.
+    log-softmax for stability; the loss's pullback hands the logits'
+    gradient to the chunk's backward.
     """
+    logits, chunk_backward = chunk
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
     n, classes = logits.shape
     if labels.size != n:
@@ -484,13 +484,13 @@ def cross_entropy_from_logits(logits: Tensor, labels,
     if outside.any():
         raise LabelOutOfRangeError(
             f"label {labels[outside][0]} outside [0, {classes})")
-    log_p = log_softmax(logits.value)
+    log_p = log_softmax(logits)
     rows = np.arange(n)
 
     def backward(grad):
         d = np.exp(log_p)
         d[rows, labels] -= 1.0
         d *= grad[0, 0] * weight / labels.size
-        logits._pull(d)
+        chunk_backward(d)
 
     return Tensor(-log_p[rows, labels].mean().reshape(1, 1) * weight, backward)

@@ -102,6 +102,15 @@ _BRACKET_RE = re.compile(r"^(Cl|Br|[BCNOPSFI]|[bcnops])(H[0-9]?)?(\+\+|--|[+-][0
 _CHARGE_TEXT = {None: "0", "++": "2", "--": "-2", "+": "1", "-": "-1"}
 # ASCII only: str.isdigit() and \d also accept other scripts' digits.
 _DIGIT = {str(d): d for d in range(10)}
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def parse_int(text: str) -> int:
+    """A label or an integer setting: ASCII digits after an optional minus
+    (int() also takes "+", "_", spaces and other scripts' digits)."""
+    if _INTEGER.fullmatch(text) is None:
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 @dataclass

@@ -55,53 +55,71 @@ CORPUS = [
 ]
 
 
-def probe_loss(x: Tensor, probe) -> Tensor:
-    """The 1x1 loss sum(x * probe), for gradient tests.
+def node(x):
+    """x as a (value, pullback) pair: a Param's pullback adds to its grad,
+    a loss Tensor's is its own, and a pair is already one."""
+    if isinstance(x, Param):
+        return x.value, x._pull
+    return (x.value, x._pullback) if isinstance(x, Tensor) else x
+
+
+def probe_loss(x, probe) -> Tensor:
+    """The 1x1 loss sum(x * probe), for gradient tests, over a Param or a
+    (value, pullback) pair x.
 
     probe is a constant (an array, or a number broadcast to x's shape);
     the pullback hands x the gradient probe * g. A loss of sum(p * p) has
     gradient 2p, which probe_loss(p, 2.0 * p.value) gives bit for bit.
     """
-    probe = np.broadcast_to(probe, x.shape)
-    return Tensor((x.value * probe).sum(keepdims=True),
-                  lambda grad: x._pull(probe * grad))
+    value, pull = node(x)
+    probe = np.broadcast_to(probe, value.shape)
+    return Tensor((value * probe).sum(keepdims=True),
+                  lambda grad: pull(probe * grad))
 
 
-# Tensors for graphs built in the tests: the library's tensors have no
-# operators, and its model chunk is a single tensor.
+# Ops for graphs built in the tests, on Params or (value, pullback)
+# pairs as model stages return them; each returns such a pair, whose
+# pullback hands the gradient on and returns nothing.
 
-def add(a: Tensor, b: Tensor) -> Tensor:
+def add(a, b):
+    (a, pull_a), (b, pull_b) = node(a), node(b)
+
     def pullback(grad):
-        a._pull(grad)
-        b._pull(grad)
+        pull_a(grad)
+        pull_b(grad)
 
-    return Tensor(a.value + b.value, pullback)
-
-
-def scale(x: Tensor, c: float) -> Tensor:
-    return Tensor(x.value * c, lambda grad: x._pull(c * grad))
+    return a + b, pullback
 
 
-def positive_part(x: Tensor) -> Tensor:
-    return Tensor(np.maximum(x.value, 0.0),
-                  lambda grad: x._pull(grad * (x.value > 0.0)))
+def scale(x, c: float):
+    value, pull = node(x)
+    return value * c, lambda grad: pull(c * grad)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+def positive_part(x):
+    value, pull = node(x)
+    return np.maximum(value, 0.0), lambda grad: pull(grad * (value > 0.0))
+
+
+def linear(x, w: Param, b: Param):
+    value, pull = node(x)
+
     def pullback(grad):
-        x._pull(grad @ w.value.T)
-        w._pull(x.value.T @ grad)
+        pull(grad @ w.value.T)
+        w._pull(value.T @ grad)
         b._pull(grad.sum(axis=0, keepdims=True))
 
-    return Tensor(x.value @ w.value + b.value, pullback)
+    return value @ w.value + b.value, pullback
 
 
-def stage_node(stage, *inputs: Tensor) -> Tensor:
-    """A model stage (arrays in, (value, backward) out) as a Tensor over
-    Tensor inputs. backward(grad) must add each Param's gradient and
-    return the inputs' gradients (one array, a tuple in input order, or
-    None without inputs), and must leave grad as it was."""
-    value, backward = stage(*(x.value for x in inputs))
+def stage_node(stage, *inputs):
+    """A model stage (arrays in, (value, backward) out) over Params or
+    pairs, as a pair whose pullback hands each input its gradient.
+    backward(grad) must add each Param's gradient and return the inputs'
+    gradients (one array, a tuple in input order, or None without
+    inputs), and must leave grad as it was."""
+    inputs = [node(x) for x in inputs]
+    value, backward = stage(*(x for x, _ in inputs))
 
     def pullback(grad):
         handed = grad.copy()
@@ -109,11 +127,11 @@ def stage_node(stage, *inputs: Tensor) -> Tensor:
         assert np.array_equal(grad, handed), "the pullback wrote into grad"
         got = () if got is None else got if isinstance(got, tuple) else (got,)
         assert len(got) == len(inputs)
-        for x, g in zip(inputs, got):
+        for (x, pull), g in zip(inputs, got):
             assert g.shape == x.shape
-            x._pull(g)
+            pull(g)
 
-    return Tensor(value, pullback)
+    return value, pullback
 
 
 def check_pullback(stage, inputs, params, probe) -> float:
@@ -135,16 +153,14 @@ def record_chunks(monkeypatch) -> tuple[list, list]:
     forward = model.forward_chunk
 
     def kept(chunk_pairs, chunk_params):
-        out = forward(chunk_pairs, chunk_params)
-        value, pullback = out.value, out._pullback
+        value, backward = forward(chunk_pairs, chunk_params)
 
         def recorded(grad):
             handed.append((value, grad))
-            pullback(grad)
+            backward(grad)
 
-        out._pullback = recorded
         logits.append(value)
-        return out
+        return value, recorded
 
     monkeypatch.setattr(model, "forward_chunk", kept)
     return logits, handed

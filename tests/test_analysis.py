@@ -125,8 +125,8 @@ class TestQuantiles:
                  for _ in range(6)]
         strata = stratify_by_distance(pairs, [0] * 6, [0] * 6, 2)
         assert np.all(strata.assignments == 0)
-        assert strata.per_stratum[0] is not None
-        assert all(s is None for s in strata.per_stratum[1:])
+        assert strata.counts.tolist() == [6, 0, 0, 0, 0]
+        assert strata.per_stratum.tolist() == [[1.0] * 4] + [[0.0] * 4] * 4
 
     def test_five_distinct_statistics_one_per_stratum(self):
         texts = ["CC", "CCC", "CCCC", "CCCCC", "CCCCCC"]

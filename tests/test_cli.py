@@ -210,6 +210,17 @@ class TestTrainCommand:
             capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("value", ["1_0", "\u0663", "+2"])
+    def test_config_file_integer_takes_only_ascii_decimal(
+            self, value, data_path, tmp_path, capsys):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(f"seed = {value}\n", encoding="utf-8")
+        assert main(["train", "--data", str(data_path), "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {cfg}:1: seed: expected an integer, got {value!r}\n"
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("line, message", [
         ("mode = s3", "mode: must be one of ('transductive', 's1', 's2'), "
                       "got 's3'"),
@@ -334,6 +345,17 @@ class TestEvalCommand:
                      "--data", str(data_path), "--labels", "x,1"])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    # int() reads these as 10, 3 and 1
+    @pytest.mark.parametrize("labels", ["0,1_0", "\u0663", "+1"])
+    def test_label_takes_only_ascii_decimal(self, run_dir, data_path,
+                                            labels, capsys):
+        code = main(["eval", "--checkpoint", str(run_dir / "best.ckpt"),
+                     "--data", str(data_path), "--labels", labels])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: --labels must name at least one class as "
+            "comma-separated integers\n")
 
     def test_writes_metrics_file_when_out_given(self, run_dir, data_path,
                                                 tmp_path, capsys):
@@ -816,6 +838,15 @@ class TestParsing:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value", ["1_0", "\u0663", "+2"])
+    def test_integer_flag_takes_only_ascii_decimal(self, value, tmp_path,
+                                                   monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)          # nothing may be written
+        assert main(["train", "--data", "d.csv", "--seed", value]) == 2
+        assert f"argument --seed: expected an integer, got {value!r}\n" in \
+            capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flag, value", [

@@ -319,6 +319,16 @@ class TestLoadErrors:
             load_dataset(write(tmp_path, "smiles_1,smiles_2,label\nCCO,CN,x\n"))
         assert ":2:" in str(exc.value)
 
+    # int() reads these as 10, 3 and 2
+    @pytest.mark.parametrize("label", ["1_0", "\u0663", "+2"])
+    def test_label_takes_only_ascii_decimal(self, tmp_path, label):
+        path = tmp_path / "data.csv"
+        path.write_text(f"smiles_1,smiles_2,label\nCCO,CN,0\nCC,CO,{label}\n",
+                        encoding="utf-8")
+        with pytest.raises(MalformedRowError) as exc:
+            load_dataset(path)
+        assert str(exc.value) == f"{path}:3: label {label!r} is not an integer"
+
     def test_negative_label(self, tmp_path):
         with pytest.raises(MalformedRowError):
             load_dataset(write(tmp_path, "smiles_1,smiles_2,label\nCCO,CN,-1\n"))

@@ -9,6 +9,7 @@ from molbridge.errors import (
     NoMatchingSamplesError,
 )
 from molbridge.metrics import (
+    METRIC_KEYS,
     ConfusionMatrix,
     accumulate,
     format_metrics,
@@ -149,18 +150,18 @@ def check_grouped_against_stratified(sizes, seed):
     preds = [t if rng.random() < 0.4 else int(rng.integers(0, 300))
              for t in labels]
     got = grouped_metrics(preds, labels, 300, groups, len(sizes) + 1)
-    assert got[-1] is None
-    for g, values in enumerate(got):
+    assert got.shape == (len(sizes) + 1, len(METRIC_KEYS))
+    assert not got[-1].any()
+    for g, values in enumerate(got.tolist()):
         keep = np.flatnonzero(groups == g)
         if not len(keep):
-            assert values is None
+            assert values == [0.0] * len(METRIC_KEYS)
             continue
         want = stratified_metrics(
             [preds[i] for i in keep], [labels[i] for i in keep], 300,
             {labels[i] for i in keep})
-        assert list(values) == list(want)
-        assert [v.hex() for v in values.values()] == \
-            [v.hex() for v in want.values()]
+        assert tuple(want) == METRIC_KEYS
+        assert [v.hex() for v in values] == [v.hex() for v in want.values()]
 
 
 class TestGrouped:

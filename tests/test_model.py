@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 import molbridge.autodiff as ad
 import molbridge.joint as jg
 import molbridge.model as mb
-from molbridge.autodiff import Param, Tensor
+from molbridge.autodiff import Param
 from molbridge.errors import (
     HeadsNotDividingError,
     LabelOutOfRangeError,
@@ -18,12 +18,17 @@ from molbridge.errors import (
 from molbridge.smiles import FEATURE_DIM, FeaturedGraph, featurize, parse_smiles
 
 from conftest import (
-    CORPUS, add, check_pullback, linear, positive_part, probe_loss,
+    CORPUS, add, check_pullback, linear, node, positive_part, probe_loss,
     stage_node)
 
 
 def graph(text):
     return featurize(parse_smiles(text))
+
+
+def fixed(logits):
+    """Logits that take no gradient, as a (value, pullback) pair."""
+    return np.array(logits, dtype=np.float64), lambda grad: None
 
 
 def tiny_params(classes=3, seed=0):
@@ -197,9 +202,9 @@ def layer_inputs(texts, seed=3, dim=4, d_hid=8):
 
 
 def composed_layer(f, a, p):
-    """The GFormer layer op by op, one Tensor per op: the propagation
-    and layer-norm stages through stage_node, the rest as the tests' own
-    ops."""
+    """The GFormer layer op by op, one (value, pullback) pair per op: the
+    propagation and layer-norm stages through stage_node, the rest as the
+    tests' own ops."""
     def norm(x, gain, bias):
         return stage_node(lambda v: ad.layer_norm(v, gain, bias), x)
 
@@ -231,7 +236,7 @@ class TestFusedLayer:
                 q.zero_grad()
             out = run(f, a, layer)
             probe_loss(out, probe).backward()
-            results.append((out.value, [q.grad.copy() for q in wrt]))
+            results.append((out[0], [q.grad.copy() for q in wrt]))
         (got, got_grads), (want, want_grads) = results
         assert np.max(np.abs(got - want)) <= 1e-12
         for q, got_grad, want_grad in zip(wrt, got_grads, want_grads):
@@ -353,14 +358,15 @@ class TestChunks:
         params = tiny_params()
         pairs = [(graph("CCO"), graph("C")), (graph("c1ccccc1"), graph("CN"))]
         labels = [1, 0]
-        logits = mb.forward_chunk(pairs, params)
-        mb.cross_entropy_from_logits(logits, labels, 0.5).backward()
+        chunk = mb.forward_chunk(pairs, params)
+        mb.cross_entropy_from_logits(chunk, labels, 0.5).backward()
         via_loss = params.grads.copy()
         params.grads[...] = 0.0
-        d = np.exp(mb.log_softmax(logits.value))
+        logits, backward = chunk
+        d = np.exp(mb.log_softmax(logits))
         d[[0, 1], labels] -= 1.0
         d *= 0.5 / 2
-        logits._pullback(d)
+        backward(d)
         assert np.any(via_loss != 0.0)
         assert np.array_equal(params.grads, via_loss)
 
@@ -412,63 +418,64 @@ class TestPredict:
         from molbridge.joint import build_joint, refine
         params = tiny_params(seed=9)
         params.theta.value[...] = -50.0
-        logits = mb.forward_pair(graph("C"), graph("C"), params)
+        logits, _ = mb.forward_pair(graph("C"), graph("C"), params)
         refined = refine(build_joint(graph("C"), graph("C")),
                          params.proj_w, params.proj_b, params.w_q, params.w_k,
                          params.config.heads, params.theta)
         assert np.allclose(refined.combined, np.zeros((2, 2)), atol=1e-12)
-        assert np.all(np.isfinite(logits.value))
+        assert np.all(np.isfinite(logits))
 
 
 class TestCrossEntropy:
     def test_certain_prediction(self):
-        loss = mb.cross_entropy_from_logits(Tensor([[-1000.0, 0.0]]), 1)
+        loss = mb.cross_entropy_from_logits(fixed([[-1000.0, 0.0]]), 1)
         assert loss.item() == 0.0
 
     def test_uniform_four_way(self):
-        loss = mb.cross_entropy_from_logits(Tensor(np.zeros((1, 4))), 2).item()
+        loss = mb.cross_entropy_from_logits(fixed(np.zeros((1, 4))), 2).item()
         assert abs(loss - math.log(4.0)) < 1e-12
         assert abs(loss - 1.3863) < 1e-4
 
     def test_quarter_three_quarter(self):
-        logits = Tensor([[0.0, math.log(3.0)]])
+        logits = fixed([[0.0, math.log(3.0)]])
         loss = mb.cross_entropy_from_logits(logits, 1).item()
         assert abs(loss - (-math.log(0.75))) < 1e-12
         assert abs(loss - 0.2877) < 1e-4
 
     def test_label_out_of_range(self):
         with pytest.raises(LabelOutOfRangeError):
-            mb.cross_entropy_from_logits(Tensor([[0.0, 0.0]]), 2)
+            mb.cross_entropy_from_logits(fixed([[0.0, 0.0]]), 2)
         with pytest.raises(LabelOutOfRangeError):
-            mb.cross_entropy_from_logits(Tensor([[0.0, 0.0]]), -1)
+            mb.cross_entropy_from_logits(fixed([[0.0, 0.0]]), -1)
 
     def test_label_vector_gives_mean(self):
         rng = np.random.default_rng(9)
         logits = rng.normal(0, 2, (3, 4))
-        rows = [mb.cross_entropy_from_logits(Tensor(logits[i:i + 1]), c).item()
+        rows = [mb.cross_entropy_from_logits(fixed(logits[i:i + 1]), c).item()
                 for i, c in enumerate([0, 3, 1])]
-        batch = mb.cross_entropy_from_logits(Tensor(logits), [0, 3, 1])
+        batch = mb.cross_entropy_from_logits(fixed(logits), [0, 3, 1])
         assert abs(batch.item() - sum(rows) / 3) < 1e-12
 
     def test_batch_gradient(self):
         rng = np.random.default_rng(10)
         logits = Param(rng.normal(0, 2, (3, 4)), "z")
         assert ad.grad_check(
-            lambda: mb.cross_entropy_from_logits(logits, [2, 2, 0]),
+            lambda: mb.cross_entropy_from_logits(node(logits), [2, 2, 0]),
             [logits]) < 1e-8
 
     def test_label_count_must_match_rows(self):
         with pytest.raises(ShapeMismatchError):
-            mb.cross_entropy_from_logits(Tensor(np.zeros((2, 3))), [0])
+            mb.cross_entropy_from_logits(fixed(np.zeros((2, 3))), [0])
 
     def test_weight_scales_loss_and_gradient(self):
         rng = np.random.default_rng(11)
         logits = Param(rng.normal(0, 2, (3, 4)), "z")
-        plain = mb.cross_entropy_from_logits(logits, [1, 0, 3])
+        plain = mb.cross_entropy_from_logits(node(logits), [1, 0, 3])
         plain.backward()
         grad = logits.grad.copy()
         logits.zero_grad()
-        weighted = mb.cross_entropy_from_logits(logits, [1, 0, 3], 0.25)
+        weighted = mb.cross_entropy_from_logits(node(logits), [1, 0, 3],
+                                                 0.25)
         weighted.backward()
         assert weighted.item() == 0.25 * plain.item()
         assert np.array_equal(logits.grad, 0.25 * grad)
@@ -476,7 +483,7 @@ class TestCrossEntropy:
     def test_fused_matches_plain(self):
         rng = np.random.default_rng(8)
         logits_val = rng.normal(0, 2, (1, 5))
-        fused = mb.cross_entropy_from_logits(Tensor(logits_val), 3).item()
+        fused = mb.cross_entropy_from_logits(fixed(logits_val), 3).item()
         exp = np.exp(logits_val[0] - logits_val.max())
         probs = exp / exp.sum()
         assert abs(fused - (-math.log(probs[3]))) < 1e-12

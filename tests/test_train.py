@@ -276,7 +276,7 @@ class TestPrecisionSplit:
         pairs = featurize_samples(dataset[:6])
         logits, handed = record_chunks(monkeypatch)
         first = m.forward_pair(*pairs[0], params)
-        assert first.value.dtype == np.float64
+        assert first[0].dtype == np.float64
         assert m.batch_logits(pairs, params).dtype == np.float64
         assert m.predict(*pairs[0], params).dtype == np.float64
         evaluate(params, pairs, [s.label for s in dataset[:6]], 2)
