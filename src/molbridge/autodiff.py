@@ -45,13 +45,13 @@ class Tensor:
 
 
 class Param:
-    """A named learnable array; gradients persist across backward calls."""
+    """A named learnable array; its grad (zeros unless given) accumulates."""
 
     __slots__ = ("value", "grad", "name")
 
-    def __init__(self, value: Array, name: str):
+    def __init__(self, value: Array, name: str, grad: Array | None = None):
         self.value = value
-        self.grad = np.zeros_like(value)
+        self.grad = np.zeros_like(value) if grad is None else grad
         self.name = name
 
     @property

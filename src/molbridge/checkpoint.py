@@ -11,12 +11,12 @@ Layout, byte-exact:
 The header holds "model_config" (the ModelConfig fields), "extra"
 (free-form JSON run metadata) and "params", layout(params): one
 {"name", "rows", "cols", "offset"} per Param in all() order, offset
-counting float64 elements from payload start. The config implies that
-list, so the loader rebuilds it and refuses a header whose list differs
-in any entry, value or JSON type (8.0 or true is not 8). The header is
-strict JSON (no NaN or Infinity), the payload is exactly the config's
-values, and every value is finite; anything else is a CheckpointError,
-and save_checkpoint refuses non-finite parameters the same way.
+counting float64 elements from payload start. The loader lays out the
+config's zero vector (ModelParams(config)), refuses a header whose list
+differs from its layout in any entry, value or JSON type (8.0 or true
+is not 8), then fills the vector. The header is strict JSON (no NaN or
+Infinity), the payload exactly the config's values and every one finite:
+anything else is a CheckpointError (save_checkpoint checks finiteness too).
 "attn.q" and "attn.k" are dim x dim, column block h (dim/heads columns)
 holding head h; version 1 files held them per head and are rejected
 with VersionMismatchError. Identical params and config produce identical
@@ -34,8 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CheckpointError, VersionMismatchError
-from .model import (
-    FEATURE_DIM, ModelConfig, ModelParams, blank_params, param_shapes)
+from .model import FEATURE_DIM, ModelConfig, ModelParams, param_shapes
 
 MAGIC = b"MOLBRIDG"
 VERSION = 2
@@ -108,7 +107,7 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
         if config.feature_dim != FEATURE_DIM:
             raise ValueError(f"feature_dim {config.feature_dim}, but atoms "
                              f"have {FEATURE_DIM} features")
-        params = blank_params(config)
+        params = ModelParams(config)
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: bad model_config: {exc}") from exc
 

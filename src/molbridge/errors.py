@@ -53,6 +53,10 @@ class SizeCapExceededError(MolBridgeError, ValueError):
     """A pair's joint graph, or the model a config implies, exceeds its cap."""
 
 
+class ModelConfigError(MolBridgeError, ValueError):
+    """A model dimension or the class count is below its least value."""
+
+
 class HeadsNotDividingError(MolBridgeError, ValueError):
     """Attention head count does not divide the hidden dimension."""
 

@@ -27,10 +27,9 @@ and `analyze distance`, float64 in `predict` and validation.
 from __future__ import annotations
 
 import contextlib
-import copy
 import ctypes
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,6 +40,7 @@ from .autodiff import Param, Tensor
 from .errors import (
     HeadsNotDividingError,
     LabelOutOfRangeError,
+    ModelConfigError,
     NonFiniteActivationError,
     ShapeMismatchError,
     SizeCapExceededError,
@@ -95,12 +95,15 @@ class ModelConfig:
     seed: int = 42
 
     def __post_init__(self):
+        for name, least in dict(feature_dim=1, dim=1, heads=1, layers=1,
+                                d_hid=0, classes=2).items():
+            if getattr(self, name) < least:
+                raise ModelConfigError(
+                    f"{name} is {getattr(self, name)}: feature_dim, dim, "
+                    "heads and layers must be at least 1, d_hid at least 0 "
+                    "and classes at least 2")
         if self.d_hid == 0:
             self.d_hid = 2 * self.dim
-        if min(self.dim, self.heads, self.layers) < 1:
-            raise ValueError("dim, heads and layers must be at least 1")
-        if self.classes < 2:
-            raise ValueError("need at least two classes")
         if self.dim % self.heads != 0:
             raise HeadsNotDividingError(
                 f"{self.heads} heads do not divide dim {self.dim}")
@@ -125,57 +128,41 @@ class GFormerLayerParams:
     ln2_bias: Param
 
     def all(self) -> list[Param]:
-        return [self.ln1_gain, self.ln1_bias, self.w1, self.b1,
-                self.w2, self.b2, self.ln2_gain, self.ln2_bias]
+        return list(vars(self).values())
 
 
-@dataclass
 class ModelParams:
-    """Every Param's value and grad are views into the one `values` and
-    `grads` vector, in all() order, so whole-model updates are single
-    array ops. Write a Param's value or grad in place; never rebind it."""
+    """The model's Params, laid out as param_shapes(config) says: their
+    values and grads are views into one `values` vector (zeros if not
+    given, never copied) and one zeroed `grads` vector, so whole-model
+    updates are single array ops. Write them in place; never rebind."""
 
-    config: ModelConfig
-    proj_w: Param
-    proj_b: Param
-    w_q: Param              # dim x dim, column block h is head h
-    w_k: Param
-    theta: Param
-    gformer: list[GFormerLayerParams]
-    head_w1: Param
-    head_b1: Param
-    head_w2: Param
-    head_b2: Param
-    values: np.ndarray = field(init=False, repr=False)
-    grads: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._lay_out(np.concatenate([p.value.ravel() for p in self.all()]))
-
-    def _lay_out(self, values: np.ndarray) -> None:
-        """Make every Param a view into values and into zeroed grads."""
-        self.values, self.grads = values, np.zeros_like(values)
-        params = self.all()
-        cuts = np.cumsum([p.value.size for p in params])[:-1]
-        for p, v, g in zip(params, np.split(values, cuts),
-                           np.split(self.grads, cuts)):
-            p.value, p.grad = v.reshape(p.shape), g.reshape(p.shape)
+    def __init__(self, config: ModelConfig, values: np.ndarray | None = None):
+        shapes = param_shapes(config)
+        if values is None:
+            values = np.zeros(sum(rows * cols for _, rows, cols in shapes))
+        self.config, self.values = config, values
+        self.grads = np.zeros_like(values)
+        self._params = p = []
+        end = 0
+        for name, rows, cols in shapes:
+            start, end = end, end + rows * cols
+            p.append(Param(values[start:end].reshape(rows, cols), name,
+                           self.grads[start:end].reshape(rows, cols)))
+        self.proj_w, self.proj_b, self.w_q, self.w_k, self.theta = p[:5]
+        self.gformer = [GFormerLayerParams(*p[5 + 8 * l:13 + 8 * l])
+                        for l in range(config.layers)]
+        self.head_w1, self.head_b1, self.head_w2, self.head_b2 = p[-4:]
 
     def astype(self, dtype) -> ModelParams:
         """A copy in dtype, laid out alike, sharing no memory with self."""
-        twin = copy.deepcopy(self)
-        twin._lay_out(self.values.astype(dtype))
-        return twin
+        return ModelParams(self.config, self.values.astype(dtype))
 
     def all(self) -> list[Param]:
-        out = [self.proj_w, self.proj_b, self.w_q, self.w_k, self.theta]
-        for layer in self.gformer:
-            out.extend(layer.all())
-        out.extend([self.head_w1, self.head_b1, self.head_w2, self.head_b2])
-        return out
+        return list(self._params)
 
     def named(self) -> list[tuple[str, Param]]:
-        return [(p.name, p) for p in self.all()]
+        return [(p.name, p) for p in self._params]
 
 
 def layer_shapes(index: int, dim: int,
@@ -190,7 +177,8 @@ def layer_shapes(index: int, dim: int,
 
 def param_shapes(config: ModelConfig) -> list[tuple[str, int, int]]:
     """Name, rows and cols of every Param, in ModelParams.all() order: the
-    one table that blank_params, init_params and checkpoint.layout read."""
+    one table that ModelParams lays its vectors out by and that
+    checkpoint.layout writes."""
     d, c = config.dim, config.classes
     return [("proj.weight", config.feature_dim, d), ("proj.bias", 1, d),
             ("attn.q", d, d), ("attn.k", d, d), ("alpha.theta", 1, 1),
@@ -198,19 +186,6 @@ def param_shapes(config: ModelConfig) -> list[tuple[str, int, int]]:
               for entry in layer_shapes(l, d, config.d_hid)),
             ("head.w1", d, d), ("head.b1", 1, d),
             ("head.w2", d, c), ("head.b2", 1, c)]
-
-
-def _zeros(shapes) -> list[Param]:
-    return [Param(np.zeros((rows, cols)), name) for name, rows, cols in shapes]
-
-
-def blank_params(config: ModelConfig) -> ModelParams:
-    """Zero-valued Params laid out as param_shapes(config) says; draws
-    nothing, so a checkpoint load needs no numpy.random."""
-    p = _zeros(param_shapes(config))
-    gformer = [GFormerLayerParams(*p[5 + 8 * l:13 + 8 * l])
-               for l in range(config.layers)]
-    return ModelParams(config, *p[:5], gformer, *p[-4:])
 
 
 def _draw(rng: np.random.Generator, *weights: Param) -> None:
@@ -230,7 +205,9 @@ def init_layer(rng: np.random.Generator, index: int, dim: int,
                d_hid: int) -> GFormerLayerParams:
     """One GFormer layer: scaled-normal w1 then w2 drawn from rng, unit
     gains, zero biases."""
-    layer = GFormerLayerParams(*_zeros(layer_shapes(index, dim, d_hid)))
+    layer = GFormerLayerParams(*(
+        Param(np.zeros((rows, cols)), name)
+        for name, rows, cols in layer_shapes(index, dim, d_hid)))
     _fill_layer(rng, layer)
     return layer
 
@@ -243,7 +220,7 @@ def init_params(config: ModelConfig) -> ModelParams:
     """
     rng = np.random.default_rng(config.seed)
     dim, heads = config.dim, config.heads
-    params = blank_params(config)
+    params = ModelParams(config)
     for w in (params.w_q, params.w_k):
         # column block h is head h's own dim x head_dim draw, in head
         # order, so a head's seeded values do not depend on the layout

@@ -192,6 +192,7 @@ MALFORMED = {
     "nan_in_last_value": _nan_last_value,
     # consistent files of a shape no layer can run
     "zero_dim": _saved_unchecked(dim=0, heads=1, d_hid=0),
+    "negative_d_hid": _saved_unchecked(d_hid=-1),
     "feature_dim_5": _saved_unchecked(feature_dim=5),
     **{case: edit for case, (edit, _) in ENTRY_MISMATCHES.items()},
 }

@@ -210,6 +210,20 @@ class TestTrainCommand:
             capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_d_hid_is_usage_error(self, source, data_path, tmp_path,
+                                           capsys):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("d_hid = -1\n")
+        flags = (["--d-hid", "-1"] if source == "flag"
+                 else ["--config", str(cfg)])
+        assert main(["train", "--data", str(data_path), *flags,
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "Traceback" not in err
+        assert "must be at least 0, got -1" in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("value", ["1_0", "\u0663", "+2"])
     def test_config_file_integer_takes_only_ascii_decimal(
             self, value, data_path, tmp_path, capsys):
@@ -582,6 +596,14 @@ class TestPredictCommand:
         save_unchecked(ckpt, dim=0, heads=1, d_hid=0)
         proc = run_cli("predict", "--checkpoint", str(ckpt), "CCO", "CCN")
         assert_one_error(proc, 1, "dim, heads and layers must be at least 1")
+
+    def test_negative_d_hid_checkpoint_is_one_error_line(self, tmp_path):
+        # a consistent file whose config asks for a -1-wide hidden layer
+        ckpt = tmp_path / "d_hid.ckpt"
+        save_unchecked(ckpt, d_hid=-1)
+        proc = run_cli("predict", "--checkpoint", str(ckpt), "CCO", "CCN")
+        assert_one_error(proc, 1, "bad model_config: d_hid is -1: ")
+        assert proc.stdout == ""
 
     def test_bad_smiles_is_usage_error(self, run_dir, capsys):
         code = main(["predict", "--checkpoint",

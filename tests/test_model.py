@@ -11,6 +11,7 @@ from molbridge.autodiff import Param
 from molbridge.errors import (
     HeadsNotDividingError,
     LabelOutOfRangeError,
+    ModelConfigError,
     MolBridgeError,
     ShapeMismatchError,
     SizeCapExceededError,
@@ -519,6 +520,18 @@ class TestConfig:
         with pytest.raises(SizeCapExceededError, match=f"implies {size} "):
             mb.ModelConfig(**fields)
 
+    @pytest.mark.parametrize("field, value", [
+        ("d_hid", -1), ("feature_dim", 0), ("dim", 0), ("heads", 0),
+        ("layers", 0), ("dim", -8), ("classes", 1)])
+    def test_refuses_a_dimension_below_its_least(self, field, value):
+        # checked before anything is sized or built: a -1 would otherwise
+        # reach numpy as a shape, or a reshape as "infer this axis"
+        with pytest.raises(ModelConfigError,
+                           match=f"^{field} is {value}: ") as info:
+            mb.ModelConfig(**{field: value})
+        assert isinstance(info.value, MolBridgeError)
+        assert isinstance(info.value, ValueError)
+
     def test_large_model_within_cap(self):
         mb.ModelConfig(dim=256, heads=8, layers=6, d_hid=1024, classes=86)
 
@@ -599,3 +612,24 @@ class TestLayout:
                 assert not np.shares_memory(a, b)
         for (name, p), (fast_name, f) in zip(params.named(), fast.named()):
             assert name == fast_name and p is not f
+
+    @pytest.mark.parametrize("fields", [
+        {}, {"layers": 1}, {"dim": 8, "heads": 2, "layers": 2, "d_hid": 7,
+                            "classes": 5},
+        {"dim": 6, "heads": 3, "layers": 1, "d_hid": 1, "classes": 2}],
+        ids=["default", "one_layer", "odd_d_hid", "d_hid_1"])
+    def test_views_the_vector_it_is_given(self, fields):
+        config = mb.ModelConfig(**fields)
+        shapes = mb.param_shapes(config)
+        values = np.arange(sum(rows * cols for _, rows, cols in shapes),
+                           dtype=np.float64)
+        params = mb.ModelParams(config, values)
+        assert params.values is values and params.config is config
+        assert [(p.name, *p.shape) for p in params.all()] == shapes
+        assert_laid_out(params, np.float64)
+        values[0], values[-1] = -1.0, -2.0      # no copy: writes show through
+        assert params.proj_w.value[0, 0] == -1.0
+        assert params.head_b2.value[0, -1] == -2.0
+        assert len(params.gformer) == config.layers
+        for l, layer in enumerate(params.gformer):
+            assert layer.all() == params.all()[5 + 8 * l:13 + 8 * l]

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -153,6 +155,35 @@ class TestTraining:
         train(dataset, plan, small_config(max_epochs=2))
         assert len(losses) >= 2 and np.all(np.isfinite(losses))
         assert calls == losses
+
+    def test_validation_stays_on_the_training_pool(self, dataset, plan,
+                                                   monkeypatch):
+        # one helper per train() call scores the later validation chunks
+        # too: a pool of its own would fork again, and scoring in this
+        # process alone would run every validation chunk here
+        monkeypatch.setattr(par, "processes", lambda: 2)
+        monkeypatch.setattr(m, "CHUNK_ROWS", 16)
+        pairs = featurize_samples([dataset[i] for i in plan.val])
+        val_chunks = len(m.plan_chunks(m.joint_sizes(pairs)))
+        assert val_chunks >= 2
+        forked, fork = [], os.fork
+        scored, chunk_logits = [], m.chunk_logits
+
+        def counting():
+            pid = fork()
+            if pid:
+                forked.append(pid)
+            return pid
+
+        def counted(*args):
+            scored.append(os.getpid())
+            return chunk_logits(*args)
+
+        monkeypatch.setattr(os, "fork", counting)
+        monkeypatch.setattr(m, "chunk_logits", counted)
+        train(dataset, plan, small_config(max_epochs=1))
+        assert len(forked) == 1
+        assert 0 < scored.count(os.getpid()) < val_chunks
 
     def test_abort_names_epoch_and_batch(self, dataset, plan, monkeypatch):
         def explode(*args, **kwargs):
