@@ -84,7 +84,7 @@ SELECTION_METRICS = ("accuracy", "macro_f1")
 MAX_MODEL_VALUES = 2 ** 24
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
     feature_dim: int = FEATURE_DIM
     dim: int = 32
@@ -103,7 +103,7 @@ class ModelConfig:
                     "heads and layers must be at least 1, d_hid at least 0 "
                     "and classes at least 2")
         if self.d_hid == 0:
-            self.d_hid = 2 * self.dim
+            object.__setattr__(self, "d_hid", 2 * self.dim)
         if self.dim % self.heads != 0:
             raise HeadsNotDividingError(
                 f"{self.heads} heads do not divide dim {self.dim}")

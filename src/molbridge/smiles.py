@@ -16,8 +16,8 @@ record, which a caller can hold on to or send between processes instead
 of scanning the text again; this module alone knows the record's layout
 and decodes it. :func:`featurize_records` decodes many records at once,
 their atom codes and bond keys concatenated with per-molecule offsets,
-into one feature matrix and one flat adjacency buffer, of which each
-molecule's arrays are views; :func:`featurize_smiles` is the batch of
+into one bool feature matrix and one bool adjacency buffer, of which
+each molecule's arrays are views; :func:`featurize_smiles` is the batch of
 one text. :func:`parse_smiles` turns a record into a :class:`Molecule`
 for callers that walk atoms and bonds, and :func:`featurize` encodes a
 Molecule with the same array builder, so every route gives identical
@@ -360,7 +360,8 @@ FEATURE_DIM = 29
 
 @dataclass
 class FeaturedGraph:
-    """Per-drug node features (N x FEATURE_DIM) and binary adjacency (N x N)."""
+    """Per-drug one-hot node features (N x FEATURE_DIM) and bonded
+    adjacency (N x N), both bool: a chunk casts them to its dtype."""
 
     features: np.ndarray
     adjacency: np.ndarray
@@ -374,8 +375,8 @@ def _graphs(element, charge, hydrogens, aromatic, a, b,
             atoms) -> list[FeaturedGraph]:
     """One FeaturedGraph per molecule from per-atom arrays over the atoms
     of all molecules end to end, bond ends indexing them, and each
-    molecule's atom count. The graphs' arrays are views of one feature
-    matrix and one flat buffer holding every n x n adjacency in turn."""
+    molecule's atom count. The graphs' arrays are views of one bool feature
+    matrix and one flat bool buffer holding each n x n adjacency in turn."""
     n = len(element)
     ends = np.cumsum(atoms)
     starts = ends - atoms
@@ -385,9 +386,9 @@ def _graphs(element, charge, hydrogens, aromatic, a, b,
     m = np.searchsorted(ends, a, side="right")  # each bond's molecule
     w = atoms[m]
     base = blocks[m] - starts[m] * (w + 1)
-    adjacency = np.zeros(atoms @ atoms, dtype=np.float64)
-    adjacency[base + a * w + b] = 1.0
-    adjacency[base + b * w + a] = 1.0
+    adjacency = np.zeros(atoms @ atoms, dtype=bool)
+    adjacency[base + a * w + b] = True
+    adjacency[base + b * w + a] = True
     degree = np.bincount(a, minlength=n) + np.bincount(b, minlength=n)
     hot = np.stack((element,
                     FEATURE_BLOCKS["degree"][0] + np.minimum(degree, 6),
@@ -395,8 +396,8 @@ def _graphs(element, charge, hydrogens, aromatic, a, b,
                     FEATURE_BLOCKS["hydrogens"][0] + np.clip(hydrogens, 0, 4)),
                    axis=1)
     hot += np.arange(0, n * FEATURE_DIM, FEATURE_DIM)[:, None]
-    features = np.zeros((n, FEATURE_DIM), dtype=np.float64)
-    features.ravel()[hot.ravel()] = 1.0
+    features = np.zeros((n, FEATURE_DIM), dtype=bool)
+    features.ravel()[hot.ravel()] = True
     features[:, AROMATIC_INDEX] = aromatic
     return [FeaturedGraph(features[s:e], adjacency[c:c + k * k].reshape(k, k))
             for s, e, c, k in zip(starts.tolist(), ends.tolist(),
@@ -416,10 +417,10 @@ def featurize_smiles(text: str) -> FeaturedGraph:
 
 
 def featurize(mol: Molecule) -> FeaturedGraph:
-    """Encode a Molecule as a feature matrix and binary adjacency.
+    """Encode a Molecule as a bool feature matrix and bool adjacency.
 
-    All bond orders collapse to a single adjacency entry of 1; the
-    adjacency is symmetric with a zero diagonal.
+    All bond orders collapse to a single True adjacency entry; the
+    adjacency is symmetric with a False diagonal.
     """
     mol.validate()
     atoms = np.array([(_ELEMENT_INDEX.get(x.symbol, OTHER_ELEMENT),

@@ -128,7 +128,8 @@ def train(samples: list[DDISample], plan: SplitPlan,
             "nothing to train on")
     n_classes = 1 + max(s.label for s in samples)
     params = m.init_params(config.model_config(n_classes))
-    pairs = featurize_samples(samples)
+    read = sorted({*plan.train, *plan.val})     # the test split stays text
+    pairs = dict(zip(read, featurize_samples([samples[i] for i in read])))
     labels = [s.label for s in samples]
 
     fast = params.astype(np.float32)    # the copy every chunk runs on

@@ -2,6 +2,7 @@ import os
 import random
 import sys
 
+import numpy as np
 import pytest
 
 from molbridge import data
@@ -22,6 +23,7 @@ from molbridge.errors import (
     MissingColumnError,
     SmilesError,
 )
+from molbridge.joint import stack_joints
 from molbridge.smiles import featurize, parse_smiles, scan_smiles
 
 from conftest import CORPUS, ROOT
@@ -447,3 +449,72 @@ class TestFeaturizeSamples:
     def test_batch_without_bonds(self, tmp_path):
         self.assert_bit_equal(["C", "[NH4+]", "O", "[Cl-]", "[CH3-]", "N"],
                               tmp_path)
+
+
+# bracket atoms, formal charges and aromatic rings, beside drug-sized ones
+BYTE_TEXTS = ["[NH4+]", "[O-]C=O", "C[N+](C)(C)C", "[nH]1cccc1", "[CH2-]C",
+              "[NH3+]CC(=O)[O-]", "c1ccccc1", "c1ccncc1", "[Cl-]", "C",
+              "C%12CCC%12CC%34CCCC%34"]
+
+
+def as_float64(g):
+    return smiles.FeaturedGraph(g.features.astype(np.float64),
+                                g.adjacency.astype(np.float64))
+
+
+class TestOneByteGraphs:
+    """Graphs hold one byte per 0/1 entry; every chunk copies them into
+    its own dtype, so chunks, logits and gradients are those of the same
+    graphs held as float64."""
+
+    @pytest.fixture(scope="class")
+    def pairs(self, bench_corpus, tmp_path_factory):
+        rng = random.Random(11)
+        texts = BYTE_TEXTS + [bench_corpus.make_drug(rng, n)
+                              for n in (20, 33, 50)]
+        rows = list(zip(texts, texts[5:] + texts[:5]))
+        path = tmp_path_factory.mktemp("bytes") / "data.csv"
+        path.write_text("smiles_1,smiles_2,label\n" + "".join(
+            f"{a},{b},{i % 3}\n" for i, (a, b) in enumerate(rows)))
+        result = load_dataset(path)
+        assert len(result.samples) == len(rows) and not result.quarantined
+        pairs = featurize_samples(result.samples)
+        features = np.vstack([g.features for pair in pairs for g in pair])
+        lo, hi = smiles.FEATURE_BLOCKS["charge"]
+        assert features[:, smiles.AROMATIC_INDEX].any()
+        assert features[:, lo:lo + 2].any() and features[:, lo + 3:hi].any()
+        return pairs
+
+    def test_bool_views_of_one_buffer(self, pairs):
+        graphs = list({id(g): g for pair in pairs for g in pair}.values())
+        for g in graphs:
+            n = g.n_atoms
+            assert g.features.dtype == g.adjacency.dtype == bool
+            assert g.features.nbytes + g.adjacency.nbytes == \
+                smiles.FEATURE_DIM * n + n * n
+        assert len({id(g.features.base) for g in graphs}) == 1
+        assert len({id(g.adjacency.base) for g in graphs}) == 1
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_chunks_as_from_float64_graphs(self, pairs, dtype):
+        wide = [(as_float64(a), as_float64(b)) for a, b in pairs]
+        got, want = stack_joints(pairs, dtype), stack_joints(wide, dtype)
+        for name in ("features", "adjacency", "mask"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_logits_and_grads_as_from_float64_graphs(self, pairs, dtype):
+        params = m.init_params(m.ModelConfig(classes=3, seed=5)).astype(dtype)
+        wide = [(as_float64(a), as_float64(b)) for a, b in pairs]
+        labels = [i % 3 for i in range(len(pairs))]
+
+        def scored(chunk_pairs):
+            params.grads[...] = 0.0
+            m.cross_entropy_from_logits(
+                m.forward_chunk(chunk_pairs, params), labels, 1.0).backward()
+            return (m.batch_logits(chunk_pairs, params).tobytes(),
+                    params.grads.tobytes())
+
+        assert scored(pairs) == scored(wide)

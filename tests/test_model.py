@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -531,6 +532,15 @@ class TestConfig:
             mb.ModelConfig(**{field: value})
         assert isinstance(info.value, MolBridgeError)
         assert isinstance(info.value, ValueError)
+
+    @pytest.mark.parametrize("field, value", [("d_hid", -1), ("dim", 0)])
+    def test_is_frozen(self, field, value):
+        # every field is checked once, at construction; an assignment
+        # after it would lay the Params out from an unchecked shape
+        config = mb.ModelConfig(dim=8, heads=2, layers=2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(config, field, value)
+        assert (config.dim, config.d_hid) == (8, 16)
 
     def test_large_model_within_cap(self):
         mb.ModelConfig(dim=256, heads=8, layers=6, d_hid=1024, classes=86)

@@ -80,7 +80,7 @@ def outcome(text: str) -> dict:
         return {"error": type(exc).__name__, "message": str(exc),
                 "position": exc.position}
     g = featurize(mol)
-    assert g.features.dtype == np.float64 and g.adjacency.dtype == np.float64
+    assert g.features.dtype == bool and g.adjacency.dtype == bool
     hot = [np.flatnonzero(row).tolist() for row in g.features]
     edges = [[int(i), int(j)] for i, j in zip(*np.nonzero(np.triu(g.adjacency)))]
     # the sparse record must say everything the dense arrays do

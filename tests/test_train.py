@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+import molbridge.train as training
 from molbridge import model as m
 from molbridge import parallel as par
 from molbridge.autodiff import Tensor
@@ -192,6 +193,38 @@ class TestTraining:
         with pytest.raises(TrainingAbortedError,
                            match=r"epoch 0 batch 0"):
             train(dataset, plan, small_config(max_epochs=1))
+
+
+class TestFeaturizesWhatItReads:
+    def test_test_split_stays_text(self, dataset, plan, tmp_path,
+                                   monkeypatch):
+        """train() featurizes the train and validation rows only; a drug
+        of the test split alone never becomes a graph, and the run is the
+        one featurizing every row gives."""
+        def drugs(rows):
+            return {t for i in rows
+                    for t in (dataset[i].smiles_1, dataset[i].smiles_2)}
+
+        test_only = drugs(plan.test) - drugs(plan.train + plan.val)
+        assert test_only
+        seen = []
+
+        def recording(samples):
+            seen.extend(t for s in samples for t in (s.smiles_1, s.smiles_2))
+            return featurize_samples(samples)
+
+        def everything(samples):
+            return featurize_samples(samples + dataset)[:len(samples)]
+
+        runs = []
+        for featurize in (recording, everything):
+            monkeypatch.setattr(training, "featurize_samples", featurize)
+            params, record = train(dataset, plan, small_config(max_epochs=3))
+            record.write_csv(tmp_path / "run.csv")
+            runs.append((params.values.tobytes(),
+                         (tmp_path / "run.csv").read_bytes()))
+        assert seen and not test_only & set(seen)
+        assert runs[0] == runs[1]
 
 
 class TestFinitenessGate:
