@@ -257,8 +257,8 @@ def _write_report(args, default_name: str, name: str, header: list[str],
 
 
 def _load_samples(path):
-    """The dataset's samples; each quarantined row is reported on stderr,
-    also when no row is left."""
+    """The dataset's usable rows as a PairTable; each quarantined row is
+    reported on stderr, also when no row is left."""
     from .data import load_dataset
     try:
         result = load_dataset(path)
@@ -288,7 +288,7 @@ def _score_split(args, subset=(), quantiles=1):
     samples = _load_samples(args.data)
     if args.split != "all":
         plan = make_splits(samples, args.mode, args.fold, args.seed)
-        samples = [samples[i] for i in getattr(plan, args.split)]
+        samples = samples.take(getattr(plan, args.split))
     if not samples:
         raise EmptySplitError(
             f"the {args.split} split of {args.data} ({args.mode}, fold "
@@ -297,7 +297,7 @@ def _score_split(args, subset=(), quantiles=1):
         raise MolBridgeError(
             f"--quantiles {quantiles} is more than the {len(samples)} rows "
             f"of the {args.split} split of {args.data}")
-    labels = [s.label for s in samples]
+    labels = samples.label.tolist()
     if max(labels, default=0) >= params.config.classes:
         raise LabelOutOfRangeError(
             f"label {max(labels)} is outside the checkpoint's "

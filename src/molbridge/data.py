@@ -8,35 +8,37 @@ the load; structurally broken rows (missing fields, non-integer labels)
 and bytes that are not UTF-8 text or not CSV abort it with a
 MalformedRowError naming the file and line.
 
-Loading reads and checks every row first, then scans each distinct
-SMILES once with the one-pass scanner of :mod:`molbridge.smiles`. A
-valid string's scan is kept as its packed record (see
-:func:`molbridge.smiles.pack_scan`), and each sample carries the records
-of its two drugs, shared by every row that names them. When the
+Loading streams the rows into a :class:`PairTable`: each distinct
+SMILES once, and four int32 numbers per row, so a corpus costs memory
+per drug, not per row. Every row is read and checked first, then each
+distinct SMILES is scanned once with the one-pass scanner of
+:mod:`molbridge.smiles`, and a valid string's scan is kept in the table
+as its packed record (see :func:`molbridge.smiles.pack_scan`). When the
 distinct strings hold ``model.SCAN_FORK_CHARS`` characters or more, the
 helper processes of :mod:`molbridge.parallel` scan contiguous slices of
 them too, and the verdicts and records come back in order; on smaller
 files the fork would cost more than it saves. A process that runs other
 threads, a multi-threaded BLAS's among them, scans alone. Only the rows
 a command goes on to use are featurized, by :func:`featurize_samples`,
-in one batched decode of their distinct drugs' records; a sample built
-by hand, without records, has its strings scanned there.
+which decodes each of their drugs once from its record; samples built
+by hand have no records, and their strings are scanned there.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
-import io
-from dataclasses import dataclass, field
+import itertools
+from array import array
+from collections.abc import Sequence
+from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import (
-    EmptyDatasetError,
-    MalformedRowError,
-    MissingColumnError,
-    SmilesError,
-)
+import numpy as np
+
+from .errors import (EmptyDatasetError, MalformedRowError,
+                     MissingColumnError, MolBridgeError, SmilesError)
 from . import model as m
 from . import parallel as par
 from .smiles import (
@@ -50,15 +52,62 @@ REQUIRED_COLUMNS = ("smiles_1", "smiles_2", "label")
 # event types of the DeepDDI corpus.
 MAX_CLASSES = 10_000
 
+DIGEST_BLOCK = 1 << 20      # bytes dataset_digest reads at a time
 
-@dataclass
+
+@dataclass(slots=True)
 class DDISample:
     smiles_1: str
     smiles_2: str
     label: int
-    # the drugs' packed scans, set by load_dataset; not part of equality
-    record_1: bytes | None = field(default=None, compare=False, repr=False)
-    record_2: bytes | None = field(default=None, compare=False, repr=False)
+
+
+class PairTable(Sequence):
+    """A dataset's rows as indices into its distinct drugs: `smiles` and
+    `records` (packed scans, None where none was kept) per drug, each
+    drug named by some row, and the int32 arrays `drug_1`, `drug_2`,
+    `label` and `line` per row. Row i reads as a DDISample built on
+    access; a table equals any sequence of the same samples."""
+
+    def __init__(self, smiles: list[str], records: list[bytes | None],
+                 drug_1, drug_2, label, line):
+        self.smiles, self.records = smiles, records
+        self.drug_1, self.drug_2, self.label, self.line = (
+            np.asarray(x, np.int32) for x in (drug_1, drug_2, label, line))
+
+    @classmethod
+    def of(cls, samples: PairTable | list[DDISample]) -> PairTable:
+        """samples if a table already, else a table of them without
+        records, each row's line the one write_dataset gives it."""
+        if isinstance(samples, PairTable):
+            return samples
+        index: dict[str, int] = {}
+        drugs = [index.setdefault(text, len(index)) for s in samples
+                 for text in (s.smiles_1, s.smiles_2)]
+        return cls(list(index), [None] * len(index), drugs[::2], drugs[1::2],
+                   [s.label for s in samples], range(2, len(samples) + 2))
+
+    def take(self, rows) -> PairTable:
+        """The table of the given rows, in that order, over the drugs they
+        name (in this table's order): the others can be freed with it."""
+        rows = np.asarray(rows, np.intp)
+        drugs, index = np.unique(np.concatenate(
+            (self.drug_1[rows], self.drug_2[rows])), return_inverse=True)
+        drugs = drugs.tolist()
+        return PairTable([self.smiles[d] for d in drugs],
+                         [self.records[d] for d in drugs],
+                         index[:len(rows)], index[len(rows):],
+                         self.label[rows], self.line[rows])
+
+    def __len__(self) -> int:
+        return len(self.label)
+
+    def __getitem__(self, i: int) -> DDISample:
+        return DDISample(self.smiles[self.drug_1[i]],
+                         self.smiles[self.drug_2[i]], int(self.label[i]))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and list(self) == list(other)
 
 
 @dataclass
@@ -69,14 +118,19 @@ class QuarantinedRow:
 
 @dataclass
 class LoadResult:
-    samples: list[DDISample]
+    samples: PairTable
     n_classes: int
     quarantined: list[QuarantinedRow]
 
 
 def dataset_digest(path) -> str:
-    """sha256 of the raw file bytes, for tying metrics to exact data."""
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """sha256 of the raw file bytes, for tying metrics to exact data,
+    read DIGEST_BLOCK bytes at a time."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(functools.partial(fh.read, DIGEST_BLOCK), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def read_utf8(path) -> str:
@@ -93,14 +147,38 @@ def read_utf8(path) -> str:
 
 
 def load_dataset(path) -> LoadResult:
-    """Read a delimited interaction file; returns usable samples, the
-    class count C = 1 + max label, and the quarantine report."""
-    text = read_utf8(path)
-    if not text:
+    """Read a delimited interaction file; returns its usable rows as a
+    PairTable, the class count C = 1 + max label, and the quarantine
+    report."""
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            smiles, rows = _read(path, fh)
+    except (UnicodeDecodeError, MolBridgeError):
+        read_utf8(path)     # a byte that is not UTF-8 is reported first
+        raise
+    drug_1, drug_2, label, line = (np.frombuffer(r, np.intc) for r in rows)
+    reasons, records = zip(*_verdicts(smiles)) if smiles else ((), ())
+    bad = np.array([reason is not None for reason in reasons], bool)
+    refused = bad[drug_1] | bad[drug_2]
+    # a row is quarantined with the error of its first failing SMILES
+    first = np.where(bad[drug_1], drug_1, drug_2)[refused]
+    quarantined = [QuarantinedRow(at, reasons[drug]) for at, drug in
+                   zip(line[refused].tolist(), first.tolist())]
+    if refused.all():
+        raise EmptyDatasetError(f"{path}: no usable samples", quarantined)
+    table = PairTable(smiles, records, drug_1, drug_2, label, line).take(
+        np.flatnonzero(~refused))
+    return LoadResult(table, 1 + int(table.label.max()), quarantined)
+
+
+def _read(path, fh) -> tuple[list[str], list[array]]:
+    """The distinct SMILES of fh's rows, in first-seen order, and the
+    rows' drug_1, drug_2, label and line columns."""
+    header_line = fh.readline()
+    if not header_line:
         raise EmptyDatasetError(f"{path}: empty file")
-    header_line = text.split("\n", 1)[0].split("\r", 1)[0]
     delimiter = "\t" if "\t" in header_line else ","
-    reader = _rows(path, csv.reader(io.StringIO(text, newline=""),
+    reader = _rows(path, csv.reader(itertools.chain([header_line], fh),
                                     delimiter=delimiter))
     _, header = next(reader)
     columns = [c.strip() for c in header]
@@ -110,7 +188,9 @@ def load_dataset(path) -> LoadResult:
     idx = {c: columns.index(c) for c in REQUIRED_COLUMNS}
     width = max(idx.values()) + 1
 
-    rows = []
+    index: dict[str, int] = {}
+    rows = [array("i") for _ in range(4)]
+    drug_1, drug_2, labels, lines = rows
     for line_no, row in reader:
         if not row or all(not f.strip() for f in row):
             continue
@@ -129,26 +209,11 @@ def load_dataset(path) -> LoadResult:
             raise MalformedRowError(
                 f"{path}:{line_no}: label {label} is not below the class "
                 f"cap {MAX_CLASSES}")
-        rows.append((line_no, row[idx["smiles_1"]].strip(),
-                     row[idx["smiles_2"]].strip(), label))
-
-    distinct = list(dict.fromkeys(s for _, s1, s2, _ in rows for s in (s1, s2)))
-    verdicts = dict(zip(distinct, _verdicts(distinct)))
-    samples: list[DDISample] = []
-    quarantined: list[QuarantinedRow] = []
-    for line_no, s1, s2, label in rows:
-        reason, record_1 = verdicts[s1]
-        if reason is None:
-            reason, record_2 = verdicts[s2]
-        if reason is not None:
-            quarantined.append(QuarantinedRow(line_no, reason))
-            continue
-        samples.append(DDISample(s1, s2, label, record_1, record_2))
-
-    if not samples:
-        raise EmptyDatasetError(f"{path}: no usable samples", quarantined)
-    n_classes = 1 + max(s.label for s in samples)
-    return LoadResult(samples, n_classes, quarantined)
+        drug_1.append(index.setdefault(row[idx["smiles_1"]].strip(), len(index)))
+        drug_2.append(index.setdefault(row[idx["smiles_2"]].strip(), len(index)))
+        labels.append(label)
+        lines.append(line_no)
+    return list(index), rows
 
 
 def _verdict(smiles: str) -> tuple[str | None, bytes | None]:
@@ -184,16 +249,14 @@ def _rows(path, reader):
         raise MalformedRowError(f"{path}:{reader.line_num}: {exc}") from None
 
 
-def featurize_samples(samples: list[DDISample]) -> list[tuple[FeaturedGraph, FeaturedGraph]]:
-    """Featurize every sample in one batch from its drugs' records,
-    scanning a distinct SMILES only when no sample carries its record;
-    samples that share a SMILES share its graph."""
-    records: dict[str, bytes | None] = {}
-    for sample in samples:
-        for text, record in ((sample.smiles_1, sample.record_1),
-                             (sample.smiles_2, sample.record_2)):
-            records[text] = records.get(text) or record
-    graphs = dict(zip(records, featurize_records(
-        [record or pack_scan(scan_smiles(text))
-         for text, record in records.items()])))
-    return [(graphs[s.smiles_1], graphs[s.smiles_2]) for s in samples]
+def featurize_samples(samples: PairTable | list[DDISample]
+                      ) -> list[tuple[FeaturedGraph, FeaturedGraph]]:
+    """Each row's two graphs, decoding each distinct drug of the rows once
+    from its record (scanning its SMILES if it has none) in one batch;
+    rows that share a drug share its graph."""
+    table = PairTable.of(samples)
+    graphs = featurize_records([record or pack_scan(scan_smiles(text))
+                                for text, record in zip(table.smiles,
+                                                        table.records)])
+    return [(graphs[a], graphs[b]) for a, b in
+            zip(table.drug_1.tolist(), table.drug_2.tolist())]

@@ -9,7 +9,9 @@ single vector per pair before the classifier head.
 Each stage here and in joint.py is a function of numpy arrays that
 returns its value and a pullback (see autodiff.py). forward_chunk runs
 them and the head, and returns the logits and a pullback that calls the
-stages' pullbacks in reverse; the loss is the one Tensor.
+stages' pullbacks in reverse; the loss is the one Tensor. Scoring
+(chunk_logits) keeps no pullback: each stage's is dropped once the next
+stage has its value, with the arrays it holds.
 
 Pairs run in chunks laid out as in joint.py: B joint graphs padded to N
 atoms, features (B*N) x d, adjacency (B*N) x N, and a B x N mask of real
@@ -340,19 +342,25 @@ def joint_sizes(pairs: list[tuple[FeaturedGraph, FeaturedGraph]]) -> list[int]:
 
 
 def forward_chunk(pairs: list[tuple[FeaturedGraph, FeaturedGraph]],
-                  params: ModelParams):
+                  params: ModelParams, pullback: bool = True):
     """(logits, backward): the full pipeline up to class logits (B x C,
     row b for pairs[b]) on the pairs padded to one chunk, and a pullback
-    that runs the stages' in reverse, adding every Param's gradient."""
+    that runs the stages' in reverse, adding every Param's gradient.
+    With pullback false, backward is None and each stage's pullback, with
+    what it holds, is dropped once the next stage has its value; the
+    logits are the same bits."""
     joint = jg.stack_joints(pairs, params.proj_w.value.dtype)
     refined = jg.refine(joint, params.proj_w, params.proj_b,
                         params.w_q, params.w_k, params.config.heads,
                         params.theta)
-    trace, layer_backs = [refined.projected], []
+    trace, combined, layer_backs = [refined.projected], refined.combined, []
+    if not pullback:
+        refined = None
     for p in params.gformer:
-        out, back = gformer_layer(trace[-1], refined.combined, p)
+        out, back = gformer_layer(trace[-1], combined, p)
         trace.append(out)
-        layer_backs.append(back)
+        if pullback:
+            layer_backs.append(back)
     pooled, pool_back = aggregate(trace, joint.mask)
     z = pooled @ params.head_w1.value
     z += params.head_b1.value
@@ -363,6 +371,8 @@ def forward_chunk(pairs: list[tuple[FeaturedGraph, FeaturedGraph]],
     # (NaN * 0 is NaN); the head's ReLU (np.maximum) passes a NaN on, but
     # turns a -inf into 0, so the pooled rows are checked as well
     require_finite(pooled, logits)
+    if not pullback:
+        return logits, None
 
     def backward(grad):
         params.head_w2._pull(hidden.T @ grad)
@@ -405,7 +415,7 @@ def chunk_costs(sizes: list[int], chunks: list[list[int]]) -> list[int]:
 
 def chunk_logits(pairs: list[tuple[FeaturedGraph, FeaturedGraph]],
                  params: ModelParams, chunk: list[int]) -> np.ndarray:
-    return forward_chunk([pairs[i] for i in chunk], params)[0]
+    return forward_chunk([pairs[i] for i in chunk], params, pullback=False)[0]
 
 
 def batch_logits(pairs: list[tuple[FeaturedGraph, FeaturedGraph]],

@@ -15,9 +15,11 @@ an adapter over it. :func:`pack_scan` keeps a scan as one compact
 record, which a caller can hold on to or send between processes instead
 of scanning the text again; this module alone knows the record's layout
 and decodes it. :func:`featurize_records` decodes many records at once,
-their atom codes and bond keys concatenated with per-molecule offsets,
-into one bool feature matrix and one bool adjacency buffer, of which
-each molecule's arrays are views; :func:`featurize_smiles` is the batch of
+gathering their atom codes and bond keys through int32 index runs from
+per-record offsets, into one bool feature matrix and one bool adjacency
+buffer, of which each molecule's arrays are views; each one-hot block and
+the adjacency are written through one flat index at a time, so the work
+holds little beyond its output. :func:`featurize_smiles` is the batch of
 one text. :func:`parse_smiles` turns a record into a :class:`Molecule`
 for callers that walk atoms and bonds, and :func:`featurize` encodes a
 Molecule with the same array builder, so every route gives identical
@@ -94,7 +96,7 @@ for _symbol, _valences in _VALENCES.items():
         _needed = (_sum + 1) // 2
         _IMPLICIT_H[_i][_sum] = _IMPLICIT_H[_i | _AROMATIC][_sum] = next(
             (v - _needed for v in _valences if v >= _needed), 0)
-_IMPLICIT_H = np.array(_IMPLICIT_H, dtype=np.intp)
+_IMPLICIT_H = np.array(_IMPLICIT_H, dtype=np.int8)
 
 # symbol, optional hydrogen count, optional charge -- nothing else.
 _BRACKET_RE = re.compile(r"^(Cl|Br|[BCNOPSFI]|[bcnops])(H[0-9]?)?(\+\+|--|[+-][0-9]?)?$")
@@ -295,30 +297,40 @@ def pack_scan(scan: tuple[list[int], list[int], list[int]]) -> bytes:
                        *codes, *bonds, *orders)
 
 
+def _runs(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """starts[r], starts[r] + 1, ... (counts[r] of them) for each r."""
+    index = np.repeat(starts - np.cumsum(counts, dtype=np.int32) + counts,
+                      counts)
+    index += np.arange(len(index), dtype=np.int32)
+    return index
+
+
 def _decode(records: list[bytes]):
-    """Per-atom arrays (element, charge, hydrogens, aromatic) over the
-    atoms of all records end to end, with implicit hydrogens filled in;
-    bond ends (a, b) as indices into them; and each record's atom count."""
-    words = np.frombuffer(b"".join(records), np.uint16).astype(np.intp)
-    sizes = np.fromiter(map(len, records), np.intp, len(records)) // 2
-    atoms = words[np.cumsum(sizes) - sizes]
+    """Per-atom arrays (element, charge, hydrogens as int8, aromatic as
+    bool) over the atoms of all records end to end, with implicit
+    hydrogens filled in; bond ends (a, b) as int32 indices into them; and
+    each record's atom count. Each field is gathered from the words
+    through int32 index runs built from the per-record offsets."""
+    words = np.frombuffer(b"".join(records), np.uint16)
+    sizes = np.fromiter(map(len, records), np.int32, len(records)) // 2
+    first = np.cumsum(sizes, dtype=np.int32) - sizes + 1  # each first code
+    atoms = words[first - 1].astype(np.int32)
     bonds = (sizes - 1 - atoms) // 2
-    # each word's part of its record: 0 count, 1 code, 2 bond key, 3 order
-    part = np.repeat(np.tile(np.arange(4), len(records)), np.column_stack(
-        (np.ones_like(atoms), atoms, bonds, bonds)).ravel())
-    code, keys, doubled = (words[part == k] for k in (1, 2, 3))
-    a, b = np.divmod(keys, ATOM_CAP)
-    shift = np.repeat(np.cumsum(atoms) - atoms, bonds)
+    code = words[_runs(first, atoms)].astype(np.int32)
+    a, b = np.divmod(words[_runs(first + atoms, bonds)].astype(np.int32),
+                     ATOM_CAP)
+    doubled = words[_runs(first + atoms + bonds, bonds)]
+    shift = np.repeat(np.cumsum(atoms, dtype=np.int32) - atoms, bonds)
     a += shift
     b += shift
-    n = len(code)
-    order_sum = (np.bincount(a, doubled, n)
-                 + np.bincount(b, doubled, n)).astype(np.intp)
-    hydrogens = (_IMPLICIT_H[code & (_BRACKET | _AROMATIC | 15),
-                             np.minimum(order_sum, _IMPLICIT_H.shape[1] - 1)]
-                 + ((code >> _H_SHIFT) & 15))
-    charge = (code >> _CHARGE_SHIFT) - 16
-    return code & 15, charge, hydrogens, (code >> 4) & 1, a, b, atoms
+    order_sum = np.bincount(a, doubled, len(code)) \
+        + np.bincount(b, doubled, len(code))
+    hydrogens = _IMPLICIT_H[code & (_BRACKET | _AROMATIC | 15), np.minimum(
+        order_sum, _IMPLICIT_H.shape[1] - 1).astype(np.int32)]
+    hydrogens += (code >> _H_SHIFT) & 15
+    return ((code & 15).astype(np.int8),
+            ((code >> _CHARGE_SHIFT) - 16).astype(np.int8), hydrogens,
+            (code & _AROMATIC).astype(bool), a, b, atoms)
 
 
 def parse_smiles(text: str) -> Molecule:
@@ -330,7 +342,7 @@ def parse_smiles(text: str) -> Molecule:
     """
     scan = scan_smiles(text)
     element, charge, hydrogens, aromatic, a, b, _ = _decode([pack_scan(scan)])
-    atoms = [Atom(ELEMENTS[e], c, ar == 1, h) for e, c, ar, h in zip(
+    atoms = [Atom(ELEMENTS[e], c, ar, h) for e, c, ar, h in zip(
         element.tolist(), charge.tolist(), aromatic.tolist(), hydrogens.tolist())]
     return Molecule(atoms, [Bond(i, j, _ORDER_NAME[o]) for i, j, o in zip(
         a.tolist(), b.tolist(), scan[2])])
@@ -358,7 +370,7 @@ AROMATIC_INDEX = 28
 FEATURE_DIM = 29
 
 
-@dataclass
+@dataclass(slots=True)
 class FeaturedGraph:
     """Per-drug one-hot node features (N x FEATURE_DIM) and bonded
     adjacency (N x N), both bool: a chunk casts them to its dtype."""
@@ -376,28 +388,34 @@ def _graphs(element, charge, hydrogens, aromatic, a, b,
     """One FeaturedGraph per molecule from per-atom arrays over the atoms
     of all molecules end to end, bond ends indexing them, and each
     molecule's atom count. The graphs' arrays are views of one bool feature
-    matrix and one flat bool buffer holding each n x n adjacency in turn."""
-    n = len(element)
+    matrix and one flat bool buffer holding each n x n adjacency in turn,
+    written through flat indices with one block's temporaries at a time."""
+    n, atoms = len(element), atoms.astype(np.intp)
     ends = np.cumsum(atoms)
     starts = ends - atoms
     blocks = np.cumsum(atoms * atoms) - atoms * atoms   # adjacency offsets
-    # entry (i, j) of molecule m's block is at blocks[m] + (i - s) * w + j - s,
-    # with s = starts[m] and w = atoms[m]
-    m = np.searchsorted(ends, a, side="right")  # each bond's molecule
-    w = atoms[m]
-    base = blocks[m] - starts[m] * (w + 1)
-    adjacency = np.zeros(atoms @ atoms, dtype=bool)
-    adjacency[base + a * w + b] = True
-    adjacency[base + b * w + a] = True
+    # entry (i, j) of molecule k's block is at blocks[k] + (i - s) * w + j - s,
+    # with s = starts[k] and w = atoms[k]; entry (j, i) is (j - i)(w - 1) on
+    k = np.searchsorted(ends, a, side="right")  # each bond's molecule
+    w = atoms[k]
+    index = (blocks - starts * (atoms + 1))[k]
+    index += a * w
+    index += b
+    adjacency = np.zeros(int(atoms @ atoms), dtype=bool)
+    adjacency[index] = True
+    index += (b - a) * (w - 1)
+    adjacency[index] = True
+    del k, w, index
     degree = np.bincount(a, minlength=n) + np.bincount(b, minlength=n)
-    hot = np.stack((element,
-                    FEATURE_BLOCKS["degree"][0] + np.minimum(degree, 6),
-                    FEATURE_BLOCKS["charge"][0] + 2 + np.clip(charge, -2, 2),
-                    FEATURE_BLOCKS["hydrogens"][0] + np.clip(hydrogens, 0, 4)),
-                   axis=1)
-    hot += np.arange(0, n * FEATURE_DIM, FEATURE_DIM)[:, None]
+    degree = np.minimum(degree, 6).astype(np.int8)
     features = np.zeros((n, FEATURE_DIM), dtype=bool)
-    features.ravel()[hot.ravel()] = True
+    flat = features.reshape(-1)
+    row = np.arange(0, flat.size, FEATURE_DIM,
+                    np.int32 if flat.size < 2 ** 31 else np.intp)
+    for column in (element, FEATURE_BLOCKS["degree"][0] + degree,
+                   FEATURE_BLOCKS["charge"][0] + 2 + np.clip(charge, -2, 2),
+                   FEATURE_BLOCKS["hydrogens"][0] + np.clip(hydrogens, 0, 4)):
+        flat[row + column] = True
     features[:, AROMATIC_INDEX] = aromatic
     return [FeaturedGraph(features[s:e], adjacency[c:c + k * k].reshape(k, k))
             for s, e, c, k in zip(starts.tolist(), ends.tolist(),

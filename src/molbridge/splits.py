@@ -11,15 +11,12 @@ exactly one unseen drug (S1) or two unseen drugs (S2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .data import DDISample, PairTable
 from .errors import InsufficientDrugsError
 from .model import MODES, N_FOLDS
-
-if TYPE_CHECKING:
-    from .data import DDISample
 
 
 @dataclass
@@ -32,7 +29,7 @@ class SplitPlan:
     test: list[int]
 
 
-def make_splits(samples: list[DDISample], mode: str, fold: int,
+def make_splits(samples: PairTable | list[DDISample], mode: str, fold: int,
                 seed: int) -> SplitPlan:
     """Deterministic split plan for one fold of one mode."""
     if mode not in MODES:
@@ -40,12 +37,11 @@ def make_splits(samples: list[DDISample], mode: str, fold: int,
     if not 0 <= fold < N_FOLDS:
         raise ValueError(f"fold must be in [0, {N_FOLDS}), got {fold}")
     if mode == "transductive":
-        return _transductive(samples, fold, seed)
-    return _inductive(samples, mode, fold, seed)
+        return _transductive(len(samples), fold, seed)
+    return _inductive(PairTable.of(samples), mode, fold, seed)
 
 
-def _transductive(samples: list[DDISample], fold: int, seed: int) -> SplitPlan:
-    n = len(samples)
+def _transductive(n: int, fold: int, seed: int) -> SplitPlan:
     chunks = np.array_split(np.random.default_rng(seed).permutation(n), N_FOLDS)
     rest = np.concatenate([chunks[k] for k in range(N_FOLDS) if k != fold])
     n_val = round(n / 10)
@@ -53,40 +49,38 @@ def _transductive(samples: list[DDISample], fold: int, seed: int) -> SplitPlan:
                      rest[:n_val].tolist(), chunks[fold].tolist())
 
 
-def _inductive(samples: list[DDISample], mode: str, fold: int,
+def _inductive(table: PairTable, mode: str, fold: int,
                seed: int) -> SplitPlan:
-    drugs = sorted({s.smiles_1 for s in samples} | {s.smiles_2 for s in samples})
+    # the table's drugs by SMILES; masks over them
+    drugs = sorted(range(len(table.smiles)), key=table.smiles.__getitem__)
     if len(drugs) < N_FOLDS:
         raise InsufficientDrugsError(
             f"{mode} split needs at least {N_FOLDS} distinct drugs, "
             f"have {len(drugs)}")
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(drugs))
-    unseen = {drugs[i] for i in np.array_split(order, N_FOLDS)[fold]}
+    unseen = np.zeros(len(table.smiles), bool)
+    unseen[np.array(drugs)[np.array_split(order, N_FOLDS)[fold]]] = True
+    unseen_1, unseen_2 = unseen[table.drug_1], unseen[table.drug_2]
 
-    seen_pairs = [i for i, s in enumerate(samples)
-                  if s.smiles_1 not in unseen and s.smiles_2 not in unseen]
-    if not seen_pairs:
+    seen_pairs = np.flatnonzero(~unseen_1 & ~unseen_2)
+    if not len(seen_pairs):
         raise InsufficientDrugsError(f"{mode} fold {fold}: no fully seen pairs")
     seen_perm = rng.permutation(len(seen_pairs))
     n_val = len(seen_pairs) // 8
-    val = [seen_pairs[i] for i in seen_perm[:n_val]]
-    train = [seen_pairs[i] for i in seen_perm[n_val:]]
+    val = seen_pairs[seen_perm[:n_val]].tolist()
+    train = seen_pairs[seen_perm[n_val:]].tolist()
     if not train:
         raise InsufficientDrugsError(f"{mode} fold {fold}: empty train set")
 
-    train_drugs = {samples[i].smiles_1 for i in train} \
-        | {samples[i].smiles_2 for i in train}
-    test: list[int] = []
-    for i, s in enumerate(samples):
-        in_unseen = (s.smiles_1 in unseen) + (s.smiles_2 in unseen)
-        if mode == "s1" and in_unseen == 1:
-            other = s.smiles_2 if s.smiles_1 in unseen else s.smiles_1
-            if other in train_drugs:
-                test.append(i)
-        elif mode == "s2" and in_unseen == 2:
-            test.append(i)
-    if not test:
+    in_train = np.zeros(len(table.smiles), bool)
+    in_train[table.drug_1[train]] = in_train[table.drug_2[train]] = True
+    if mode == "s1":    # one unseen drug, the other one trained on
+        test = (unseen_1 != unseen_2) & np.where(
+            unseen_1, in_train[table.drug_2], in_train[table.drug_1])
+    else:
+        test = unseen_1 & unseen_2
+    if not test.any():
         raise InsufficientDrugsError(
             f"{mode} fold {fold}: no test pairs satisfy the cold-start rule")
-    return SplitPlan(mode, fold, seed, train, val, test)
+    return SplitPlan(mode, fold, seed, train, val, np.flatnonzero(test).tolist())

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import model as m
 from . import parallel as par
-from .data import DDISample, featurize_samples
+from .data import DDISample, PairTable, featurize_samples
 from .errors import EmptySplitError, TrainingAbortedError
 from .metrics import METRIC_KEYS, accumulate, macro_metrics
 from .model import SELECTION_METRICS, ModelConfig, ModelParams
@@ -114,10 +114,11 @@ def evaluate(params: ModelParams,
     return macro_metrics(accumulate(preds, labels, n_classes))
 
 
-def train(samples: list[DDISample], plan: SplitPlan,
+def train(samples: PairTable | list[DDISample], plan: SplitPlan,
           config: TrainConfig) -> tuple[ModelParams, RunRecord]:
     """Train on plan.train, select on plan.val; returns the best params
     and the per-epoch record."""
+    samples = PairTable.of(samples)
     for idx_list in (plan.train, plan.val):
         for i in idx_list:
             if not 0 <= i < len(samples):
@@ -126,11 +127,11 @@ def train(samples: list[DDISample], plan: SplitPlan,
         raise EmptySplitError(
             f"the train split of {len(samples)} samples is empty; "
             "nothing to train on")
-    n_classes = 1 + max(s.label for s in samples)
+    n_classes = 1 + int(samples.label.max())
     params = m.init_params(config.model_config(n_classes))
     read = sorted({*plan.train, *plan.val})     # the test split stays text
-    pairs = dict(zip(read, featurize_samples([samples[i] for i in read])))
-    labels = [s.label for s in samples]
+    pairs = dict(zip(read, featurize_samples(samples.take(read))))
+    labels = samples.label.tolist()
 
     fast = params.astype(np.float32)    # the copy every chunk runs on
     opt = AdamW(params.values, params.grads, lr=config.lr,

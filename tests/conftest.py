@@ -55,6 +55,17 @@ CORPUS = [
 ]
 
 
+@pytest.fixture(scope="session")
+def bench_corpus():
+    """The benchmark's seeded drug generator, perfbench/corpus.py."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import corpus
+    finally:
+        sys.path.pop(0)
+    return corpus
+
+
 def node(x):
     """x as a (value, pullback) pair: a Param's pullback adds to its grad,
     a loss Tensor's is its own, and a pair is already one."""
@@ -147,19 +158,21 @@ def check_pullback(stage, inputs, params, probe) -> float:
 
 def record_chunks(monkeypatch) -> tuple[list, list]:
     """Patch model.forward_chunk to keep the logits of every chunk, and
-    the (logits, gradient) arrays of every call of a chunk's pullback;
-    returns the two lists."""
+    the (logits, gradient) arrays of every call of a chunk's pullback
+    (a chunk scored without one has none); returns the two lists."""
     logits, handed = [], []
     forward = model.forward_chunk
 
-    def kept(chunk_pairs, chunk_params):
-        value, backward = forward(chunk_pairs, chunk_params)
+    def kept(chunk_pairs, chunk_params, pullback=True):
+        value, backward = forward(chunk_pairs, chunk_params, pullback)
+        logits.append(value)
+        if backward is None:
+            return value, None
 
         def recorded(grad):
             handed.append((value, grad))
             backward(grad)
 
-        logits.append(value)
         return value, recorded
 
     monkeypatch.setattr(model, "forward_chunk", kept)

@@ -1,6 +1,7 @@
+import hashlib
 import os
 import random
-import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +11,10 @@ from molbridge import model as m
 from molbridge import parallel as par
 from molbridge import smiles
 from molbridge.data import (
+    DIGEST_BLOCK,
     MAX_CLASSES,
     DDISample,
+    PairTable,
     QuarantinedRow,
     dataset_digest,
     featurize_samples,
@@ -25,19 +28,10 @@ from molbridge.errors import (
 )
 from molbridge.joint import stack_joints
 from molbridge.smiles import featurize, parse_smiles, scan_smiles
+from molbridge.splits import make_splits
 
-from conftest import CORPUS, ROOT
+from conftest import CORPUS
 
-
-@pytest.fixture(scope="module")
-def bench_corpus():
-    """The benchmark's seeded drug generator, perfbench/corpus.py."""
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    try:
-        import corpus
-    finally:
-        sys.path.pop(0)
-    return corpus
 
 
 def assert_no_child() -> None:
@@ -242,8 +236,9 @@ class TestScanOnHelpers:
         serial, parallel = results
         assert parallel == serial
         # sample equality leaves the kept scans out
-        records = [[(s.record_1, s.record_2) for s in result.samples]
-                   for result in results]
+        records = [[(table.records[a], table.records[b]) for a, b in
+                    zip(table.drug_1.tolist(), table.drug_2.tolist())]
+                   for table in (result.samples for result in results)]
         assert records[0] == records[1]
         assert all(r for pair in records[0] for r in pair)
         assert len(serial.samples) == 510 - n_invalid
@@ -372,6 +367,17 @@ class TestLoadErrors:
                            rf"text \(byte 0xff at offset {offset}\)"):
             load_dataset(path)
 
+    def test_non_utf8_byte_reported_before_an_earlier_bad_row(self,
+                                                             tmp_path):
+        # rows are read as a stream, yet the file's text is checked first:
+        # the byte sits thousands of rows past the first decoded block
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"smiles_1,smiles_2,label\nCCO,CN,x\n"
+                         + b"CC,CO,1\n" * 2000 + b"CC,C\xff,1\n")
+        with pytest.raises(MalformedRowError,
+                           match=r"data\.csv:2003: not UTF-8 text"):
+            load_dataset(path)
+
     def test_digest_hashes_the_byte_order_mark(self, tmp_path):
         plain = write(tmp_path, WELL_FORMED)
         marked = tmp_path / "bom.csv"
@@ -405,6 +411,79 @@ class TestDigest:
         assert dataset_digest(p1) != dataset_digest(p3)
         assert len(dataset_digest(p1)) == 64
 
+    def test_blocks_hash_as_the_whole_file(self, tmp_path):
+        # two whole blocks and a partial one
+        raw = np.random.default_rng(3).bytes(2 * DIGEST_BLOCK + 12345)
+        path = tmp_path / "big.csv"
+        path.write_bytes(raw)
+        assert dataset_digest(path) == hashlib.sha256(raw).hexdigest()
+
+
+class TestPairTable:
+    """A loaded corpus is its distinct drugs once and four int32 numbers
+    per row; row i reads as a DDISample."""
+
+    TEXT = ("smiles_1,smiles_2,label\n"
+            "CCO,CN,0\n"
+            "CN,C@C,1\n"            # quarantined
+            "CCO,c1ccccc1,2\n"
+            "C1CC,CCO,0\n"          # quarantined; C1CC is in no other row
+            "c1ccccc1,CN,1\n")
+
+    def test_drugs_once_rows_as_int32(self, tmp_path):
+        table = load_dataset(write(tmp_path, self.TEXT)).samples
+        assert table.smiles == ["CCO", "CN", "c1ccccc1"]
+        assert table.records == [pack(s) for s in table.smiles]
+        for name, want in (("drug_1", [0, 0, 2]), ("drug_2", [1, 2, 1]),
+                           ("label", [0, 2, 1]), ("line", [2, 4, 6])):
+            column = getattr(table, name)
+            assert column.dtype == np.int32, name
+            assert column.tolist() == want, name
+        assert list(table) == [DDISample("CCO", "CN", 0),
+                               DDISample("CCO", "c1ccccc1", 2),
+                               DDISample("c1ccccc1", "CN", 1)]
+        assert table[-1] == table[2]
+
+    def test_load_builds_no_sample(self, tmp_path, monkeypatch):
+        def refused(*args):
+            raise AssertionError("a DDISample was built")
+
+        monkeypatch.setattr(data, "DDISample", refused)
+        result = load_dataset(write(tmp_path, self.TEXT))
+        assert len(result.samples) == 3 and len(result.quarantined) == 2
+
+    def test_take_keeps_the_drugs_its_rows_name(self, tmp_path):
+        table = load_dataset(write(tmp_path, self.TEXT)).samples
+        part = table.take([1])
+        assert list(part) == [table[1]]
+        assert part.smiles == ["CCO", "c1ccccc1"]
+        assert part.records == [pack("CCO"), pack("c1ccccc1")]
+        assert part.line.tolist() == [4]
+        assert len(table.take([])) == 0 and table.take([]).smiles == []
+
+    def test_of_a_list(self):
+        samples = [DDISample("CC", "CO", 1), DDISample("CO", "N", 0),
+                   DDISample("CC", "CC", 2)]
+        table = PairTable.of(samples)
+        assert table == samples and samples == table
+        assert PairTable.of(table) is table
+        assert table.smiles == ["CC", "CO", "N"]
+        assert table.records == [None] * 3
+        assert table.line.tolist() == [2, 3, 4]
+
+    @pytest.mark.parametrize("mode", ["transductive", "s1", "s2"])
+    def test_splits_as_of_the_samples(self, bench_corpus, tmp_path, mode):
+        path = tmp_path / "pooled.csv"
+        bench_corpus.pooled_corpus(5, 300, 40).write_csv(path)
+        table = load_dataset(path).samples
+        for fold in range(5):
+            assert make_splits(table, mode, fold, 9) == \
+                make_splits(list(table), mode, fold, 9)
+
+
+def pack(text: str) -> bytes:
+    return smiles.pack_scan(scan_smiles(text))
+
 
 class TestFeaturizeSamples:
     def test_pairs_align_with_samples(self, tmp_path):
@@ -415,18 +494,20 @@ class TestFeaturizeSamples:
         assert pairs[0][1].n_atoms == 2   # CN
 
     def assert_bit_equal(self, texts, tmp_path):
-        """Samples built by hand, loaded ones, which carry their scans,
-        and lists mixing both over the same SMILES featurize to the
-        arrays of featurize(parse_smiles(text))."""
+        """Samples built by hand, a loaded table, which keeps its drugs'
+        scans, its rows taken in reverse, and lists mixing both over the
+        same SMILES featurize to the arrays of
+        featurize(parse_smiles(text))."""
         rows = list(zip(texts, texts[1:] + texts))
         hand = [DDISample(a, b, 0) for a, b in rows]
         text = "smiles_1,smiles_2,label\n" + "".join(
             f"{a},{b},0\n" for a, b in rows)
         loaded = load_dataset(write(tmp_path, text)).samples
         assert loaded == hand
-        assert all(s.record_1 and s.record_2 for s in loaded)
+        assert all(loaded.records)
         mixed = [pair[i % 2] for i, pair in enumerate(zip(hand, loaded))]
-        for samples in (hand, loaded, mixed, hand + loaded):
+        backwards = loaded.take(range(len(loaded) - 1, -1, -1))
+        for samples in (hand, loaded, backwards, mixed, hand + list(loaded)):
             pairs = featurize_samples(samples)
             for sample, graphs in zip(samples, pairs):
                 for text, g in zip((sample.smiles_1, sample.smiles_2), graphs):
@@ -449,6 +530,31 @@ class TestFeaturizeSamples:
     def test_batch_without_bonds(self, tmp_path):
         self.assert_bit_equal(["C", "[NH4+]", "O", "[Cl-]", "[CH3-]", "N"],
                               tmp_path)
+
+
+class TestFeaturizeWorkingSet:
+    def test_peak_within_twice_the_output(self, bench_corpus, tmp_path):
+        """featurize_records' traced peak, its output included, stays
+        within twice the bytes of the arrays it returns."""
+        rng = random.Random(23)
+        drugs = [bench_corpus.make_drug(rng, n)
+                 for n in bench_corpus.spread_sizes(rng, 400, 20, 50)]
+        records = load_dataset(write(tmp_path, "smiles_1,smiles_2,label\n"
+                                     + "".join(f"{a},{b},0\n" for a, b in
+                                               zip(drugs[::2], drugs[1::2])))
+                               ).samples.records
+        smiles.featurize_records(records[:4])
+        tracemalloc.start()
+        try:
+            graphs = smiles.featurize_records(records)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        output = graphs[0].features.base.nbytes \
+            + graphs[0].adjacency.base.nbytes
+        assert output == sum(g.features.nbytes + g.adjacency.nbytes
+                             for g in graphs)
+        assert peak <= 2 * output
 
 
 # bracket atoms, formal charges and aromatic rings, beside drug-sized ones

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import os
+import random
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, strategies as st
 import molbridge.autodiff as ad
 import molbridge.joint as jg
 import molbridge.model as mb
+import molbridge.parallel as par
 from molbridge.autodiff import Param
 from molbridge.errors import (
     HeadsNotDividingError,
@@ -17,7 +20,9 @@ from molbridge.errors import (
     ShapeMismatchError,
     SizeCapExceededError,
 )
-from molbridge.smiles import FEATURE_DIM, FeaturedGraph, featurize, parse_smiles
+from molbridge.smiles import (
+    FEATURE_DIM, FeaturedGraph, featurize, featurize_records, pack_scan,
+    parse_smiles, scan_smiles)
 
 from conftest import (
     CORPUS, add, check_pullback, linear, node, positive_part, probe_loss,
@@ -371,6 +376,61 @@ class TestChunks:
         backward(d)
         assert np.any(via_loss != 0.0)
         assert np.array_equal(params.grads, via_loss)
+
+
+class TestScoringWithoutPullback:
+    """Scoring runs forward_chunk keeping no pullback: the logits are the
+    bits of the pullback-keeping call, in either precision, on padded
+    chunks of drug-sized pairs, and whatever the processes."""
+
+    @pytest.fixture(scope="class")
+    def drug_pairs(self, bench_corpus):
+        rng = random.Random(31)
+        graphs = featurize_records([
+            pack_scan(scan_smiles(bench_corpus.make_drug(rng, n)))
+            for n in bench_corpus.spread_sizes(rng, 24, 20, 50)])
+        return list(zip(graphs[::2], graphs[1::2]))
+
+    @staticmethod
+    def params(dtype):
+        params = mb.init_params(mb.ModelConfig(classes=86, seed=8))
+        params.theta.value[...] = 0.4
+        return params.astype(dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("count", [1, 12])
+    def test_logits_bit_equal(self, drug_pairs, dtype, count):
+        params, pairs = self.params(dtype), drug_pairs[:count]
+        kept, backward = mb.forward_chunk(pairs, params)
+        logits, none = mb.forward_chunk(pairs, params, pullback=False)
+        assert callable(backward) and none is None
+        assert logits.dtype == kept.dtype == dtype
+        assert logits.shape == (count, 86)
+        assert logits.tobytes() == kept.tobytes()
+
+    def test_batch_logits_one_and_two_processes(self, drug_pairs,
+                                                monkeypatch):
+        params = self.params(np.float32)
+        assert len(mb.plan_chunks(mb.joint_sizes(drug_pairs))) >= 2
+        forked, fork = [], os.fork
+
+        def counting():
+            pid = fork()
+            if pid:
+                forked.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counting)
+        monkeypatch.setattr(mb, "FORK_COST", 0)
+        got = []
+        for count in (1, 2):
+            monkeypatch.setattr(par, "processes", lambda: count)
+            got.append(mb.batch_logits(drug_pairs, params))
+        assert len(forked) == 1
+        assert got[0].tobytes() == got[1].tobytes()
+        want = np.vstack([mb.forward_chunk([pair], params)[0]
+                          for pair in drug_pairs])
+        assert np.allclose(got[0], want, rtol=1e-5, atol=1e-4)
 
 
 class TestPredict:

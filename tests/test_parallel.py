@@ -255,12 +255,12 @@ class TestFailures:
         parent = os.getpid()
         forward = m.forward_chunk
 
-        def patched(pairs, params):
+        def patched(pairs, params, pullback=True):
             role = "parent" if os.getpid() == parent else \
                 f"helper {os.getpid()}"
             if where in ("both", role.split()[0]):
                 fail(role)
-            return forward(pairs, params)
+            return forward(pairs, params, pullback)
 
         monkeypatch.setattr(m, "forward_chunk", patched)
 

@@ -1,9 +1,10 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from molbridge.data import DDISample
 from molbridge.errors import InsufficientDrugsError
-from molbridge.splits import N_FOLDS, make_splits
+from molbridge.splits import N_FOLDS, SplitPlan, make_splits
 from molbridge.synthetic import make_drug_pool, make_pair_dataset
 
 
@@ -128,3 +129,55 @@ class TestInductive:
             s = samples[i]
             assert s.smiles_1 not in test_only
             assert s.smiles_2 not in test_only
+
+
+def row_loop_plan(samples, mode, fold, seed):
+    """The cold-start rules written as loops over the rows' SMILES: the
+    reference the drug-index masks of make_splits must match; a refusal
+    comes back as its message."""
+    drugs = sorted({s.smiles_1 for s in samples} | {s.smiles_2 for s in samples})
+    if len(drugs) < N_FOLDS:
+        return f"{mode} split needs at least {N_FOLDS} distinct drugs, " \
+            f"have {len(drugs)}"
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(len(drugs))
+    unseen = {drugs[i] for i in np.array_split(order, N_FOLDS)[fold]}
+    seen_pairs = [i for i, s in enumerate(samples)
+                  if s.smiles_1 not in unseen and s.smiles_2 not in unseen]
+    if not seen_pairs:
+        return f"{mode} fold {fold}: no fully seen pairs"
+    seen_perm = rng.permutation(len(seen_pairs))
+    n_val = len(seen_pairs) // 8
+    val = [seen_pairs[i] for i in seen_perm[:n_val]]
+    train = [seen_pairs[i] for i in seen_perm[n_val:]]
+    if not train:
+        return f"{mode} fold {fold}: empty train set"
+    train_drugs = drug_set(samples, train)
+    test = []
+    for i, s in enumerate(samples):
+        in_unseen = (s.smiles_1 in unseen) + (s.smiles_2 in unseen)
+        if mode == "s1" and in_unseen == 1:
+            other = s.smiles_2 if s.smiles_1 in unseen else s.smiles_1
+            if other in train_drugs:
+                test.append(i)
+        elif mode == "s2" and in_unseen == 2:
+            test.append(i)
+    if not test:
+        return f"{mode} fold {fold}: no test pairs satisfy the cold-start rule"
+    return SplitPlan(mode, fold, seed, train, val, test)
+
+
+class TestInductiveReference:
+    @given(st.integers(3, 30), st.integers(1, 120), st.integers(0, 4),
+           st.integers(0, 10**6), st.sampled_from(["s1", "s2"]))
+    def test_equals_the_row_loop(self, n_drugs, n_rows, fold, seed, mode):
+        rng = np.random.default_rng(seed)
+        drugs = make_drug_pool(n_drugs)
+        samples = [DDISample(drugs[a], drugs[b], int(c)) for a, b, c in
+                   rng.integers(0, [n_drugs, n_drugs, 4], (n_rows, 3))]
+        want = row_loop_plan(samples, mode, fold, seed)
+        try:
+            got = make_splits(samples, mode, fold, seed)
+        except InsufficientDrugsError as exc:
+            got = str(exc)
+        assert got == want

@@ -214,7 +214,7 @@ class TestFeaturizesWhatItReads:
             return featurize_samples(samples)
 
         def everything(samples):
-            return featurize_samples(samples + dataset)[:len(samples)]
+            return featurize_samples(list(samples) + dataset)[:len(samples)]
 
         runs = []
         for featurize in (recording, everything):
