@@ -67,7 +67,8 @@ class PairTable(Sequence):
     `records` (packed scans, None where none was kept) per drug, each
     drug named by some row, and the int32 arrays `drug_1`, `drug_2`,
     `label` and `line` per row. Row i reads as a DDISample built on
-    access; a table equals any sequence of the same samples."""
+    access, and a slice as the table of its rows; a table equals any
+    sequence of the same samples."""
 
     def __init__(self, smiles: list[str], records: list[bytes | None],
                  drug_1, drug_2, label, line):
@@ -91,18 +92,21 @@ class PairTable(Sequence):
         """The table of the given rows, in that order, over the drugs they
         name (in this table's order): the others can be freed with it."""
         rows = np.asarray(rows, np.intp)
-        drugs, index = np.unique(np.concatenate(
-            (self.drug_1[rows], self.drug_2[rows])), return_inverse=True)
-        drugs = drugs.tolist()
+        drug_1, drug_2 = self.drug_1[rows], self.drug_2[rows]
+        named = np.zeros(len(self.smiles), bool)
+        named[drug_1] = named[drug_2] = True
+        index = np.cumsum(named, dtype=np.int32) - 1   # a named drug's new
+        drugs = np.flatnonzero(named).tolist()
         return PairTable([self.smiles[d] for d in drugs],
-                         [self.records[d] for d in drugs],
-                         index[:len(rows)], index[len(rows):],
-                         self.label[rows], self.line[rows])
+                         [self.records[d] for d in drugs], index[drug_1],
+                         index[drug_2], self.label[rows], self.line[rows])
 
     def __len__(self) -> int:
         return len(self.label)
 
-    def __getitem__(self, i: int) -> DDISample:
+    def __getitem__(self, i: int | slice) -> DDISample | PairTable:
+        if isinstance(i, slice):
+            return self.take(range(len(self))[i])
         return DDISample(self.smiles[self.drug_1[i]],
                          self.smiles[self.drug_2[i]], int(self.label[i]))
 
@@ -166,8 +170,9 @@ def load_dataset(path) -> LoadResult:
                    zip(line[refused].tolist(), first.tolist())]
     if refused.all():
         raise EmptyDatasetError(f"{path}: no usable samples", quarantined)
-    table = PairTable(smiles, records, drug_1, drug_2, label, line).take(
-        np.flatnonzero(~refused))
+    table = PairTable(smiles, records, drug_1, drug_2, label, line)
+    if refused.any():   # a drug may now be named by no row
+        table = table.take(np.flatnonzero(~refused))
     return LoadResult(table, 1 + int(table.label.max()), quarantined)
 
 

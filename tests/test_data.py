@@ -460,6 +460,8 @@ class TestPairTable:
         assert part.records == [pack("CCO"), pack("c1ccccc1")]
         assert part.line.tolist() == [4]
         assert len(table.take([])) == 0 and table.take([]).smiles == []
+        assert table[1:] == list(table)[1:]
+        assert table[::-2].line.tolist() == [6, 2]
 
     def test_of_a_list(self):
         samples = [DDISample("CC", "CO", 1), DDISample("CO", "N", 0),
