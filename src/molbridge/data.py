@@ -95,7 +95,7 @@ class PairTable(Sequence):
         drug_1, drug_2 = self.drug_1[rows], self.drug_2[rows]
         named = np.zeros(len(self.smiles), bool)
         named[drug_1] = named[drug_2] = True
-        index = np.cumsum(named, dtype=np.int32) - 1   # a named drug's new
+        index = np.cumsum(named, dtype=np.int32) - 1    # where each one goes
         drugs = np.flatnonzero(named).tolist()
         return PairTable([self.smiles[d] for d in drugs],
                          [self.records[d] for d in drugs], index[drug_1],
@@ -170,7 +170,7 @@ def load_dataset(path) -> LoadResult:
                    zip(line[refused].tolist(), first.tolist())]
     if refused.all():
         raise EmptyDatasetError(f"{path}: no usable samples", quarantined)
-    table = PairTable(smiles, records, drug_1, drug_2, label, line)
+    table = PairTable(smiles, list(records), drug_1, drug_2, label, line)
     if refused.any():   # a drug may now be named by no row
         table = table.take(np.flatnonzero(~refused))
     return LoadResult(table, 1 + int(table.label.max()), quarantined)
