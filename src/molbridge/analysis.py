@@ -184,7 +184,8 @@ def depth_probe(seed: int, max_depth: int = 8,
                 trials: int = 100) -> DepthProbeReport:
     """Per-trial, per-depth cosine similarity for both stacks, width 16.
 
-    Trial t draws its graph from default_rng([seed, t]) so trials are
+    Trial t draws its graph, then its GFormer layers in depth order (each
+    that of a one-layer model), from default_rng([seed, t]), so trials are
     reproducible independently of each other.
     """
     if max_depth < 2:
@@ -193,6 +194,7 @@ def depth_probe(seed: int, max_depth: int = 8,
         raise ValueError("need at least one trial")
     plain = np.zeros((trials, max_depth))
     gformer = np.zeros((trials, max_depth))
+    probe = m.ModelConfig(dim=16, heads=1, layers=1, d_hid=32)
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
         adj, features = random_joint_graph(rng, 16)
@@ -206,11 +208,11 @@ def depth_probe(seed: int, max_depth: int = 8,
             current = smooth @ current
             plain[t, depth] = mean_pairwise_cosine(current)
 
-        layers = [m.init_layer(rng, depth, 16, 32)
-                  for depth in range(max_depth)]
         out = features
         for depth in range(max_depth):
-            out, _ = m.gformer_layer(out, adj, layers[depth])
+            layer = m.ModelParams(probe).gformer[0]
+            m.fill_layer(rng, layer)
+            out, _ = m.gformer_layer(out, adj, layer)
             gformer[t, depth] = mean_pairwise_cosine(out)
     return DepthProbeReport(np.arange(1, max_depth + 1), plain, gformer)
 

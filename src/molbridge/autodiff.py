@@ -117,10 +117,9 @@ def layer_norm(x: Array, gain: Param, bias: Param):
     return value, backward
 
 
-def grad_check(f: Callable[[], Tensor], params: Sequence[Param],
-               eps: float = 1e-5) -> float:
+def grad_check(f: Callable[[], Tensor], params: Sequence[Param]) -> float:
     """Compare analytic gradients of a scalar-valued f against central
-    differences, entry by entry, over every given Param.
+    differences of step 1e-5, entry by entry, over every given Param.
 
     Returns max_i |analytic_i - numeric_i| / max(1, |analytic_i|, |numeric_i|).
     f must be deterministic and rebuild its graph on each call.
@@ -130,7 +129,7 @@ def grad_check(f: Callable[[], Tensor], params: Sequence[Param],
     f().backward()
     analytic = [p.grad.copy() for p in params]
 
-    worst = 0.0
+    eps, worst = 1e-5, 0.0
     for p, a_grad in zip(params, analytic):
         flat = p.value.reshape(-1)
         for i in range(flat.size):

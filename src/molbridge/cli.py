@@ -342,7 +342,7 @@ def cmd_train(args) -> int:
 
     # an unknown config key is a usage error, and config file values pass
     # the flags' checks too; a bad one, named by its line, or a setting
-    # TrainConfig or the model refuses, is a usage error as well, before
+    # TrainConfig refuses (the model's too) is a usage error as well, before
     # the dataset is read (train() checks the model at its class count)
     try:
         file_cfg = read_config_file(args.config) if args.config else {}
@@ -350,7 +350,6 @@ def cmd_train(args) -> int:
         config = TrainConfig(**{
             field: given[key] for key, _, field in TRAIN_SETTINGS
             if field and given[key] is not None})
-        config.model_config(2)      # the fewest classes a dataset has
     except MalformedRowError:
         raise               # a config file that is not UTF-8 text: exit 1
     except (ValueError, argparse.ArgumentTypeError) as exc:

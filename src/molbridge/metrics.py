@@ -32,10 +32,6 @@ class ConfusionMatrix:
     counts: np.ndarray
 
     @property
-    def n_classes(self) -> int:
-        return self.counts.shape[0]
-
-    @property
     def total(self) -> int:
         return int(self.counts.sum())
 
@@ -150,7 +146,4 @@ def grouped_metrics(preds: Sequence[int], labels: Sequence[int],
 
 def format_metrics(values: dict[str, float]) -> str:
     """key=value lines, one metric per line, fixed key order."""
-    lines = [f"{k}={values[k]:.6f}" for k in METRIC_KEYS if k in values]
-    lines.extend(f"{k}={v:.6f}" for k, v in values.items()
-                 if k not in METRIC_KEYS)
-    return "\n".join(lines)
+    return "\n".join(f"{k}={values[k]:.6f}" for k in METRIC_KEYS)

@@ -18,12 +18,12 @@ atoms, features (B*N) x d, adjacency (B*N) x N, and a B x N mask of real
 atoms. Row-wise ops (projection, layer norm, the feed-forward block) run
 over every row of a chunk; propagation works block by block, pooling
 sums each pair's real atoms into row b of a B x d matrix, and the head
-gives B x C logits. A batch is cut into chunks by plan_chunks;
-batch_logits cuts the chunks into slices of about equal cost
-(chunk_costs) and scores the later slices on helper processes
-(parallel.py), each chunk's logits landing in its own rows. Stages compute
-in the dtype of their parameters: float32 in training chunks and in `eval`
-and `analyze distance`, float64 in `predict` and validation.
+gives B x C logits. plan_chunks cuts a batch into chunks and estimates
+each one's cost; batch_logits cuts the chunks into slices of about equal
+cost and scores the later slices on helper processes (parallel.py), each
+chunk's logits landing in its own rows. Stages compute in the dtype of
+their parameters: float32 in training chunks and in `eval` and `analyze
+distance`, float64 in `predict` and validation.
 """
 
 from __future__ import annotations
@@ -62,9 +62,9 @@ with contextlib.suppress(OSError, AttributeError):
     ctypes.CDLL(None).mallopt(-3, 32 << 20)     # M_MMAP_THRESHOLD
     ctypes.CDLL(None).mallopt(-1, 64 << 20)     # M_TRIM_THRESHOLD
 
-# Least total chunk_costs at which batch_logits forks its own helpers. On
-# 3-50-atom drug pairs in float32 (default model, 1 BLAS thread, 2 cores) a
-# fork cost 10 ms and broke even near 800k: it won 9/21 at 760k, 16/21 at 1M.
+# Least total plan_chunks cost at which batch_logits forks its own helpers.
+# On 3-50-atom drug pairs in float32 (default model, 1 BLAS thread, 2 cores)
+# a fork cost 10 ms and broke even near 800k: it won 9/21 at 760k, 16/21 at 1M.
 FORK_COST = 900_000
 
 # Least total length of a file's distinct SMILES at which data.load_dataset
@@ -167,25 +167,19 @@ class ModelParams:
         return [(p.name, p) for p in self._params]
 
 
-def layer_shapes(index: int, dim: int,
-                 d_hid: int) -> list[tuple[str, int, int]]:
-    """Name, rows and cols of GFormer layer index's Params, in all() order."""
-    pre = f"layer{index}"
-    return [(f"{pre}.ln1.gain", 1, dim), (f"{pre}.ln1.bias", 1, dim),
-            (f"{pre}.ffn.w1", dim, d_hid), (f"{pre}.ffn.b1", 1, d_hid),
-            (f"{pre}.ffn.w2", d_hid, dim), (f"{pre}.ffn.b2", 1, dim),
-            (f"{pre}.ln2.gain", 1, dim), (f"{pre}.ln2.bias", 1, dim)]
-
-
 def param_shapes(config: ModelConfig) -> list[tuple[str, int, int]]:
     """Name, rows and cols of every Param, in ModelParams.all() order: the
     one table that ModelParams lays its vectors out by and that
     checkpoint.layout writes."""
-    d, c = config.dim, config.classes
+    d, h, c = config.dim, config.d_hid, config.classes
     return [("proj.weight", config.feature_dim, d), ("proj.bias", 1, d),
             ("attn.q", d, d), ("attn.k", d, d), ("alpha.theta", 1, 1),
-            *(entry for l in range(config.layers)
-              for entry in layer_shapes(l, d, config.d_hid)),
+            *((f"layer{l}.{name}", rows, cols) for l in range(config.layers)
+              for name, rows, cols in (
+                  ("ln1.gain", 1, d), ("ln1.bias", 1, d),
+                  ("ffn.w1", d, h), ("ffn.b1", 1, h),
+                  ("ffn.w2", h, d), ("ffn.b2", 1, d),
+                  ("ln2.gain", 1, d), ("ln2.bias", 1, d))),
             ("head.w1", d, d), ("head.b1", 1, d),
             ("head.w2", d, c), ("head.b2", 1, c)]
 
@@ -196,22 +190,11 @@ def _draw(rng: np.random.Generator, *weights: Param) -> None:
         w.value[...] = rng.normal(0.0, 1.0 / np.sqrt(w.shape[0]), w.shape)
 
 
-def _fill_layer(rng: np.random.Generator, layer: GFormerLayerParams) -> None:
+def fill_layer(rng: np.random.Generator, layer: GFormerLayerParams) -> None:
     """Draw w1 then w2 from rng and set the gains to 1."""
     _draw(rng, layer.w1, layer.w2)
     layer.ln1_gain.value[...] = 1.0
     layer.ln2_gain.value[...] = 1.0
-
-
-def init_layer(rng: np.random.Generator, index: int, dim: int,
-               d_hid: int) -> GFormerLayerParams:
-    """One GFormer layer: scaled-normal w1 then w2 drawn from rng, unit
-    gains, zero biases."""
-    layer = GFormerLayerParams(*(
-        Param(np.zeros((rows, cols)), name)
-        for name, rows, cols in layer_shapes(index, dim, d_hid)))
-    _fill_layer(rng, layer)
-    return layer
 
 
 def init_params(config: ModelConfig) -> ModelParams:
@@ -229,7 +212,7 @@ def init_params(config: ModelConfig) -> ModelParams:
         w.value[...] = np.hstack(rng.normal(
             0.0, 1.0 / np.sqrt(dim), (heads, dim, dim // heads)))
     for layer in params.gformer:
-        _fill_layer(rng, layer)
+        fill_layer(rng, layer)
     _draw(rng, params.proj_w, params.head_w1, params.head_w2)
     return params
 
@@ -321,9 +304,11 @@ def aggregate(trace: list[np.ndarray], mask: np.ndarray):
 # end-to-end forward
 # ---------------------------------------------------------------------- #
 
-def plan_chunks(sizes: list[int]) -> list[list[int]]:
+def plan_chunks(sizes: list[int]) -> tuple[list[list[int]], list[int]]:
     """Indices of a batch's pairs, by joint size then index, cut into
-    runs of at most CHUNK_ROWS padded rows (at least one pair each)."""
+    runs of at most CHUNK_ROWS padded rows (at least one pair each), and
+    each run's estimated time, pairs x N x (64 + N) for padding N:
+    row-wise work plus N-wide propagation and attention per row."""
     chunks: list[list[int]] = []
     current: list[int] = []
     for i in sorted(range(len(sizes)), key=lambda i: (sizes[i], i)):
@@ -333,7 +318,8 @@ def plan_chunks(sizes: list[int]) -> list[list[int]]:
         current.append(i)
     if current:
         chunks.append(current)
-    return chunks
+    return chunks, [len(c) * sizes[c[-1]] * (64 + sizes[c[-1]])
+                    for c in chunks]
 
 
 def joint_sizes(pairs: list[tuple[FeaturedGraph, FeaturedGraph]]) -> list[int]:
@@ -407,12 +393,6 @@ def forward_pair(g_i: FeaturedGraph, g_j: FeaturedGraph,
     return forward_chunk([(g_i, g_j)], params)
 
 
-def chunk_costs(sizes: list[int], chunks: list[list[int]]) -> list[int]:
-    """Estimated time of each chunk, pairs x N x (64 + N) for padding N:
-    row-wise work plus N-wide propagation and attention per row."""
-    return [len(c) * sizes[c[-1]] * (64 + sizes[c[-1]]) for c in chunks]
-
-
 def chunk_logits(pairs: list[tuple[FeaturedGraph, FeaturedGraph]],
                  params: ModelParams, chunk: list[int]) -> np.ndarray:
     return forward_chunk([pairs[i] for i in chunk], params, pullback=False)[0]
@@ -428,9 +408,7 @@ def batch_logits(pairs: list[tuple[FeaturedGraph, FeaturedGraph]],
     pairs, or else ones forked for this call alone if its chunks cost
     at least FORK_COST.
     """
-    sizes = joint_sizes(pairs)
-    chunks = plan_chunks(sizes)
-    costs = chunk_costs(sizes, chunks)
+    chunks, costs = plan_chunks(joint_sizes(pairs))
     own = par.Helpers([params.values], {"logits": functools.partial(
         chunk_logits, pairs, params)}, sum(costs) >= FORK_COST)
     with (own if helpers is None else contextlib.nullcontext(helpers)) as pool:

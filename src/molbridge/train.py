@@ -58,7 +58,7 @@ class TrainConfig:
             raise ValueError(
                 f"selection must be one of {SELECTION_METRICS}, "
                 f"got {self.selection!r}")
-        for name in ("batch_size", "max_epochs", "layers", "heads", "dim"):
+        for name in ("batch_size", "max_epochs"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         for name in ("lr", "weight_decay"):
@@ -66,6 +66,7 @@ class TrainConfig:
             if not math.isfinite(value) or value < 0:
                 raise ValueError(
                     f"{name} must be finite and non-negative, got {value}")
+        self.model_config(2)        # the fewest classes a dataset has
 
     def model_config(self, n_classes: int) -> ModelConfig:
         return ModelConfig(feature_dim=FEATURE_DIM, dim=self.dim,
@@ -129,25 +130,24 @@ def train(samples: PairTable | list[DDISample], plan: SplitPlan,
             "nothing to train on")
     n_classes = 1 + int(samples.label.max())
     params = m.init_params(config.model_config(n_classes))
-    read = sorted({*plan.train, *plan.val})     # the test split stays text
-    pairs = dict(zip(read, featurize_samples(samples.take(read))))
-    labels = samples.label.tolist()
+    # train then validation rows; the test split stays text
+    read = samples.take([*plan.train, *plan.val])
+    pairs, labels = featurize_samples(read), read.label
+    n_train = len(plan.train)
 
     fast = params.astype(np.float32)    # the copy every chunk runs on
     opt = AdamW(params.values, params.grads, lr=config.lr,
                 weight_decay=config.weight_decay)
     rng = np.random.default_rng(config.seed)
     record = RunRecord(config=config)
-    val_pairs = [pairs[i] for i in plan.val]
-    val_labels = [labels[i] for i in plan.val]
+    val_pairs, val_labels = pairs[n_train:], labels[n_train:]
     best_values: np.ndarray | None = None
 
     def chunk_grads(work) -> tuple[float, np.ndarray]:
         """A chunk's loss and, if finite, its float32 gradient from zero."""
         rows, share = work
         logits = m.forward_chunk([pairs[i] for i in rows], fast)
-        loss = m.cross_entropy_from_logits(
-            logits, [labels[i] for i in rows], share)
+        loss = m.cross_entropy_from_logits(logits, labels[rows], share)
         fast.grads[...] = 0.0
         if np.isfinite(loss.item()):
             loss.backward()
@@ -156,18 +156,16 @@ def train(samples: PairTable | list[DDISample], plan: SplitPlan,
     # requests refresh a helper's float32 copy; validation scores masters
     tasks = {"grads": chunk_grads,
              "logits": functools.partial(m.chunk_logits, val_pairs, params)}
-    train_idx = np.array(plan.train)
     with par.Helpers([params.values, fast.values], tasks) as helpers:
         for epoch in range(config.max_epochs):
-            order = train_idx[rng.permutation(len(train_idx))]
+            order = rng.permutation(n_train)
             loss_sum = 0.0
             for batch_no, start in enumerate(
                     range(0, len(order), config.batch_size)):
                 batch = order[start:start + config.batch_size]
-                sizes = m.joint_sizes([pairs[i] for i in batch])
-                chunks = m.plan_chunks(sizes)
+                chunks, costs = m.plan_chunks(
+                    m.joint_sizes([pairs[i] for i in batch]))
                 work = [(batch[c], len(c) / len(batch)) for c in chunks]
-                costs = m.chunk_costs(sizes, chunks)
                 opt.zero_grad()
                 value = 0.0
                 try:

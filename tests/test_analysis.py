@@ -11,7 +11,8 @@ from molbridge.analysis import (
     stratify_by_distance,
     top_edges,
 )
-from molbridge.errors import KExceedsEdgesError
+from molbridge.errors import KExceedsEdgesError, SizeCapExceededError
+from molbridge.model import ModelConfig
 from molbridge.smiles import featurize_smiles, parse_smiles
 
 from conftest import CORPUS, run_python
@@ -191,6 +192,18 @@ class TestDepthProbe:
         b = depth_probe(3, max_depth=3, trials=4)
         assert np.array_equal(a.plain, b.plain)
         assert np.array_equal(a.gformer, b.gformer)
+
+    def test_deeper_than_one_model_may_be(self):
+        # each probe layer is that of its own one-layer model, drawn in
+        # depth order: a probe deeper than one model may be still runs,
+        # and its first depths are those of a shallower probe
+        with pytest.raises(SizeCapExceededError):
+            ModelConfig(dim=16, heads=1, layers=700, d_hid=32)
+        deep = depth_probe(3, max_depth=700, trials=1)
+        shallow = depth_probe(3, max_depth=8, trials=1)
+        assert deep.gformer.shape == deep.plain.shape == (1, 700)
+        assert np.array_equal(deep.gformer[:, :8], shallow.gformer)
+        assert np.array_equal(deep.plain[:, :8], shallow.plain)
 
     def test_complete_graph_collapses(self):
         # K3 with uniform averaging: one step leaves all rows equal to the

@@ -202,7 +202,9 @@ def layer_inputs(texts, seed=3, dim=4, d_hid=8):
     keys = np.repeat(joint.mask, n, axis=0)
     f = rng.normal(size=(rows, dim))
     a = 0.7 * joint.adjacency + 0.3 * rng.random((rows, n)) * keys
-    layer = mb.init_layer(rng, 0, dim, d_hid)
+    layer = mb.ModelParams(mb.ModelConfig(dim=dim, heads=1, layers=1,
+                                          d_hid=d_hid)).gformer[0]
+    mb.fill_layer(rng, layer)
     for p in layer.all():
         p.value[...] += rng.normal(0.0, 0.3, p.shape)
     return f, a, layer, rng.normal(size=(rows, dim))
@@ -301,11 +303,11 @@ class TestAggregate:
 
 class TestChunks:
     def test_sorted_by_size_then_index(self):
-        assert mb.plan_chunks([5, 3, 5, 3]) == [[1, 3, 0, 2]]
+        assert mb.plan_chunks([5, 3, 5, 3])[0] == [[1, 3, 0, 2]]
 
     def test_budget_and_cover(self):
         sizes = [20, 90, 7, 90, 33, 41, 90, 12] * 20
-        chunks = mb.plan_chunks(sizes)
+        chunks = mb.plan_chunks(sizes)[0]
         assert sorted(i for c in chunks for i in c) == list(range(len(sizes)))
         flat = [i for c in chunks for i in c]
         assert flat == sorted(flat, key=lambda i: (sizes[i], i))
@@ -313,12 +315,12 @@ class TestChunks:
             assert len(c) * max(sizes[i] for i in c) <= mb.CHUNK_ROWS
 
     def test_oversized_pair_gets_its_own_chunk(self):
-        assert mb.plan_chunks([mb.CHUNK_ROWS + 1, 2]) == [[1], [0]]
+        assert mb.plan_chunks([mb.CHUNK_ROWS + 1, 2])[0] == [[1], [0]]
 
     def test_largest_corpus_pairs_fill_chunks(self):
         assert PER_CHUNK >= 2
         big = 2 * max(g.n_atoms for g in CORPUS_GRAPHS)
-        assert len(mb.plan_chunks([big] * (2 * PER_CHUNK + 1))) == 3
+        assert len(mb.plan_chunks([big] * (2 * PER_CHUNK + 1))[0]) == 3
 
     @given(st.lists(st.tuples(st.integers(0, len(CORPUS) - 1),
                               st.integers(0, len(CORPUS) - 1)),
@@ -411,7 +413,7 @@ class TestScoringWithoutPullback:
     def test_batch_logits_one_and_two_processes(self, drug_pairs,
                                                 monkeypatch):
         params = self.params(np.float32)
-        assert len(mb.plan_chunks(mb.joint_sizes(drug_pairs))) >= 2
+        assert len(mb.plan_chunks(mb.joint_sizes(drug_pairs))[0]) >= 2
         forked, fork = [], os.fork
 
         def counting():

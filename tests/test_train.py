@@ -7,8 +7,13 @@ import molbridge.train as training
 from molbridge import model as m
 from molbridge import parallel as par
 from molbridge.autodiff import Tensor
-from molbridge.data import DDISample, featurize_samples
-from molbridge.errors import NonFiniteActivationError, TrainingAbortedError
+from molbridge.data import DDISample, PairTable, featurize_samples
+from molbridge.errors import (
+    HeadsNotDividingError,
+    ModelConfigError,
+    NonFiniteActivationError,
+    TrainingAbortedError,
+)
 from molbridge.splits import SplitPlan, make_splits
 from molbridge.synthetic import make_balanced_dataset, make_two_class_dataset
 from molbridge.train import (
@@ -61,6 +66,12 @@ class TestConfig:
 
     def test_zero_lr_allowed(self):
         assert TrainConfig(lr=0.0).lr == 0.0
+
+    def test_model_checked_at_construction(self):
+        with pytest.raises(HeadsNotDividingError):
+            TrainConfig(dim=30, heads=4)
+        with pytest.raises(ModelConfigError):
+            TrainConfig(d_hid=-1)
 
     def test_model_config_passthrough(self):
         cfg = small_config().model_config(4)
@@ -134,6 +145,33 @@ class TestTraining:
         with pytest.raises(ValueError, match="999"):
             train(dataset, plan, small_config(max_epochs=1))
 
+    @pytest.mark.parametrize("past", ["start", "end"])
+    @pytest.mark.parametrize("split", ["train", "val"])
+    def test_plan_index_just_outside_rejected(self, dataset, split, past):
+        # PairTable.take would wrap -1 to the last row
+        index = -1 if past == "start" else len(dataset)
+        rows = {"train": [0, 1], "val": [2], split: [3, index]}
+        plan = SplitPlan("transductive", 0, 0, test=[], **rows)
+        with pytest.raises(ValueError, match="outside the sample list"):
+            train(dataset, plan, small_config(max_epochs=1))
+
+    def test_table_row_order_does_not_matter(self, dataset, plan, tmp_path):
+        """The table's rows permuted with take, and the plan remapped to
+        the same rows, train to the same bytes."""
+        table = PairTable.of(dataset)
+        perm = np.random.default_rng(5).permutation(len(table))
+        where = np.argsort(perm)        # the new row of each old one
+        moved = SplitPlan(plan.mode, plan.fold, plan.seed,
+                          *(where[rows].tolist() for rows in
+                            (plan.train, plan.val, plan.test)))
+        runs = []
+        for rows, rows_plan in ((table, plan), (table.take(perm), moved)):
+            params, record = train(rows, rows_plan, small_config(max_epochs=3))
+            record.write_csv(tmp_path / "run.csv")
+            runs.append((params.values.tobytes(),
+                         (tmp_path / "run.csv").read_bytes()))
+        assert runs[0] == runs[1]
+
     def test_one_backward_per_chunk(self, dataset, plan, monkeypatch):
         # the loss hands its gradient to the chunk's pullback itself, so
         # Tensor.backward runs once for each chunk's finite loss
@@ -165,7 +203,7 @@ class TestTraining:
         monkeypatch.setattr(par, "processes", lambda: 2)
         monkeypatch.setattr(m, "CHUNK_ROWS", 16)
         pairs = featurize_samples([dataset[i] for i in plan.val])
-        val_chunks = len(m.plan_chunks(m.joint_sizes(pairs)))
+        val_chunks = len(m.plan_chunks(m.joint_sizes(pairs))[0])
         assert val_chunks >= 2
         forked, fork = [], os.fork
         scored, chunk_logits = [], m.chunk_logits
