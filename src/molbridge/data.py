@@ -9,12 +9,12 @@ and bytes that are not UTF-8 text or not CSV abort it with a
 MalformedRowError naming the file and line.
 
 Loading streams the rows into a :class:`PairTable`: each distinct
-SMILES once, and four int32 numbers per row, so a corpus costs memory
+SMILES once, and three int32 numbers per row, so a corpus costs memory
 per drug, not per row. Every row is read and checked first, then each
 distinct SMILES is scanned once with the one-pass scanner of
 :mod:`molbridge.smiles`, and a valid string's scan is kept in the table
 as its packed record (see :func:`molbridge.smiles.pack_scan`). When the
-distinct strings hold ``model.SCAN_FORK_CHARS`` characters or more, the
+distinct strings hold ``SCAN_FORK_CHARS`` characters or more, the
 helper processes of :mod:`molbridge.parallel` scan contiguous slices of
 them too, and the verdicts and records come back in order; on smaller
 files the fork would cost more than it saves. A process that runs other
@@ -39,7 +39,6 @@ import numpy as np
 
 from .errors import (EmptyDatasetError, MalformedRowError,
                      MissingColumnError, MolBridgeError, SmilesError)
-from . import model as m
 from . import parallel as par
 from .smiles import (
     FeaturedGraph, featurize_records, pack_scan, parse_int, scan_smiles)
@@ -65,33 +64,36 @@ class DDISample:
 class PairTable(Sequence):
     """A dataset's rows as indices into its distinct drugs: `smiles` and
     `records` (packed scans, None where none was kept) per drug, each
-    drug named by some row, and the int32 arrays `drug_1`, `drug_2`,
-    `label` and `line` per row. Row i reads as a DDISample built on
-    access, and a slice as the table of its rows; a table equals any
-    sequence of the same samples."""
+    drug named by some row, and the int32 arrays `drug_1`, `drug_2` and
+    `label` per row. Row i reads as a DDISample built on access, and a
+    slice as the table of its rows; a table equals any sequence of the
+    same samples."""
 
     def __init__(self, smiles: list[str], records: list[bytes | None],
-                 drug_1, drug_2, label, line):
+                 drug_1, drug_2, label):
         self.smiles, self.records = smiles, records
-        self.drug_1, self.drug_2, self.label, self.line = (
-            np.asarray(x, np.int32) for x in (drug_1, drug_2, label, line))
+        self.drug_1, self.drug_2, self.label = (
+            np.asarray(x, np.int32) for x in (drug_1, drug_2, label))
 
     @classmethod
     def of(cls, samples: PairTable | list[DDISample]) -> PairTable:
-        """samples if a table already, else a table of them without
-        records, each row's line the one write_dataset gives it."""
+        """samples if a table already, else their table without records."""
         if isinstance(samples, PairTable):
             return samples
         index: dict[str, int] = {}
         drugs = [index.setdefault(text, len(index)) for s in samples
                  for text in (s.smiles_1, s.smiles_2)]
         return cls(list(index), [None] * len(index), drugs[::2], drugs[1::2],
-                   [s.label for s in samples], range(2, len(samples) + 2))
+                   [s.label for s in samples])
 
     def take(self, rows) -> PairTable:
         """The table of the given rows, in that order, over the drugs they
-        name (in this table's order): the others can be freed with it."""
+        name (in this table's order): the others can be freed with it.
+        Refuses a row outside [0, len)."""
         rows = np.asarray(rows, np.intp)
+        outside = rows[(rows < 0) | (rows >= len(self))]
+        if outside.size:
+            raise ValueError(f"row {outside[0]} outside the sample list")
         drug_1, drug_2 = self.drug_1[rows], self.drug_2[rows]
         named = np.zeros(len(self.smiles), bool)
         named[drug_1] = named[drug_2] = True
@@ -99,7 +101,7 @@ class PairTable(Sequence):
         drugs = np.flatnonzero(named).tolist()
         return PairTable([self.smiles[d] for d in drugs],
                          [self.records[d] for d in drugs], index[drug_1],
-                         index[drug_2], self.label[rows], self.line[rows])
+                         index[drug_2], self.label[rows])
 
     def __len__(self) -> int:
         return len(self.label)
@@ -170,7 +172,7 @@ def load_dataset(path) -> LoadResult:
                    zip(line[refused].tolist(), first.tolist())]
     if refused.all():
         raise EmptyDatasetError(f"{path}: no usable samples", quarantined)
-    table = PairTable(smiles, list(records), drug_1, drug_2, label, line)
+    table = PairTable(smiles, list(records), drug_1, drug_2, label)
     if refused.any():   # a drug may now be named by no row
         table = table.take(np.flatnonzero(~refused))
     return LoadResult(table, 1 + int(table.label.max()), quarantined)
@@ -230,13 +232,20 @@ def _verdict(smiles: str) -> tuple[str | None, bytes | None]:
         return str(exc), None
 
 
+# Least total length of a file's distinct SMILES at which _verdicts forks
+# helpers to scan them. On 3-50-atom drugs (2 cores, 1 BLAS thread, after
+# an eval) scanning took 0.5-0.8 us a character, and a helper broke even
+# at about 19k characters and saved a fifth of the scan at 38k.
+SCAN_FORK_CHARS = 25_000
+
+
 def _verdicts(strings: list[str]) -> list[tuple[str | None, bytes | None]]:
     """_verdict of each string, in order. Once the strings hold at least
     SCAN_FORK_CHARS characters, helper processes (see parallel.py) take
     the later contiguous slices of about equal length."""
     costs = [len(s) for s in strings]
     with par.Helpers([], {"verdict": lambda i: _verdict(strings[i])},
-                     sum(costs) >= m.SCAN_FORK_CHARS) as helpers:
+                     sum(costs) >= SCAN_FORK_CHARS) as helpers:
         return list(helpers.run("verdict", range(len(strings)), costs))
 
 

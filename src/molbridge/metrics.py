@@ -9,7 +9,6 @@ label and averages over the subset classes only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -25,19 +24,10 @@ from .errors import (
 METRIC_KEYS = ("accuracy", "macro_precision", "macro_recall", "macro_f1")
 
 
-@dataclass
-class ConfusionMatrix:
-    """counts[t][p] = number of samples with true class t predicted as p."""
-
-    counts: np.ndarray
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-
 def accumulate(preds: Sequence[int], labels: Sequence[int],
-               n_classes: int) -> ConfusionMatrix:
+               n_classes: int) -> np.ndarray:
+    """The (C, C) int64 confusion matrix: counts[t, p] = number of
+    samples with true class t predicted as p."""
     if len(preds) != len(labels):
         raise ValueError(
             f"{len(preds)} predictions vs {len(labels)} labels")
@@ -47,7 +37,7 @@ def accumulate(preds: Sequence[int], labels: Sequence[int],
             raise IndexOutOfRangeError(
                 f"class pair ({t}, {p}) outside [0, {n_classes})")
         counts[t, p] += 1
-    return ConfusionMatrix(counts)
+    return counts
 
 
 def _per_class(diag, row, col) -> np.ndarray:
@@ -62,19 +52,18 @@ def _per_class(diag, row, col) -> np.ndarray:
     return np.stack((precision, recall, f1))
 
 
-def _metrics(cm: ConfusionMatrix, classes=slice(None)) -> dict[str, float]:
+def _metrics(counts: np.ndarray, classes=slice(None)) -> dict[str, float]:
     """Accuracy, and precision, recall and F1 averaged over classes."""
-    counts = cm.counts
     scores = _per_class(np.diag(counts), counts.sum(axis=1), counts.sum(axis=0))
     return dict(zip(METRIC_KEYS, (
-        float(np.trace(counts) / cm.total),
+        float(np.trace(counts) / counts.sum()),
         *(float(v[classes].mean()) for v in scores))))
 
 
-def macro_metrics(cm: ConfusionMatrix) -> dict[str, float]:
-    if cm.total == 0:
+def macro_metrics(counts: np.ndarray) -> dict[str, float]:
+    if counts.sum() == 0:
         raise EmptyMatrixError("confusion matrix has no samples")
-    return _metrics(cm)
+    return _metrics(counts)
 
 
 def check_subset(label_subset: Iterable[int], n_classes: int,
@@ -101,9 +90,9 @@ def stratified_metrics(preds: Sequence[int], labels: Sequence[int],
     if not subset:
         raise EmptySubsetError("label subset is empty")
     keep = check_subset(subset, n_classes, labels)
-    cm = accumulate([preds[i] for i in keep], [labels[i] for i in keep],
-                    n_classes)
-    return _metrics(cm, np.array(subset))
+    counts = accumulate([preds[i] for i in keep],
+                        [labels[i] for i in keep], n_classes)
+    return _metrics(counts, np.array(subset))
 
 
 def grouped_metrics(preds: Sequence[int], labels: Sequence[int],

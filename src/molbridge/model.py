@@ -67,12 +67,6 @@ with contextlib.suppress(OSError, AttributeError):
 # a fork cost 10 ms and broke even near 800k: it won 9/21 at 760k, 16/21 at 1M.
 FORK_COST = 900_000
 
-# Least total length of a file's distinct SMILES at which data.load_dataset
-# forks helpers to scan them. On 3-50-atom drugs (2 cores, 1 BLAS thread,
-# after an eval) scanning took 0.5-0.8 us a character, and a helper broke
-# even at about 19k characters and saved a fifth of the scan at 38k.
-SCAN_FORK_CHARS = 25_000
-
 # Split modes, folds and train selection metrics, for splits.py and
 # train.py; kept here so the command line offers them without loading
 # either module.

@@ -33,9 +33,9 @@ def contains_element(smiles: str, symbol: str) -> bool:
 
 
 def pair_label(smiles_1: str, smiles_2: str) -> int:
-    has_o = contains_element(smiles_1, "O") or contains_element(smiles_2, "O")
-    has_n = contains_element(smiles_1, "N") or contains_element(smiles_2, "N")
-    return 2 * int(has_o) + int(has_n)
+    symbols = {a.symbol for text in (smiles_1, smiles_2)
+               for a in parse_smiles(text).atoms}
+    return 2 * ("O" in symbols) + ("N" in symbols)
 
 
 def make_balanced_dataset(n_samples: int, seed: int = 0) -> list[DDISample]:

@@ -120,18 +120,14 @@ def train(samples: PairTable | list[DDISample], plan: SplitPlan,
     """Train on plan.train, select on plan.val; returns the best params
     and the per-epoch record."""
     samples = PairTable.of(samples)
-    for idx_list in (plan.train, plan.val):
-        for i in idx_list:
-            if not 0 <= i < len(samples):
-                raise ValueError(f"plan index {i} outside the sample list")
+    # train then validation rows; the test split stays text
+    read = samples.take([*plan.train, *plan.val])
     if not plan.train:
         raise EmptySplitError(
             f"the train split of {len(samples)} samples is empty; "
             "nothing to train on")
     n_classes = 1 + int(samples.label.max())
     params = m.init_params(config.model_config(n_classes))
-    # train then validation rows; the test split stays text
-    read = samples.take([*plan.train, *plan.val])
     pairs, labels = featurize_samples(read), read.label
     n_train = len(plan.train)
 
@@ -160,31 +156,31 @@ def train(samples: PairTable | list[DDISample], plan: SplitPlan,
         for epoch in range(config.max_epochs):
             order = rng.permutation(n_train)
             loss_sum = 0.0
-            for batch_no, start in enumerate(
-                    range(0, len(order), config.batch_size)):
-                batch = order[start:start + config.batch_size]
-                chunks, costs = m.plan_chunks(
-                    m.joint_sizes([pairs[i] for i in batch]))
-                work = [(batch[c], len(c) / len(batch)) for c in chunks]
-                opt.zero_grad()
-                value = 0.0
-                try:
+            try:
+                for batch_no, start in enumerate(
+                        range(0, len(order), config.batch_size)):
+                    stage = f"batch {batch_no}"
+                    batch = order[start:start + config.batch_size]
+                    chunks, costs = m.plan_chunks(
+                        m.joint_sizes([pairs[i] for i in batch]))
+                    work = [(batch[c], len(c) / len(batch)) for c in chunks]
+                    opt.zero_grad()
+                    value = 0.0
                     for loss_value, grads in helpers.run("grads", work, costs):
                         value += loss_value
                         if not np.isfinite(value):
                             raise TrainingAbortedError(
-                                f"non-finite loss at epoch {epoch} "
-                                f"batch {batch_no}")
+                                f"non-finite loss at epoch {epoch} {stage}")
                         params.grads += grads
-                except FloatingPointError as exc:   # NonFiniteActivationError
-                    raise TrainingAbortedError(
-                        f"epoch {epoch} batch {batch_no}: {exc}") from exc
-                opt.step()
-                fast.values[...] = params.values
-                loss_sum += value * len(batch)
-
-            val = evaluate(params, val_pairs, val_labels, n_classes, helpers) \
-                if val_pairs else dict.fromkeys(METRIC_KEYS, 0.0)
+                    opt.step()
+                    fast.values[...] = params.values
+                    loss_sum += value * len(batch)
+                stage = "validation"
+                val = dict.fromkeys(METRIC_KEYS, 0.0) if not val_pairs else \
+                    evaluate(params, val_pairs, val_labels, n_classes, helpers)
+            except FloatingPointError as exc:   # NonFiniteActivationError
+                raise TrainingAbortedError(
+                    f"epoch {epoch} {stage}: {exc}") from exc
             record.epochs.append(
                 EpochRecord(epoch, loss_sum / len(order), val))
             if val_pairs and val[config.selection] > record.best_value:

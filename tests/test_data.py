@@ -204,7 +204,7 @@ class TestScanOnHelpers:
             rows[5 + 23 * j] = ((bad, s2), (s1, bad), (bad, bad))[j % 3] + (
                 label,)
         distinct = {s for row in rows for s in row[:2]}
-        assert sum(map(len, distinct)) >= m.SCAN_FORK_CHARS
+        assert sum(map(len, distinct)) >= data.SCAN_FORK_CHARS
         path = tmp_path_factory.mktemp("big") / "big.csv"
         path.write_text("smiles_1,smiles_2,label\n" + "".join(
             f"{a},{b},{c}\n" for a, b, c in rows))
@@ -420,7 +420,7 @@ class TestDigest:
 
 
 class TestPairTable:
-    """A loaded corpus is its distinct drugs once and four int32 numbers
+    """A loaded corpus is its distinct drugs once and three int32 numbers
     per row; row i reads as a DDISample."""
 
     TEXT = ("smiles_1,smiles_2,label\n"
@@ -435,7 +435,7 @@ class TestPairTable:
         assert table.smiles == ["CCO", "CN", "c1ccccc1"]
         assert table.records == [pack(s) for s in table.smiles]
         for name, want in (("drug_1", [0, 0, 2]), ("drug_2", [1, 2, 1]),
-                           ("label", [0, 2, 1]), ("line", [2, 4, 6])):
+                           ("label", [0, 2, 1])):
             column = getattr(table, name)
             assert column.dtype == np.int32, name
             assert column.tolist() == want, name
@@ -458,10 +458,17 @@ class TestPairTable:
         assert list(part) == [table[1]]
         assert part.smiles == ["CCO", "c1ccccc1"]
         assert part.records == [pack("CCO"), pack("c1ccccc1")]
-        assert part.line.tolist() == [4]
         assert len(table.take([])) == 0 and table.take([]).smiles == []
         assert table[1:] == list(table)[1:]
-        assert table[::-2].line.tolist() == [6, 2]
+        assert table[::-2] == list(table)[::-2]
+
+    @pytest.mark.parametrize("past", ["start", "end"])
+    def test_take_refuses_a_row_outside(self, tmp_path, past):
+        table = load_dataset(write(tmp_path, self.TEXT)).samples
+        row = -1 if past == "start" else len(table)
+        with pytest.raises(ValueError,
+                           match=f"^row {row} outside the sample list$"):
+            table.take([0, row])
 
     def test_of_a_list(self):
         samples = [DDISample("CC", "CO", 1), DDISample("CO", "N", 0),
@@ -471,7 +478,6 @@ class TestPairTable:
         assert PairTable.of(table) is table
         assert table.smiles == ["CC", "CO", "N"]
         assert table.records == [None] * 3
-        assert table.line.tolist() == [2, 3, 4]
 
     @pytest.mark.parametrize("mode", ["transductive", "s1", "s2"])
     def test_splits_as_of_the_samples(self, bench_corpus, tmp_path, mode):

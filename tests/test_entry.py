@@ -78,6 +78,13 @@ class TestImports:
         assert {"molbridge", module} <= loaded
         assert "numpy" not in loaded
 
+    def test_data_loads_no_model(self):
+        proc = run_python("-X", "importtime", "-c", "import molbridge.data")
+        assert proc.returncode == 0, proc.stderr
+        loaded = imported(proc.stderr)
+        assert "molbridge.data" in loaded
+        assert "molbridge.model" not in loaded
+
 
 @pytest.fixture(scope="module")
 def data_path(tmp_path_factory):

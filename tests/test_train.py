@@ -148,7 +148,7 @@ class TestTraining:
     @pytest.mark.parametrize("past", ["start", "end"])
     @pytest.mark.parametrize("split", ["train", "val"])
     def test_plan_index_just_outside_rejected(self, dataset, split, past):
-        # PairTable.take would wrap -1 to the last row
+        # PairTable.take refuses these; numpy would wrap -1 to the last row
         index = -1 if past == "start" else len(dataset)
         rows = {"train": [0, 1], "val": [2], split: [3, index]}
         plan = SplitPlan("transductive", 0, 0, test=[], **rows)
@@ -231,6 +231,17 @@ class TestTraining:
         with pytest.raises(TrainingAbortedError,
                            match=r"epoch 0 batch 0"):
             train(dataset, plan, small_config(max_epochs=1))
+
+    def test_validation_abort_names_epoch(self, dataset, plan, monkeypatch):
+        # validation fails the way a batch does, not with a bare error
+        def explode(*args, **kwargs):
+            raise NonFiniteActivationError("layer 0 produced nan")
+        monkeypatch.setattr(m, "chunk_logits", explode)
+        with pytest.raises(TrainingAbortedError,
+                           match=r"^epoch 0 validation: layer 0 produced nan$"
+                           ) as info:
+            train(dataset, plan, small_config(max_epochs=1))
+        assert type(info.value.__cause__) is NonFiniteActivationError
 
 
 class TestFeaturizesWhatItReads:
