@@ -103,7 +103,7 @@ def assign_stratum(value: float, boundaries: np.ndarray) -> int:
 
 
 def stratify_by_distance(pairs: list[tuple[FeaturedGraph, FeaturedGraph]],
-                         preds: list[int], labels: list[int],
+                         preds: np.ndarray, labels: np.ndarray,
                          n_classes: int, quantiles: int = 5,
                          combine: str = "pair_mean") -> DistanceStrata:
     """Quintile the samples by path-length statistic and score each

@@ -297,10 +297,10 @@ def _score_split(args, subset=(), quantiles=1):
         raise MolBridgeError(
             f"--quantiles {quantiles} is more than the {len(samples)} rows "
             f"of the {args.split} split of {args.data}")
-    labels = samples.label.tolist()
-    if max(labels, default=0) >= params.config.classes:
+    labels = samples.label
+    if labels.max() >= params.config.classes:
         raise LabelOutOfRangeError(
-            f"label {max(labels)} is outside the checkpoint's "
+            f"label {labels.max()} is outside the checkpoint's "
             f"{params.config.classes} classes")
     if subset:
         check_subset(subset, params.config.classes, labels)

@@ -72,7 +72,7 @@ class IndexOutOfRangeError(MolBridgeError, ValueError):
 
 
 class EmptyMatrixError(MolBridgeError, ValueError):
-    """Metrics requested on a confusion matrix with zero total count."""
+    """Metrics requested on a class tally with no samples."""
 
 
 class EmptySubsetError(MolBridgeError, ValueError):

@@ -40,7 +40,7 @@ from .smiles import FEATURE_DIM, FeaturedGraph
 from .splits import SplitPlan
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     batch_size: int = 512
     lr: float = 0.005
@@ -102,9 +102,8 @@ class RunRecord:
 
 def predict_labels(params: ModelParams,
                    pairs: list[tuple[FeaturedGraph, FeaturedGraph]],
-                   helpers: par.Helpers | None = None) -> list[int]:
-    return [int(c) for c in
-            np.argmax(m.batch_logits(pairs, params, helpers), axis=1)]
+                   helpers: par.Helpers | None = None) -> np.ndarray:
+    return np.argmax(m.batch_logits(pairs, params, helpers), axis=1)
 
 
 def evaluate(params: ModelParams,

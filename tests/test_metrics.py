@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from molbridge.data import MAX_CLASSES
 from molbridge.errors import (
     EmptyMatrixError,
     EmptySubsetError,
@@ -20,17 +23,18 @@ from molbridge.metrics import (
 
 class TestAccumulate:
     def test_perfect_predictions_diagonal(self):
-        cm = accumulate([0, 1, 2, 1], [0, 1, 2, 1], 3)
-        assert np.array_equal(cm, np.diag([1, 2, 1]))
+        tally = accumulate([0, 1, 2, 1], [0, 1, 2, 1], 3)
+        assert np.array_equal(tally, [[1, 2, 1]] * 3)
 
     def test_empty_zero_matrix(self):
-        cm = accumulate([], [], 2)
-        assert cm.tolist() == [[0, 0], [0, 0]]
+        tally = accumulate([], [], 2)
+        assert tally.tolist() == [[0, 0], [0, 0], [0, 0]]
 
     def test_hand_tally(self):
-        cm = accumulate([0, 1, 1], [0, 0, 1], 2)
-        assert cm.tolist() == [[1, 1], [0, 1]]
-        assert cm.dtype == np.int64
+        # rows: true positives, true totals, predicted totals
+        tally = accumulate([0, 1, 1], [0, 0, 1], 2)
+        assert tally.tolist() == [[1, 1], [2, 1], [1, 2]]
+        assert tally.dtype == np.int64
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexOutOfRangeError):
@@ -45,12 +49,12 @@ class TestAccumulate:
 
 class TestMacroMetrics:
     def test_diagonal_all_ones(self):
-        values = macro_metrics(np.diag([3, 2, 5]))
+        values = macro_metrics(np.array([[3, 2, 5]] * 3))
         assert values == {"accuracy": 1.0, "macro_precision": 1.0,
                           "macro_recall": 1.0, "macro_f1": 1.0}
 
     def test_hand_computed_two_class(self):
-        values = macro_metrics(np.array([[1, 1], [0, 1]]))
+        values = macro_metrics(np.array([[1, 1], [2, 1], [1, 2]]))
         assert abs(values["accuracy"] - 2 / 3) < 1e-9
         # class 0: P=1, R=1/2, F1=2/3; class 1: P=1/2, R=1, F1=2/3
         assert abs(values["macro_f1"] - 2 / 3) < 1e-9
@@ -59,7 +63,7 @@ class TestMacroMetrics:
 
     def test_absent_class_counts_as_zero(self):
         # all samples class 0 and correct, but C = 2
-        values = macro_metrics(np.array([[4, 0], [0, 0]]))
+        values = macro_metrics(np.array([[4, 0], [4, 0], [4, 0]]))
         assert values["accuracy"] == 1.0
         assert values["macro_recall"] == 0.5
         assert values["macro_precision"] == 0.5
@@ -67,7 +71,7 @@ class TestMacroMetrics:
 
     def test_empty_matrix(self):
         with pytest.raises(EmptyMatrixError):
-            macro_metrics(np.zeros((2, 2), dtype=np.int64))
+            macro_metrics(np.zeros((3, 2), dtype=np.int64))
 
     @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)),
                     min_size=1, max_size=60))
@@ -79,6 +83,34 @@ class TestMacroMetrics:
             assert 0.0 <= v <= 1.0
         rev = macro_metrics(accumulate(preds[::-1], labels[::-1], 3))
         assert values == rev
+
+    @given(st.integers(1, 6).flatmap(lambda c: st.tuples(
+        st.just(c), st.lists(st.tuples(st.integers(0, c - 1),
+                                       st.integers(0, c - 1)),
+                             min_size=1, max_size=60))))
+    def test_matches_per_class_reference(self, case):
+        n_classes, pairs = case
+        preds = [p for p, _ in pairs]
+        labels = [t for _, t in pairs]
+        got = macro_metrics(accumulate(preds, labels, n_classes))
+        want = brute_force_subset(preds, labels, n_classes, range(n_classes))
+        for key in want:
+            assert abs(got[key] - want[key]) < 1e-12
+
+    def test_label_cap_scores_in_little_memory(self):
+        # a (C, C) matrix at the label cap would take 800 MB
+        rng = np.random.default_rng(3)
+        labels = rng.integers(0, MAX_CLASSES, 3000)
+        preds = np.where(rng.random(3000) < 0.5, labels,
+                         rng.integers(0, MAX_CLASSES, 3000))
+        tracemalloc.start()
+        try:
+            macro_metrics(accumulate(preds, labels, MAX_CLASSES))
+            stratified_metrics(preds, labels, MAX_CLASSES, labels[:100])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 def brute_force_subset(preds, labels, n_classes, subset):
@@ -139,6 +171,10 @@ class TestStratified:
         with pytest.raises(IndexOutOfRangeError):
             stratified_metrics([0], [0], 2, [5])
 
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError, match="2 predictions vs 1 labels"):
+            stratified_metrics([0, 1], [0], 2, [0])
+
 
 def check_grouped_against_stratified(sizes, seed):
     """grouped_metrics over groups of the given sizes (300 classes) gives
@@ -180,6 +216,14 @@ class TestGrouped:
         with pytest.raises(IndexOutOfRangeError,
                            match=rf"\({label}, {pred}\) outside \[0, 3\)"):
             grouped_metrics([0, pred], [1, label], 3, [0, 1], 2)
+
+    @pytest.mark.parametrize("preds, labels, groups, lengths", [
+        ([0, 1, 2], [1], [0, 1, 1], "3 predictions vs 1 labels vs 3 groups"),
+        ([0, 1, 2], [1, 1, 2], [0], "3 predictions vs 3 labels vs 1 groups"),
+    ], ids=["labels", "groups"])
+    def test_length_mismatch(self, preds, labels, groups, lengths):
+        with pytest.raises(ValueError, match=lengths):
+            grouped_metrics(preds, labels, 3, groups, 2)
 
 
 class TestFormat:

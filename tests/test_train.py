@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import numpy as np
@@ -72,6 +73,13 @@ class TestConfig:
             TrainConfig(dim=30, heads=4)
         with pytest.raises(ModelConfigError):
             TrainConfig(d_hid=-1)
+
+    @pytest.mark.parametrize("field, value",
+                             [("selection", "loss"), ("batch_size", 0)])
+    def test_is_frozen(self, field, value):
+        # an assignment would skip __post_init__'s checks
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(TrainConfig(), field, value)
 
     def test_model_config_passthrough(self):
         cfg = small_config().model_config(4)
